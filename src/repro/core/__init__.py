@@ -32,6 +32,7 @@ from .config import (
     FanoutConfig,
     HarnessConfig,
     ObservabilityConfig,
+    RunConfig,
     SystemConfig,
 )
 from .fanout import FanoutClient, FanoutGatherer, FanoutStats
@@ -39,6 +40,7 @@ from .harness import HarnessResult, run_harness
 from .queueing import QueueClosed, RequestQueue
 from .request import Request, RequestRecord
 from .resilience import ResilienceConfig, ResilientClient
+from .run import RunResult
 from .runner import CampaignResult, run_campaign
 from .runtime import ReplicaRuntime
 from .server import Server
@@ -86,6 +88,7 @@ __all__ = [
     "FanoutConfig",
     "HarnessConfig",
     "ObservabilityConfig",
+    "RunConfig",
     "SystemConfig",
     "FanoutClient",
     "FanoutGatherer",
@@ -93,6 +96,7 @@ __all__ = [
     "ResilienceConfig",
     "ResilientClient",
     "HarnessResult",
+    "RunResult",
     "run_harness",
     "QueueClosed",
     "RequestQueue",

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import Optional, Tuple, TypeVar
 
 from ..batching.config import NO_BATCHING, BatchingConfig
 from ..control.config import NO_CONTROL, ControlPlaneConfig
@@ -19,6 +19,7 @@ __all__ = [
     "FanoutConfig",
     "HarnessConfig",
     "ObservabilityConfig",
+    "RunConfig",
     "SloConfig",
     "SystemConfig",
     "PAPER_SYSTEM",
@@ -356,9 +357,21 @@ class CacheConfig:
 NO_CACHE = CacheConfig()
 
 
+_C = TypeVar("_C", bound="RunConfig")
+
+
 @dataclass(frozen=True)
-class HarnessConfig:
-    """One load-testing run's parameters.
+class RunConfig:
+    """What a live run and a simulated run are both configured by.
+
+    :class:`HarnessConfig` (wall clock) and
+    :class:`repro.sim.SimConfig` (virtual time) extend this core with
+    their own defaults, their own few fields and their own rejections;
+    every shared field, its meaning and its validation live here once.
+    Times are wall-clock seconds live and virtual seconds in the
+    simulator; every optional subsystem is off by default, and an
+    off subsystem constructs nothing, so a disabled run stays
+    bit-identical per seed to builds that predate it.
 
     Attributes
     ----------
@@ -375,8 +388,6 @@ class HarnessConfig:
     seed:
         RNG seed for the arrival schedule and payload stream; repeated
         runs use different seeds (hysteresis countermeasure, Sec. IV-C).
-    one_way_delay:
-        Modelled wire delay for the networked configuration.
     deterministic_arrivals:
         Use fixed interarrival gaps instead of exponential (testing /
         calibration only; real measurements keep the Poisson default).
@@ -392,31 +403,38 @@ class HarnessConfig:
         queue. With ``n_servers > 1`` the bound applies per instance.
     n_servers:
         Number of independent server instances behind the balancer,
-        each with its own request queue and worker pool. 1 reproduces
-        the paper's original single-server harness shape.
+        each with its own request queue, worker pool and (simulated)
+        service-time stream. 1 reproduces the paper's original
+        single-server shape bit-for-bit.
     n_clients:
         Number of concurrent client (traffic-shaper) threads. The
         arrival schedule is split round-robin across clients, so the
         union of arrivals is identical at any client count — only the
-        submission concurrency changes.
+        submission concurrency changes. In virtual time the split
+        re-merges into the identical event sequence, so the simulator
+        accepts the field and its results never depend on it.
     balancer:
         Routing policy name (see :mod:`repro.core.balancer`):
         ``round_robin`` / ``random`` / ``power_of_two`` / ``jsq``.
     observability:
         Tracing/metrics policy (see :class:`ObservabilityConfig`);
-        fully disabled by default.
+        fully disabled by default. Both clocks emit the same event
+        schema; the simulator samples metrics as a recurring event.
     control:
         SLO-driven control plane (see
         :class:`repro.control.ControlPlaneConfig`): admission control,
         priority scheduling, replica autoscaling. Fully disabled by
         default; ``n_servers`` is then the fixed replica count, while
         an enabled autoscaler treats it as the *initial* count.
+        Control ticks are a thread live and recurring events in the
+        simulator, so controlled sim runs stay deterministic per seed.
     batching:
         Dynamic request batching (see
         :class:`repro.batching.BatchingConfig`): workers dequeue
         size-or-deadline batches and service them with one application
-        call. Fully disabled by default — the worker loop is then the
-        original single-request loop, bit-identical per seed.
+        call (simulated: one full-price draw plus ``sim_marginal_cost``
+        of each further member's draw). Fully disabled by default —
+        the worker loop is then the original single-request loop.
     load_profile:
         Optional piecewise load schedule as ``((duration_seconds,
         qps), ...)`` segments replacing the constant-``qps`` arrival
@@ -428,35 +446,26 @@ class HarnessConfig:
         Failure-aware serving policy (see
         :class:`repro.health.HealthConfig`): per-replica health
         tracking, outlier ejection, circuit breakers, and the global
-        retry budget. Fully disabled by default — the transport and
-        client then hold no health hooks at all, keeping runs
-        bit-identical with pre-health builds.
+        retry budget. Fully disabled by default.
     scenario:
         Optional chaos :class:`repro.faults.Scenario` — a timed
         sequence of fault-plan phases played back by a scheduler
         thread (live) or engine events (simulator). Composes over
         ``faults`` as the steady-state base plan.
-    execution:
-        Execution substrate (see :class:`ExecutionConfig`):
-        ``threaded`` (default, bit-identical with prior builds) or
-        ``process`` (one OS process per replica — multi-core scaling).
-        Process mode requires the ``integrated`` configuration and
-        supports autoscaling, batching, health, resilience, static
-        fault plans, and observability; admission control, priority
-        scheduling, and chaos scenarios need shared-memory access to
-        the replicas' queues and stay threaded-only.
     fanout:
         Scatter-gather request shape (see :class:`FanoutConfig`) for
         sharded applications: each logical request visits every server
-        instance and completes at the gather point. Disabled by
-        default — requests then route through the balancer unchanged.
-        Requires ``n_servers == fanout.shards`` and an application
-        exposing ``merge_responses`` (see
-        :class:`repro.apps.ShardedApp`); composes with batching and
-        observability, but not with resilience/control/health/faults
-        (a retried, dropped, or rerouted sub-request would break the
-        all-shards-answer gather contract) nor process execution
-        (replica processes do not ship response payloads back).
+        instance and completes at the gather point, so its latency is
+        the slowest shard's. Requires ``n_servers == fanout.shards``;
+        composes with batching and observability, but not with
+        resilience/control/health/faults (a retried, dropped, or
+        rerouted sub-request would break the all-shards-answer gather
+        contract). A K=1 fan-out replays the unsharded run
+        bit-identically per seed.
+    cache:
+        Request/result caching tier (see :class:`CacheConfig` and
+        :mod:`repro.cache`). Does not compose with batching or
+        fan-out.
     """
 
     configuration: str = "integrated"
@@ -465,7 +474,6 @@ class HarnessConfig:
     warmup_requests: int = 100
     measure_requests: int = 2000
     seed: int = 0
-    one_way_delay: float = 25e-6
     deterministic_arrivals: bool = False
     resilience: ResilienceConfig = NO_RESILIENCE
     faults: Optional[FaultPlan] = None
@@ -479,24 +487,16 @@ class HarnessConfig:
     load_profile: Optional[Tuple[Tuple[float, float], ...]] = None
     health: HealthConfig = NO_HEALTH
     scenario: Optional[Scenario] = None
-    execution: ExecutionConfig = THREADED
     fanout: FanoutConfig = NO_FANOUT
     cache: CacheConfig = NO_CACHE
 
     def __post_init__(self) -> None:
-        if self.configuration not in _CONFIG_NAMES:
-            raise ValueError(
-                f"configuration must be one of {_CONFIG_NAMES}, "
-                f"got {self.configuration!r}"
-            )
         if self.qps <= 0:
             raise ValueError("qps must be positive")
         if self.n_threads < 1:
             raise ValueError("n_threads must be >= 1")
         if self.warmup_requests < 0 or self.measure_requests < 1:
             raise ValueError("invalid request counts")
-        if self.one_way_delay < 0:
-            raise ValueError("one_way_delay must be non-negative")
         if self.queue_capacity is not None and self.queue_capacity < 1:
             raise ValueError("queue_capacity must be >= 1 (or None)")
         if self.n_servers < 1:
@@ -530,28 +530,6 @@ class HarnessConfig:
                     "n_servers must lie within the autoscaler's "
                     "[min_servers, max_servers] band"
                 )
-        if self.execution.mode == "process":
-            if self.configuration != "integrated":
-                raise ValueError(
-                    "process execution requires the 'integrated' "
-                    "configuration: the replica pipe is the transport "
-                    f"(got {self.configuration!r})"
-                )
-            if self.control.enabled and (
-                self.control.admission is not None
-                or self.control.priority is not None
-            ):
-                raise ValueError(
-                    "admission control and priority scheduling need "
-                    "shared-memory access to replica queues; process "
-                    "execution supports the autoscaler only"
-                )
-            if self.scenario is not None:
-                raise ValueError(
-                    "chaos scenarios mutate fault plans at run time and "
-                    "cannot reach replica processes; process execution "
-                    "supports static fault plans only"
-                )
         if self.fanout.enabled:
             if self.n_servers != self.fanout.shards:
                 raise ValueError(
@@ -580,30 +558,18 @@ class HarnessConfig:
                     "gathers forever incomplete; fan-out does not "
                     "compose with faults/scenarios"
                 )
-            if self.execution.mode == "process":
-                raise ValueError(
-                    "replica processes do not ship response payloads "
-                    "back to the parent, so the gather point cannot "
-                    "merge; fan-out is threaded-only"
-                )
         if self.cache.enabled:
             if self.batching.enabled:
                 raise ValueError(
-                    "the batched worker loop services whole batches "
-                    "with one application call and has no per-request "
-                    "hit path; caching does not compose with batching"
+                    "a batch is serviced (and priced) as a whole and "
+                    "has no per-request hit path; caching does not "
+                    "compose with batching"
                 )
             if self.fanout.enabled:
                 raise ValueError(
                     "fan-out sub-requests carry partial per-shard "
                     "responses that are only meaningful to their "
                     "gather; caching does not compose with fan-out"
-                )
-            if self.execution.mode == "process":
-                raise ValueError(
-                    "the cache is shared in-process state; replica "
-                    "processes cannot reach it, so caching is "
-                    "threaded-only"
                 )
 
     @property
@@ -612,14 +578,88 @@ class HarnessConfig:
 
     # dataclasses.replace keeps these honest as fields are added: a
     # hand-copied field list would silently drop new ones.
-    def with_seed(self, seed: int) -> "HarnessConfig":
+    def with_seed(self: _C, seed: int) -> _C:
         return dataclasses.replace(self, seed=seed)
 
-    def with_qps(self, qps: float) -> "HarnessConfig":
+    def with_qps(self: _C, qps: float) -> _C:
         return dataclasses.replace(self, qps=qps)
 
-    def replace(self, **changes) -> "HarnessConfig":
+    def replace(self: _C, **changes) -> _C:
+        """Copy with the given fields replaced (validation re-runs)."""
         return dataclasses.replace(self, **changes)
+
+
+@dataclass(frozen=True)
+class HarnessConfig(RunConfig):
+    """One live (wall-clock) load-testing run's parameters.
+
+    The shared fields are documented on :class:`RunConfig`; the live
+    harness adds:
+
+    Attributes
+    ----------
+    one_way_delay:
+        Modelled wire delay for the networked configuration.
+    execution:
+        Execution substrate (see :class:`ExecutionConfig`):
+        ``threaded`` (default, bit-identical with prior builds) or
+        ``process`` (one OS process per replica — multi-core scaling).
+        Process mode requires the ``integrated`` configuration and
+        supports autoscaling, batching, health, resilience, static
+        fault plans, and observability; admission control, priority
+        scheduling, and chaos scenarios need shared-memory access to
+        the replicas' queues and stay threaded-only, as do fan-out
+        (replica processes do not ship response payloads back, and the
+        application must expose ``merge_responses`` — see
+        :class:`repro.apps.ShardedApp`) and the cache.
+    """
+
+    one_way_delay: float = 25e-6
+    execution: ExecutionConfig = THREADED
+
+    def __post_init__(self) -> None:
+        if self.configuration not in _CONFIG_NAMES:
+            raise ValueError(
+                f"configuration must be one of {_CONFIG_NAMES}, "
+                f"got {self.configuration!r}"
+            )
+        if self.one_way_delay < 0:
+            raise ValueError("one_way_delay must be non-negative")
+        super().__post_init__()
+        if self.execution.mode == "process":
+            if self.configuration != "integrated":
+                raise ValueError(
+                    "process execution requires the 'integrated' "
+                    "configuration: the replica pipe is the transport "
+                    f"(got {self.configuration!r})"
+                )
+            if self.control.enabled and (
+                self.control.admission is not None
+                or self.control.priority is not None
+            ):
+                raise ValueError(
+                    "admission control and priority scheduling need "
+                    "shared-memory access to replica queues; process "
+                    "execution supports the autoscaler only"
+                )
+            if self.scenario is not None:
+                raise ValueError(
+                    "chaos scenarios mutate fault plans at run time and "
+                    "cannot reach replica processes; process execution "
+                    "supports static fault plans only"
+                )
+            if self.fanout.enabled:
+                raise ValueError(
+                    "replica processes do not ship response payloads "
+                    "back to the parent, so the gather point cannot "
+                    "merge; fan-out is threaded-only"
+                )
+            if self.cache.enabled:
+                raise ValueError(
+                    "the cache is shared in-process state; replica "
+                    "processes cannot reach it, so caching is "
+                    "threaded-only"
+                )
 
 
 @dataclass(frozen=True)

@@ -18,117 +18,28 @@ latency percentiles.
 from __future__ import annotations
 
 import threading
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from dataclasses import dataclass
+from typing import List, Optional
 
-from ..faults import FaultInjector, ScenarioDriver, ScenarioInjector
-from ..stats import LatencySummary
+from ..faults import ScenarioDriver, ScenarioInjector
 from .balancer import make_balancer
 from .clock import Clock, WallClock
-from .collector import CollectedStats, StatsCollector
 from .config import HarnessConfig
 from .resilience import ResilientClient
-from .traffic import (
-    ArrivalSchedule,
-    DeterministicArrivals,
-    PoissonArrivals,
-    TrafficShaper,
-)
+from .run import RunParts, RunResult
+from .traffic import ArrivalSchedule, TrafficShaper
 from .transport import make_transport
 
 __all__ = ["HarnessResult", "run_harness"]
 
 
 @dataclass(frozen=True)
-class HarnessResult:
-    """Outcome of one measurement run."""
+class HarnessResult(RunResult):
+    """Outcome of one live measurement run."""
 
-    config: HarnessConfig
-    stats: CollectedStats
-    offered_qps: float
-    achieved_qps: float
-    wall_time: float
-    server_errors: tuple
-    outcomes: Dict[str, int] = field(default_factory=dict)
-    goodput_qps: float = 0.0
-    fault_counts: Dict[str, int] = field(default_factory=dict)
-    #: Workers still serving per server instance at run end; injected
-    #: crashes decrement, so capacity loss is observable.
-    alive_workers: Tuple[int, ...] = ()
-    #: Requests routed to each server instance by the balancer
-    #: (lifetime assignments, including warmup and failed attempts).
-    routed_counts: Tuple[int, ...] = ()
-
-    #: Observability artifacts (trace events, metric series, snapshot);
-    #: None unless ``config.observability.tracing`` was enabled.
-    obs: Optional[object] = None
-
-    #: Control-plane tallies (ticks, admitted, per-cause drops, final
-    #: AIMD limit, scale actions); empty unless control was enabled.
-    control_counts: Dict[str, int] = field(default_factory=dict)
-    #: Health-layer tallies (ejections, readmissions, probes, breaker
-    #: transitions, retry-budget spends/denials); empty unless
-    #: ``config.health.enabled``.
-    health_counts: Dict[str, int] = field(default_factory=dict)
-    #: Per-shard leaf latencies and critical-shard attribution
-    #: (:class:`repro.core.fanout.FanoutStats`); None unless
-    #: ``config.fanout.enabled``.
-    fanout: Optional[object] = None
-    #: Caching-tier tallies (hits, misses, expirations, evictions,
-    #: rejections); empty unless ``config.cache.enabled``.
-    cache_counts: Dict[str, int] = field(default_factory=dict)
-    #: Per-instance ``(server_id, completions, active_seconds)``. The
-    #: active window runs from the instance joining the replica set (or
-    #: run start, for the initial set) until it drained (or run end) —
-    #: so per-server rates stay honest under autoscaling membership
-    #: churn instead of dividing a late replica's completions by the
-    #: whole run.
-    server_activity: Tuple[Tuple[int, int, float], ...] = ()
-
-    def per_server_qps(self) -> Dict[int, float]:
-        """Completions per second of *active window*, per instance."""
-        return {
-            server_id: (completed / active if active > 0 else 0.0)
-            for server_id, completed, active in self.server_activity
-        }
-
-    @property
-    def sojourn(self) -> LatencySummary:
-        return self.stats.summary("sojourn")
-
-    @property
-    def service(self) -> LatencySummary:
-        return self.stats.summary("service")
-
-    @property
-    def queue(self) -> LatencySummary:
-        return self.stats.summary("queue")
-
-    @property
-    def attempt_latency(self) -> LatencySummary:
-        """Per-attempt latency summary (every attempt with a response)."""
-        return self.stats.attempt_summary()
-
-    def per_server(self, metric: str = "sojourn") -> Dict[int, LatencySummary]:
-        """Per-instance latency summaries (see CollectedStats.per_server)."""
-        return self.stats.per_server(metric)
-
-    @property
-    def retry_amplification(self) -> float:
-        """Attempts sent per logical request offered (1.0 = no retries)."""
-        offered = self.outcomes.get("offered", 0)
-        attempts = self.outcomes.get("attempts", 0)
-        if offered == 0 or attempts == 0:
-            return 1.0
-        return attempts / offered
-
-    @property
-    def success_rate(self) -> float:
-        """Fraction of offered logical requests that met their deadline."""
-        offered = self.outcomes.get("offered", 0)
-        if offered == 0:
-            return 1.0
-        return self.outcomes.get("succeeded", 0) / offered
+    achieved_qps: float = 0.0
+    wall_time: float = 0.0
+    server_errors: tuple = ()
 
     @property
     def saturated(self) -> bool:
@@ -156,58 +67,7 @@ class HarnessResult:
                 "send-lag audit (coordinated omission): "
                 f"p99={p99 * 1e3:.3f} ms max={audit.maximum * 1e3:.3f} ms"
             )
-        if self.config.n_servers > 1:
-            lines.append(
-                f"topology: {self.config.n_servers} servers "
-                f"balancer={self.config.balancer} "
-                f"routed={list(self.routed_counts)} "
-                f"alive_workers={list(self.alive_workers)}"
-            )
-            for server_id, summary in sorted(self.per_server().items()):
-                lines.append(
-                    f"  server[{server_id}]: {summary.describe()}"
-                )
-        if self.control_counts:
-            c = self.control_counts
-            lines.append(
-                f"control: ticks={c.get('ticks', 0)} "
-                f"admitted={c.get('admitted', 0)} "
-                f"codel_dropped={c.get('codel_dropped', 0)} "
-                f"limit_dropped={c.get('limit_dropped', 0)} "
-                f"scale_ups={c.get('scale_ups', 0)} "
-                f"scale_downs={c.get('scale_downs', 0)} "
-                f"active_servers={c.get('active_servers', 0)}"
-            )
-        if self.cache_counts:
-            cc = self.cache_counts
-            keyed = cc.get("hits", 0) + cc.get("misses", 0)
-            rate = cc.get("hits", 0) / keyed if keyed else 0.0
-            lines.append(
-                f"cache: hit_rate={rate:.1%} hits={cc.get('hits', 0)} "
-                f"misses={cc.get('misses', 0)} "
-                f"expirations={cc.get('expirations', 0)} "
-                f"evictions={cc.get('evictions', 0)}"
-            )
-        if self.health_counts:
-            h = self.health_counts
-            lines.append(
-                f"health: ejections={h.get('ejections', 0)} "
-                f"readmissions={h.get('readmissions', 0)} "
-                f"probes={h.get('probes', 0)} "
-                f"breaker_opens={h.get('breaker_opens', 0)} "
-                f"retries_denied={h.get('retries_denied', 0)}"
-            )
-        if self.outcomes:
-            o = self.outcomes
-            lines.append(
-                f"goodput_qps={self.goodput_qps:.1f} "
-                f"succeeded={o.get('succeeded', 0)} "
-                f"timed_out={o.get('timed_out', 0)} "
-                f"failed={o.get('failed', 0)} shed={o.get('shed', 0)} "
-                f"retries={o.get('retries', 0)} "
-                f"amplification={self.retry_amplification:.2f}"
-            )
-        return "\n".join(lines)
+        return "\n".join(lines + self._describe_tail())
 
 
 def run_harness(
@@ -224,102 +84,23 @@ def run_harness(
     warmup prefix, and measures the rest.
     """
     clock = clock or WallClock()
-    # A load profile measures everything (the transient response to the
-    # load change *is* the experiment); steady-state runs keep the
-    # warmup-discard methodology.
-    warmup = 0 if config.load_profile is not None else config.warmup_requests
-    collector = StatsCollector(warmup_requests=warmup)
-    if config.scenario is not None:
-        injector = ScenarioInjector(
-            config.scenario, seed=config.seed, base=config.faults
-        )
-    else:
-        injector = (
-            FaultInjector(config.faults, seed=config.seed)
-            if config.faults is not None and not config.faults.is_noop
-            else None
-        )
+    # Subsystems are built before transport start so the control
+    # plane's admission gates (built with the queues) can hold the
+    # tracer; gauge registration happens after start, once the
+    # instances exist.
+    parts = RunParts(config)
+    collector, injector, schedule = parts.collector, parts.injector, parts.schedule
+    tracer, plane, health, cache = parts.tracer, parts.plane, parts.health, parts.cache
     transport = make_transport(
         config.configuration,
         clock,
         one_way_delay=config.one_way_delay,
         execution=config.execution,
     )
-
-    if config.load_profile is not None:
-        schedule = ArrivalSchedule.piecewise(
-            config.load_profile,
-            seed=config.seed,
-            deterministic=config.deterministic_arrivals,
-        )
-        profile_time = sum(d for d, _ in config.load_profile)
-        offered_qps = len(schedule) / profile_time
-    else:
-        process = (
-            DeterministicArrivals(config.qps)
-            if config.deterministic_arrivals
-            else PoissonArrivals(config.qps)
-        )
-        schedule = ArrivalSchedule.generate(
-            process, config.total_requests, seed=config.seed
-        )
-        offered_qps = config.qps
-    n_offered = len(schedule)
     shaper = TrafficShaper(clock, schedule)
 
     client = app.make_client(seed=config.seed)
-    payloads: List = [client.next_request() for _ in range(n_offered)]
-
-    # Observability objects are created before transport start so the
-    # control plane's admission gates (built with the queues) can hold
-    # the tracer; gauge registration still happens after start, once
-    # the instances exist.
-    tracer = registry = sampler = None
-    if config.observability.tracing:
-        # Imported lazily: the default (tracing-off) path never touches
-        # the obs package at all.
-        from ..obs import MetricsRegistry, MetricsSampler, Tracer
-
-        tracer = Tracer(capacity=config.observability.trace_capacity)
-        registry = MetricsRegistry()
-    live = None
-    if config.observability.slo.enabled:
-        # Lazy import, same policy as the tracer: runs without the
-        # streaming SLO layer never touch repro.obs.live. (Config
-        # validation guarantees tracing is on here.)
-        from ..obs.live import LiveObs
-
-        live = LiveObs(
-            config.observability.slo, tracer=tracer, seed=config.seed
-        )
-    plane = loop = None
-    if config.control.enabled:
-        # Same lazy-import policy as observability: disabled runs never
-        # touch the control package.
-        from ..control import ControlLoop, ControlPlane, LiveControlTarget
-
-        plane = ControlPlane(config.control, seed=config.seed, tracer=tracer)
-    batching = None
-    if config.batching.enabled:
-        # Lazy import, same policy as observability/control: disabled
-        # runs never touch the batching package.
-        from ..batching import BatchPolicy
-
-        batching = BatchPolicy.from_config(config.batching)
-    health = None
-    if config.health.enabled:
-        # Lazy import, same policy as the other optional subsystems:
-        # disabled runs never touch the health package.
-        from ..health import HealthManager
-
-        health = HealthManager(config.health, tracer=tracer)
-    cache = None
-    if config.cache.enabled:
-        # Lazy import, same policy as the other optional subsystems:
-        # disabled runs never touch the cache package.
-        from ..cache import build_cache
-
-        cache = build_cache(config.cache, tracer=tracer)
+    payloads: List = [client.next_request() for _ in range(len(schedule))]
 
     transport.start(
         app,
@@ -330,29 +111,24 @@ def run_harness(
         n_servers=config.n_servers,
         balancer=make_balancer(config.balancer, seed=config.seed),
         control=plane,
-        batching=batching,
+        batching=parts.batching,
         cache=cache,
     )
     if health is not None:
         transport.set_health(health)
-    if registry is not None:
-        transport.set_observability(tracer, registry)
-        if injector is not None:
-            injector.register_metrics(registry)
-        if health is not None:
-            health.register_metrics(registry)
-        if cache is not None:
-            cache.register_metrics(registry)
-        if live is not None:
-            transport.set_live(live)
-            live.register_metrics(registry)
-        sampler = MetricsSampler(
-            registry, clock, interval=config.observability.metrics_interval
-        )
+    sampler = loop = None
+    if parts.registry is not None:
+        transport.set_observability(tracer, parts.registry)
+        if parts.live is not None:
+            transport.set_live(parts.live)
+        parts.register_metrics()
+        sampler = parts.make_sampler(clock)
         sampler.start()
     if plane is not None:
+        from ..control import ControlLoop, LiveControlTarget
+
         plane.bind(LiveControlTarget(transport, plane))
-        plane.register_metrics(registry)
+        plane.register_metrics(parts.registry)
         loop = ControlLoop(plane, clock)
         loop.start()
     resilient: Optional[ResilientClient] = None
@@ -379,7 +155,7 @@ def run_harness(
                 config.fanout.shards,
                 collector,
                 merge=merge,
-                warmup=warmup,
+                warmup=parts.warmup,
                 tracer=tracer,
             ),
             tracer=tracer,
@@ -396,10 +172,10 @@ def run_harness(
     else:
         send_fn = transport.send
     started = clock.now()
-    if live is not None:
+    if parts.live is not None:
         # Window boundaries anchor at run start (the simulator anchors
         # at virtual 0.0), so alert timing is window-aligned.
-        live.set_origin(started)
+        parts.live.set_origin(started)
     if cache is not None:
         # Same anchoring for the cold-restart instant (clear_at).
         cache.set_origin(started)
@@ -413,26 +189,18 @@ def run_harness(
             transport.drain()
     finally:
         run_end = clock.now()
-        wall_time = run_end - started
         alive_workers = transport.alive_workers
-        routed_counts = tuple(
-            instance.routed for instance in transport.instances
-        )
-        server_activity = tuple(
+        instances = [
             (
                 instance.server_id,
                 instance.completed,
-                max(
-                    (
-                        instance.drained_at
-                        if instance.drained_at is not None
-                        else run_end
-                    )
-                    - max(instance.started_at, started),
-                    0.0,
-                ),
+                instance.started_at,
+                instance.drained_at,
             )
             for instance in transport.instances
+        ]
+        routed_counts = tuple(
+            instance.routed for instance in transport.instances
         )
         if driver is not None:
             driver.stop()
@@ -444,33 +212,17 @@ def run_harness(
             resilient.close()
         transport.stop()
 
-    obs = None
-    if tracer is not None:
-        from ..obs import ObsResult, prometheus_text
-
-        obs = ObsResult(
-            events=tracer.events(),
-            dropped=tracer.dropped,
-            series=sampler.series,
-            snapshot=registry.snapshot(),
-            prom=prometheus_text(registry),
-            live=live.finish(run_end) if live is not None else None,
-        )
-    stats = collector.snapshot()
-    outcomes = collector.outcome_counts()
-    if not collector.outcomes_used:
-        # No resilience layer ran: synthesize the logical tallies from
-        # what the transport saw, so downstream reporting is uniform.
-        # Under fan-out each logical request costs `shards` attempts —
-        # the scatter amplification shows up exactly where retry
-        # amplification would.
-        outcomes["offered"] = n_offered
-        outcomes["attempts"] = n_offered * (
-            config.fanout.shards if config.fanout.enabled else 1
-        )
-        outcomes["succeeded"] = stats.count + stats.dropped_warmup
-        outcomes["errors"] = transport.stats.errored
-        outcomes["shed"] = transport.stats.shed
+    shared = parts.finish(
+        run_start=started,
+        run_end=run_end,
+        sampler=sampler,
+        shed=transport.stats.shed,
+        errors=transport.stats.errored,
+        alive_workers=alive_workers,
+        routed_counts=routed_counts,
+        instances=instances,
+    )
+    wall_time = run_end - started
     # Achieved throughput counts actual completions — responses the
     # servers produced (succeeded + failed), excluding shed rejections
     # — not offered requests: under saturation or shedding the offered
@@ -483,36 +235,20 @@ def run_harness(
         completions = max(
             transport.stats.completed - transport.stats.shed, 0
         )
-    achieved = completions / wall_time if wall_time > 0 else 0.0
-    goodput = (
-        outcomes.get("succeeded", 0) / wall_time if wall_time > 0 else 0.0
-    )
-    fault_counts = dict(injector.counts()) if injector is not None else {}
     child_counts = getattr(transport, "child_fault_counts", None)
     if callable(child_counts):
         # Process-mode replicas inject worker/app faults in their own
         # processes; merge what the children reported with the parent
         # injector's transport-level counts.
+        fault_counts = shared["fault_counts"]
         for key, value in child_counts().items():
             fault_counts[key] = fault_counts.get(key, 0) + value
     return HarnessResult(
-        config=config,
-        stats=stats,
-        offered_qps=offered_qps,
-        achieved_qps=achieved,
+        achieved_qps=completions / wall_time if wall_time > 0 else 0.0,
         wall_time=wall_time,
         server_errors=tuple(transport.server_errors),
-        outcomes=outcomes,
-        goodput_qps=goodput,
-        fault_counts=fault_counts,
-        alive_workers=alive_workers,
-        routed_counts=routed_counts,
-        obs=obs,
-        control_counts=plane.counts() if plane is not None else {},
-        health_counts=health.counts() if health is not None else {},
         fanout=fanout_client.stats if fanout_client is not None else None,
-        cache_counts=cache.counts() if cache is not None else {},
-        server_activity=server_activity,
+        **shared,
     )
 
 

@@ -5,11 +5,12 @@ they bound each request with a deadline, retry transient failures with
 exponential backoff and full jitter [AWS Architecture Blog 2015], and
 optionally *hedge* — send a duplicate once the request has outlived a
 high percentile of normal latency [Dean & Barroso, "The Tail at
-Scale", CACM 2013]. :class:`ResilientClient` adds all three to the
-live harness while preserving the open-loop guarantee: retries and
-hedges are scheduled on a background timer wheel as *new arrivals* and
-never block the traffic shaper, so injected faults cannot re-introduce
-coordinated omission through the recovery path.
+Scale", CACM 2013]. :class:`ResilientClient` adds all three while
+preserving the open-loop guarantee: retries and hedges are scheduled
+as *new arrivals* on a timer scheduler — a background timer wheel live,
+the event engine in the simulator, the same state machine under both —
+and never block the traffic shaper, so injected faults cannot
+re-introduce coordinated omission through the recovery path.
 
 Latency accounting under failures follows the failure-aware rules the
 statistics collector implements (see ``collector.py``): success
@@ -257,13 +258,20 @@ class _Call:
         #: Server the most recent primary attempt was routed to; a
         #: hedge asks the balancer to pick a *different* replica.
         self.last_server: Optional[int] = None
-        #: Outstanding timer handles (live client only); cancelled on
-        #: resolution so dead calls stop costing timer-wheel work.
+        #: Outstanding timer handles; cancelled on resolution so dead
+        #: calls stop costing scheduler work under either clock.
         self.timers: list = []
 
 
 class ResilientClient:
-    """Deadline/retry/hedge wrapper over a live transport.
+    """The logical-request state machine: deadline, retry, hedge.
+
+    One implementation, two schedulers. Every recovery timer goes
+    through an ``at / after / cancel`` scheduler — the :class:`_Scheduler`
+    timer thread under the wall clock, the simulator's
+    :class:`repro.sim.Engine` under the virtual one — and the only step
+    a subclass replaces is :meth:`_put_on_wire`, which hands one
+    attempt to whatever carries it (here: ``transport.send``).
 
     Installs itself as the transport's completion hook and takes over
     outcome accounting: successful attempts that beat the deadline feed
@@ -271,9 +279,6 @@ class ResilientClient:
     responses are tallied separately, so percentiles stay sound under
     injected faults. Use :meth:`send` in place of ``transport.send``
     and :meth:`drain` in place of ``transport.drain``.
-
-    Live mode only — requires a real (wall) clock, since recovery
-    timers sleep on it.
     """
 
     def __init__(
@@ -287,13 +292,24 @@ class ResilientClient:
         health=None,
     ) -> None:
         self._transport = transport
+        self._setup(
+            _Scheduler(clock), clock, config, collector, seed, tracer, health
+        )
+        transport.set_completion_hook(self._on_attempt_complete)
+
+    def _setup(
+        self, scheduler, clock: Clock, config: ResilienceConfig, collector,
+        seed: int, tracer, health,
+    ) -> None:
+        """State shared by every wire; ``scheduler`` runs the timers."""
+        self._scheduler = scheduler
         self._clock = clock
         self._config = config
         self._collector = collector
         self._tracer = tracer
         #: Optional repro.health.HealthManager: feeds the retry budget
         #: and reports attempt timeouts (the one failure signal the
-        #: transport completion path never sees).
+        #: completion path never sees).
         self._health = health
         self._rng = random.Random(seed ^ 0x8E511)
         self._attempt_timeout = effective_attempt_timeout(config)
@@ -302,8 +318,6 @@ class ResilientClient:
         self._calls: Dict[int, _Call] = {}
         self._ids = itertools.count()
         self._unresolved = 0
-        self._scheduler = _Scheduler(clock)
-        transport.set_completion_hook(self._on_attempt_complete)
 
     # -- client-facing API ---------------------------------------------
     def send(self, generated_at: float, payload) -> None:
@@ -344,6 +358,17 @@ class ResilientClient:
                     f"{self._unresolved} logical requests still unresolved"
                 )
 
+    def fail_unresolved(self) -> None:
+        """Resolve every still-open call as ``failed``.
+
+        For a scheduler that has run dry (the simulator's drained
+        heap): without a deadline, an unrecovered drop leaves no timer
+        that would ever resolve the call.
+        """
+        with self._lock:
+            for call in list(self._calls.values()):
+                self._resolve_locked(call, "failed")
+
     def close(self) -> None:
         self._scheduler.stop()
 
@@ -366,20 +391,19 @@ class ResilientClient:
                 kind, self._clock.now(), logical_id=call.logical_id,
                 attempt=attempt_no,
             )
-        server_id = self._transport.send(
-            call.generated_at,
-            call.payload,
-            logical_id=call.logical_id,
-            attempt=attempt_no,
-            deadline=call.deadline,
+        if kind == "hedge":
             # A hedge duplicates work still in flight; sending it to the
             # replica already holding the slow attempt would be
             # pointless, so steer the balancer away from it.
-            avoid_server=call.last_server if kind == "hedge" else None,
-        )
-        if kind != "hedge":
+            self._put_on_wire(call, attempt_no, call.last_server)
+            return
+        server_id = self._put_on_wire(call, attempt_no, None)
+        if server_id is not None:
             call.last_server = server_id
-        if kind != "hedge" and self._attempt_timeout is not None:
+        if self._attempt_timeout is not None:
+            # Clamped to the remaining deadline budget: backoff sleeps
+            # erode it, and a timer running past the deadline would fire
+            # on a call the deadline has already decided.
             timeout = effective_attempt_timeout(
                 self._config, now=self._clock.now(), deadline=call.deadline
             )
@@ -389,6 +413,23 @@ class ResilientClient:
                         timeout, self._on_attempt_timeout, call, attempt_no
                     )
                 )
+
+    def _put_on_wire(
+        self, call: _Call, attempt_no: int, avoid: Optional[int]
+    ) -> Optional[int]:
+        """Hand one attempt to its carrier; the server it was routed to.
+
+        ``None`` means the attempt never reached a router (dropped on
+        the way), so the call's last-known server stands.
+        """
+        return self._transport.send(
+            call.generated_at,
+            call.payload,
+            logical_id=call.logical_id,
+            attempt=attempt_no,
+            deadline=call.deadline,
+            avoid_server=avoid,
+        )
 
     def _on_attempt_complete(self, request) -> bool:
         """Transport completion hook; returns True (always handled)."""
@@ -509,7 +550,8 @@ class ResilientClient:
             return False
         call.resolved = True
         # Disarm the call's outstanding deadline/hedge/timeout/retry
-        # entries so the timer wheel stops paying for a dead call.
+        # entries so the scheduler stops paying for a dead call (and a
+        # simulated run ends at its last response, not its last timer).
         for handle in call.timers:
             self._scheduler.cancel(handle)
         del call.timers[:]

@@ -1,0 +1,368 @@
+"""What a live run and a simulated run have in common.
+
+:func:`repro.core.harness.run_harness` drives real threads under the
+wall clock and :func:`repro.sim.simulate_load` drives events under a
+virtual one, but both assemble the same optional subsystems from the
+same :class:`~repro.core.config.RunConfig` and report the same
+measurements. That common part lives here once: :class:`RunParts`
+builds the clock-independent pieces of a run and packages its shared
+result fields; :class:`RunResult` owns those fields, their accessors
+and the report tail under both :class:`~repro.core.harness.HarnessResult`
+and :class:`repro.sim.SimResult`.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass, field
+from typing import Dict, Iterable, List, Optional, Tuple
+
+from ..faults import FaultInjector, ScenarioInjector
+from ..stats import LatencySummary
+from .collector import CollectedStats, StatsCollector
+from .config import RunConfig
+from .traffic import ArrivalSchedule, DeterministicArrivals, PoissonArrivals
+
+__all__ = ["RunParts", "RunResult"]
+
+
+@dataclass(frozen=True)
+class RunResult:
+    """The measurements every run reports, live or simulated."""
+
+    config: RunConfig
+    stats: CollectedStats
+    offered_qps: float
+    outcomes: Dict[str, int] = field(default_factory=dict)
+    goodput_qps: float = 0.0
+    fault_counts: Dict[str, int] = field(default_factory=dict)
+    #: Workers still serving per server instance at run end; injected
+    #: crashes decrement, so capacity loss is observable.
+    alive_workers: Tuple[int, ...] = ()
+    #: Requests routed to each server instance by the balancer
+    #: (lifetime assignments, including warmup and failed attempts).
+    routed_counts: Tuple[int, ...] = ()
+    #: Observability artifacts (trace events, metric series, snapshot);
+    #: None unless ``config.observability.tracing`` was enabled.
+    obs: Optional[object] = None
+    #: Control-plane tallies (ticks, admitted, per-cause drops, final
+    #: AIMD limit, scale actions); empty unless control was enabled.
+    control_counts: Dict[str, int] = field(default_factory=dict)
+    #: Health-layer tallies (ejections, readmissions, probes, breaker
+    #: transitions, retry-budget spends/denials); empty unless
+    #: ``config.health.enabled``.
+    health_counts: Dict[str, int] = field(default_factory=dict)
+    #: Per-shard leaf latencies and critical-shard attribution
+    #: (:class:`repro.core.fanout.FanoutStats`); None unless
+    #: ``config.fanout.enabled``.
+    fanout: Optional[object] = None
+    #: Caching-tier tallies (hits, misses, expirations, evictions,
+    #: rejections); empty unless ``config.cache.enabled``.
+    cache_counts: Dict[str, int] = field(default_factory=dict)
+    #: Per-instance ``(server_id, completions, active_seconds)``. The
+    #: active window runs from the instance joining the replica set (or
+    #: run start, for the initial set) until it drained (or run end) —
+    #: so per-server rates stay honest under autoscaling membership
+    #: churn instead of dividing a late replica's completions by the
+    #: whole run.
+    server_activity: Tuple[Tuple[int, int, float], ...] = ()
+
+    def per_server_qps(self) -> Dict[int, float]:
+        """Completions per second of *active window*, per instance."""
+        return {
+            server_id: (completed / active if active > 0 else 0.0)
+            for server_id, completed, active in self.server_activity
+        }
+
+    @property
+    def sojourn(self) -> LatencySummary:
+        return self.stats.summary("sojourn")
+
+    @property
+    def service(self) -> LatencySummary:
+        return self.stats.summary("service")
+
+    @property
+    def queue(self) -> LatencySummary:
+        return self.stats.summary("queue")
+
+    @property
+    def attempt_latency(self) -> LatencySummary:
+        """Per-attempt latency summary (every attempt with a response)."""
+        return self.stats.attempt_summary()
+
+    def per_server(self, metric: str = "sojourn") -> Dict[int, LatencySummary]:
+        """Per-instance latency summaries (see CollectedStats.per_server)."""
+        return self.stats.per_server(metric)
+
+    @property
+    def retry_amplification(self) -> float:
+        """Attempts sent per logical request offered (1.0 = no retries)."""
+        offered = self.outcomes.get("offered", 0)
+        attempts = self.outcomes.get("attempts", 0)
+        if offered == 0 or attempts == 0:
+            return 1.0
+        return attempts / offered
+
+    @property
+    def success_rate(self) -> float:
+        """Fraction of offered logical requests that met their deadline."""
+        offered = self.outcomes.get("offered", 0)
+        if offered == 0:
+            return 1.0
+        return self.outcomes.get("succeeded", 0) / offered
+
+    def _describe_tail(self) -> List[str]:
+        """Report lines after the clock-specific head, in one order:
+        topology, per-server, control, cache, health, outcomes."""
+        lines = []
+        if self.config.n_servers > 1:
+            lines.append(
+                f"topology: {self.config.n_servers} servers "
+                f"balancer={self.config.balancer} "
+                f"routed={list(self.routed_counts)} "
+                f"alive_workers={list(self.alive_workers)}"
+            )
+            for server_id, summary in sorted(self.per_server().items()):
+                lines.append(
+                    f"  server[{server_id}]: {summary.describe()}"
+                )
+        if self.control_counts:
+            c = self.control_counts
+            lines.append(
+                f"control: ticks={c.get('ticks', 0)} "
+                f"admitted={c.get('admitted', 0)} "
+                f"codel_dropped={c.get('codel_dropped', 0)} "
+                f"limit_dropped={c.get('limit_dropped', 0)} "
+                f"scale_ups={c.get('scale_ups', 0)} "
+                f"scale_downs={c.get('scale_downs', 0)} "
+                f"active_servers={c.get('active_servers', 0)}"
+            )
+        if self.cache_counts:
+            cc = self.cache_counts
+            keyed = cc.get("hits", 0) + cc.get("misses", 0)
+            rate = cc.get("hits", 0) / keyed if keyed else 0.0
+            lines.append(
+                f"cache: hit_rate={rate:.1%} hits={cc.get('hits', 0)} "
+                f"misses={cc.get('misses', 0)} "
+                f"expirations={cc.get('expirations', 0)} "
+                f"evictions={cc.get('evictions', 0)}"
+            )
+        if self.health_counts:
+            h = self.health_counts
+            lines.append(
+                f"health: ejections={h.get('ejections', 0)} "
+                f"readmissions={h.get('readmissions', 0)} "
+                f"probes={h.get('probes', 0)} "
+                f"breaker_opens={h.get('breaker_opens', 0)} "
+                f"retries_denied={h.get('retries_denied', 0)}"
+            )
+        if self.outcomes:
+            o = self.outcomes
+            lines.append(
+                f"goodput_qps={self.goodput_qps:.1f} "
+                f"succeeded={o.get('succeeded', 0)} "
+                f"timed_out={o.get('timed_out', 0)} "
+                f"failed={o.get('failed', 0)} shed={o.get('shed', 0)} "
+                f"retries={o.get('retries', 0)} "
+                f"amplification={self.retry_amplification:.2f}"
+            )
+        return lines
+
+
+class RunParts:
+    """The clock-independent pieces of one run, built from its config.
+
+    Construction is the shared head of ``run_harness`` and
+    ``simulate_load``: the collector, the fault injector, the arrival
+    schedule and every enabled optional subsystem (``None`` where
+    disabled). Optional packages are imported only when their switch
+    is on, so a default run never touches obs / control / batching /
+    health / cache beyond their config dataclasses. :meth:`finish` is
+    the shared tail.
+    """
+
+    def __init__(self, config: RunConfig) -> None:
+        self.config = config
+        # A load profile measures everything (the transient response to
+        # the load change *is* the experiment); steady-state runs keep
+        # the warmup-discard methodology.
+        self.warmup = (
+            0 if config.load_profile is not None else config.warmup_requests
+        )
+        self.collector = StatsCollector(warmup_requests=self.warmup)
+        self.injector: Optional[FaultInjector] = None
+        if config.scenario is not None:
+            self.injector = ScenarioInjector(
+                config.scenario, seed=config.seed, base=config.faults
+            )
+        elif config.faults is not None and not config.faults.is_noop:
+            self.injector = FaultInjector(config.faults, seed=config.seed)
+        if config.load_profile is not None:
+            self.schedule = ArrivalSchedule.piecewise(
+                config.load_profile,
+                seed=config.seed,
+                deterministic=config.deterministic_arrivals,
+            )
+            profile_time = sum(d for d, _ in config.load_profile)
+            self.offered_qps = len(self.schedule) / profile_time
+        else:
+            process = (
+                DeterministicArrivals(config.qps)
+                if config.deterministic_arrivals
+                else PoissonArrivals(config.qps)
+            )
+            self.schedule = ArrivalSchedule.generate(
+                process, config.total_requests, seed=config.seed
+            )
+            self.offered_qps = config.qps
+        self.tracer = self.registry = None
+        if config.observability.tracing:
+            from ..obs import MetricsRegistry, Tracer
+
+            self.tracer = Tracer(capacity=config.observability.trace_capacity)
+            self.registry = MetricsRegistry()
+        self.live = None
+        if config.observability.slo.enabled:
+            # Config validation guarantees tracing is on here. The
+            # caller anchors the windows (``set_origin``) at run start.
+            from ..obs.live import LiveObs
+
+            self.live = LiveObs(
+                config.observability.slo, tracer=self.tracer, seed=config.seed
+            )
+        self.plane = None
+        if config.control.enabled:
+            from ..control import ControlPlane
+
+            self.plane = ControlPlane(
+                config.control, seed=config.seed, tracer=self.tracer
+            )
+        self.batching = None
+        if config.batching.enabled:
+            from ..batching import BatchPolicy
+
+            self.batching = BatchPolicy.from_config(config.batching)
+        self.health = None
+        if config.health.enabled:
+            from ..health import HealthManager
+
+            self.health = HealthManager(config.health, tracer=self.tracer)
+        self.cache = None
+        if config.cache.enabled:
+            from ..cache import build_cache
+
+            self.cache = build_cache(config.cache, tracer=self.tracer)
+
+    def make_sampler(self, clock):
+        """The metrics sampler over this run's registry (tracing on)."""
+        from ..obs import MetricsSampler
+
+        return MetricsSampler(
+            self.registry, clock,
+            interval=self.config.observability.metrics_interval,
+        )
+
+    def register_metrics(self) -> None:
+        """Expose every built subsystem's gauges (tracing on only)."""
+        if self.registry is None:
+            return
+        for part in (self.injector, self.health, self.live, self.cache):
+            if part is not None:
+                part.register_metrics(self.registry)
+
+    def finish(
+        self,
+        *,
+        run_start: float,
+        run_end: float,
+        sampler,
+        shed: int,
+        errors: int = 0,
+        alive_workers: Tuple[int, ...],
+        routed_counts: Tuple[int, ...],
+        instances: Iterable[Tuple[int, int, float, Optional[float]]],
+    ) -> dict:
+        """The :class:`RunResult` fields of a finished run.
+
+        ``instances`` yields ``(server_id, completions, started_at,
+        drained_at)`` per server instance; ``shed``/``errors`` are what
+        the servers counted, used only when no resilience layer kept
+        logical tallies itself. (The simulator never has ``errors`` to
+        pass: error responses need an injector, and an injector always
+        brings the client with its own tallies.)
+        """
+        config = self.config
+        elapsed = run_end - run_start
+        obs = None
+        if self.tracer is not None:
+            from ..obs import ObsResult, prometheus_text
+
+            obs = ObsResult(
+                events=self.tracer.events(),
+                dropped=self.tracer.dropped,
+                series=sampler.series,
+                snapshot=self.registry.snapshot(),
+                prom=prometheus_text(self.registry),
+                live=(
+                    self.live.finish(run_end)
+                    if self.live is not None
+                    else None
+                ),
+            )
+        stats = self.collector.snapshot()
+        outcomes = self.collector.outcome_counts()
+        if not self.collector.outcomes_used:
+            # No resilience layer ran: synthesize the logical tallies
+            # from what the servers saw, so downstream reporting is
+            # uniform. Under fan-out each logical request costs
+            # `shards` attempts — the scatter amplification shows up
+            # exactly where retry amplification would (and at K=1
+            # reduces to the unsharded tally).
+            n_offered = len(self.schedule)
+            outcomes["offered"] = n_offered
+            outcomes["attempts"] = n_offered * (
+                config.fanout.shards if config.fanout.enabled else 1
+            )
+            outcomes["succeeded"] = stats.count + stats.dropped_warmup
+            outcomes["errors"] = errors
+            outcomes["shed"] = shed
+        return dict(
+            config=config,
+            stats=stats,
+            offered_qps=self.offered_qps,
+            outcomes=outcomes,
+            goodput_qps=(
+                outcomes.get("succeeded", 0) / elapsed if elapsed > 0 else 0.0
+            ),
+            fault_counts=(
+                dict(self.injector.counts())
+                if self.injector is not None
+                else {}
+            ),
+            alive_workers=alive_workers,
+            routed_counts=routed_counts,
+            obs=obs,
+            control_counts=(
+                self.plane.counts() if self.plane is not None else {}
+            ),
+            health_counts=(
+                self.health.counts() if self.health is not None else {}
+            ),
+            cache_counts=(
+                self.cache.counts() if self.cache is not None else {}
+            ),
+            # Each replica is charged only for its tenure: join (or run
+            # start) until drain (or run end).
+            server_activity=tuple(
+                (
+                    server_id,
+                    completed,
+                    max(
+                        (drained_at if drained_at is not None else run_end)
+                        - max(started_at, run_start),
+                        0.0,
+                    ),
+                )
+                for server_id, completed, started_at, drained_at in instances
+            ),
+        )

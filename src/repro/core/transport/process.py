@@ -541,6 +541,19 @@ class ProcessReplicaHandle:
             self._pending.clear()
         return pending
 
+    @property
+    def exited_uncleanly(self) -> bool:
+        """The child went away without a ``bye`` and nobody asked it to."""
+        return not self._got_bye and not self._stopping
+
+    def mark_dead(self, crash: bool) -> bool:
+        """Latch the handle dead; True for the first caller only."""
+        with self._lock:
+            first = not self.dead
+            self.dead = True
+            self.crashed = self.crashed or crash
+        return first
+
     # -- status mirror -------------------------------------------------
     @property
     def queue_depth(self) -> int:
@@ -594,9 +607,7 @@ class ProcessReplicaHandle:
                 # Request pipe broken mid-run: the child is gone (or
                 # wedged); surface every in-flight request as a
                 # transport error rather than hanging the drain.
-                self._transport._on_child_failure(
-                    self, "replica request pipe closed"
-                )
+                self._transport._on_child_failure(self)
                 return
 
     def _reader_loop(self) -> None:
@@ -620,10 +631,8 @@ class ProcessReplicaHandle:
             conn.close()
         except Exception:
             pass
-        if not self._got_bye and not self._stopping:
-            self._transport._on_child_failure(
-                self, "replica process crashed", crash=True
-            )
+        if self.exited_uncleanly:
+            self._transport._on_child_failure(self)
         else:
             self.dead = True
 
@@ -748,20 +757,28 @@ class ProcessTransport(Transport):
         request.service_end_at = end
 
     # -- failure handling ----------------------------------------------
-    def _on_child_failure(
-        self, handle: ProcessReplicaHandle, reason: str, crash: bool = False
-    ) -> None:
-        """A replica process died or its pipe broke: fail its work."""
-        first = not handle.dead
-        handle.dead = True
-        if first:
-            handle.crashed = handle.crashed or crash
-            if self._tracer is not None:
-                self._tracer.emit(
-                    "fault_crash",
-                    self._clock.now(),
-                    server_id=handle.server_id,
-                )
+    def _on_child_failure(self, handle: ProcessReplicaHandle) -> None:
+        """A replica process died or its pipe broke: fail its work.
+
+        Both the sender thread (broken request pipe) and the reader
+        thread (response-pipe EOF) land here, in either order. Crash or
+        not is decided from the handle's own evidence — no ``bye``, no
+        shutdown in progress — never from which thread noticed first,
+        so the error text and ``child_crashes`` do not depend on the
+        race between them.
+        """
+        crash = handle.exited_uncleanly
+        reason = (
+            "replica process crashed"
+            if crash
+            else "replica request pipe closed"
+        )
+        if handle.mark_dead(crash) and self._tracer is not None:
+            self._tracer.emit(
+                "fault_crash",
+                self._clock.now(),
+                server_id=handle.server_id,
+            )
         for request in handle.take_pending():
             if request.error is None:
                 request.error = reason

@@ -5,8 +5,7 @@ import time
 import pytest
 
 from repro.apps.base import Application, Client
-from repro.batching import BatchingConfig
-from repro.core import CacheConfig, FanoutConfig, HarnessConfig, run_harness
+from repro.core import CacheConfig, HarnessConfig, run_harness
 from repro.core.config import ExecutionConfig, ObservabilityConfig
 
 
@@ -135,20 +134,6 @@ class TestWorkerHitPath:
 
 
 class TestHarnessComposition:
-    def test_rejects_batching(self):
-        with pytest.raises(ValueError):
-            _config(
-                cache=CacheConfig(enabled=True),
-                batching=BatchingConfig(enabled=True),
-            )
-
-    def test_rejects_fanout(self):
-        with pytest.raises(ValueError):
-            _config(
-                cache=CacheConfig(enabled=True),
-                fanout=FanoutConfig(enabled=True, shards=2),
-            )
-
     def test_rejects_process_execution(self):
         with pytest.raises(ValueError):
             _config(

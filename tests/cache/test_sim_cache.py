@@ -4,10 +4,9 @@ import dataclasses
 
 import pytest
 
-from repro.batching import BatchingConfig
 from repro.cache import predicted_hit_rate
 from repro.control import AutoscalerConfig, ControlPlaneConfig
-from repro.core import CacheConfig, FanoutConfig, ResilienceConfig
+from repro.core import CacheConfig, ResilienceConfig
 from repro.sim import SimConfig, simulate_load
 from repro.sim.calibration import paper_profile
 
@@ -157,20 +156,6 @@ class TestControlComposition:
 
 
 class TestComposition:
-    def test_rejects_batching(self):
-        with pytest.raises(ValueError):
-            _base(
-                cache=CacheConfig(enabled=True),
-                batching=BatchingConfig(enabled=True),
-            )
-
-    def test_rejects_fanout(self):
-        with pytest.raises(ValueError):
-            _base(
-                cache=CacheConfig(enabled=True),
-                fanout=FanoutConfig(enabled=True, shards=2),
-            )
-
     def test_rejects_resilience(self):
         with pytest.raises(ValueError):
             _base(

@@ -1,14 +1,114 @@
 """Tests for harness and system configuration objects."""
 
+from dataclasses import fields
+
 import pytest
 
+from repro.batching import BatchingConfig
+from repro.control import AutoscalerConfig, ControlPlaneConfig
 from repro.core import (
     PAPER_SYSTEM,
+    CacheConfig,
+    FanoutConfig,
     HarnessConfig,
     ResilienceConfig,
     SystemConfig,
 )
-from repro.faults import FaultPlan
+from repro.core.config import RunConfig
+from repro.faults import FaultPlan, retry_storm
+from repro.health import HealthConfig
+from repro.sim import SimConfig
+
+_FANOUT2 = FanoutConfig(enabled=True, shards=2)
+_CACHE = CacheConfig(enabled=True)
+
+#: Every invalid combination the shared core rejects, with a fragment
+#: of the message that proves the intended check (not an earlier one)
+#: fired.
+_SHARED_REJECTIONS = [
+    (dict(qps=0), "qps must be positive"),
+    (dict(n_threads=0), "n_threads"),
+    (dict(measure_requests=0), "request counts"),
+    (dict(warmup_requests=-1), "request counts"),
+    (dict(queue_capacity=0), "queue_capacity"),
+    (dict(n_servers=0), "n_servers"),
+    (dict(n_clients=0), "n_clients"),
+    (dict(balancer="nope"), "balancer must be one of"),
+    (dict(load_profile=()), ">= 1 segment"),
+    (dict(load_profile=((1.0,),)), "(duration, qps) pairs"),
+    (dict(load_profile=((1.0, -5.0),)), "must be positive"),
+    (
+        dict(
+            n_servers=5,
+            control=ControlPlaneConfig(
+                enabled=True, autoscaler=AutoscalerConfig(max_servers=3)
+            ),
+        ),
+        "autoscaler's",
+    ),
+    (
+        dict(n_servers=2, fanout=FanoutConfig(enabled=True, shards=4)),
+        "n_servers == fanout.shards",
+    ),
+    (
+        dict(n_servers=2, fanout=_FANOUT2,
+             resilience=ResilienceConfig(max_retries=1)),
+        "resilience cannot be combined with fan-out",
+    ),
+    (
+        dict(
+            n_servers=2, fanout=_FANOUT2,
+            control=ControlPlaneConfig(
+                enabled=True, autoscaler=AutoscalerConfig(max_servers=3)
+            ),
+        ),
+        "gather contract",
+    ),
+    (
+        dict(n_servers=2, fanout=_FANOUT2,
+             health=HealthConfig(enabled=True)),
+        "gather contract",
+    ),
+    (
+        dict(n_servers=2, fanout=_FANOUT2, faults=FaultPlan(drop_rate=0.1)),
+        "faults/scenarios",
+    ),
+    (
+        dict(
+            n_servers=2, fanout=_FANOUT2,
+            scenario=retry_storm(server_id=1, start=0.1, duration=0.1,
+                                 pause=0.01),
+        ),
+        "faults/scenarios",
+    ),
+    (
+        dict(cache=_CACHE, batching=BatchingConfig(enabled=True)),
+        "does not compose with batching",
+    ),
+    (
+        dict(n_servers=2, cache=_CACHE, fanout=_FANOUT2),
+        "caching does not compose with fan-out",
+    ),
+]
+
+
+class TestSharedCore:
+    """HarnessConfig and SimConfig are one core under two clocks."""
+
+    def test_every_shared_field_is_on_both(self):
+        shared = {f.name for f in fields(RunConfig)}
+        assert len(shared) == 21
+        assert shared <= {f.name for f in fields(HarnessConfig)}
+        assert shared <= {f.name for f in fields(SimConfig)}
+
+    @pytest.mark.parametrize("kwargs, fragment", _SHARED_REJECTIONS)
+    def test_shared_rejections_say_the_same_thing(self, kwargs, fragment):
+        with pytest.raises(ValueError) as live:
+            HarnessConfig(**kwargs)
+        with pytest.raises(ValueError) as sim:
+            SimConfig(**kwargs)
+        assert fragment in str(live.value)
+        assert str(live.value) == str(sim.value)
 
 
 class TestHarnessConfig:
@@ -20,20 +120,6 @@ class TestHarnessConfig:
     def test_rejects_unknown_configuration(self):
         with pytest.raises(ValueError):
             HarnessConfig(configuration="multiverse")
-
-    def test_rejects_bad_qps(self):
-        with pytest.raises(ValueError):
-            HarnessConfig(qps=0)
-
-    def test_rejects_bad_threads(self):
-        with pytest.raises(ValueError):
-            HarnessConfig(n_threads=0)
-
-    def test_rejects_bad_counts(self):
-        with pytest.raises(ValueError):
-            HarnessConfig(measure_requests=0)
-        with pytest.raises(ValueError):
-            HarnessConfig(warmup_requests=-1)
 
     def test_with_seed_changes_only_seed(self):
         config = HarnessConfig(qps=123.0, n_threads=2)
@@ -71,10 +157,6 @@ class TestHarnessConfig:
         assert config.n_threads == 3
         with pytest.raises(ValueError):
             HarnessConfig().replace(qps=-1.0)  # validation re-runs
-
-    def test_rejects_bad_queue_capacity(self):
-        with pytest.raises(ValueError):
-            HarnessConfig(queue_capacity=0)
 
 
 class TestSystemConfig:

@@ -9,7 +9,6 @@ from repro.core import (
     FanoutGatherer,
     HarnessConfig,
     ObservabilityConfig,
-    ResilienceConfig,
     run_harness,
 )
 from repro.core.config import NO_FANOUT
@@ -46,20 +45,6 @@ class TestFanoutConfig:
     def test_shards_validated(self):
         with pytest.raises(ValueError):
             FanoutConfig(shards=0)
-
-    def test_requires_matching_servers(self):
-        with pytest.raises(ValueError, match="n_servers == fanout.shards"):
-            HarnessConfig(
-                n_servers=2, fanout=FanoutConfig(enabled=True, shards=4)
-            )
-
-    def test_rejects_resilience(self):
-        with pytest.raises(ValueError, match="resilience"):
-            HarnessConfig(
-                n_servers=2,
-                fanout=FanoutConfig(enabled=True, shards=2),
-                resilience=ResilienceConfig(max_retries=1),
-            )
 
     def test_rejects_process_execution(self):
         with pytest.raises(ValueError, match="process"):

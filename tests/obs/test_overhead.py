@@ -66,16 +66,19 @@ class TestDisabledPathIsFree:
         # must not have been (re)imported as a side effect of the
         # disabled-path run above in THIS process only if nothing else
         # imported them; instead verify the import is confined to the
-        # harness's enabled branch by source inspection.
+        # shared assembly's enabled branches by source inspection.
         import inspect
 
-        from repro.core import harness
+        from repro.core import harness, run
 
-        source = inspect.getsource(harness.run_harness)
-        top_level = inspect.getsource(harness)
-        head = top_level.split("def run_harness", 1)[0]
-        assert "from ..obs" not in head  # no module-level obs import
-        assert "from ..obs import" in source  # only inside the function
+        for module in (harness, run):
+            top_level = [
+                line for line in inspect.getsource(module).splitlines()
+                if line.startswith(("from ", "import "))
+            ]
+            assert not any("obs" in line for line in top_level)
+        # ... only inside the assembly, behind the tracing switch.
+        assert "from ..obs import" in inspect.getsource(run.RunParts)
 
     def test_sim_disabled_has_no_obs(self):
         result = simulate_app(

@@ -30,14 +30,6 @@ def _config(k, **kwargs):
     )
 
 
-class TestSimFanoutValidation:
-    def test_requires_matching_servers(self):
-        with pytest.raises(ValueError, match="n_servers == fanout.shards"):
-            SimConfig(
-                n_servers=2, fanout=FanoutConfig(enabled=True, shards=4)
-            )
-
-
 class TestK1BitIdentity:
     def test_k1_sharded_equals_unsharded(self):
         sharded = simulate_app("xapian", _config(1))

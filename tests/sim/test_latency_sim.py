@@ -15,14 +15,6 @@ from repro.stats import Deterministic, Exponential
 
 
 class TestSimConfig:
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            SimConfig(qps=0)
-        with pytest.raises(ValueError):
-            SimConfig(n_threads=0)
-        with pytest.raises(ValueError):
-            SimConfig(measure_requests=0)
-
     def test_with_qps_and_seed(self):
         config = SimConfig(qps=100, seed=1, ideal_memory=True)
         assert config.with_qps(200).qps == 200
@@ -196,3 +188,33 @@ class TestAttemptTimeoutClamp:
         assert result.outcomes["timed_out"] == 50
         last_arrival = 50 / 1000.0
         assert result.virtual_time <= last_arrival + 0.05 + 1e-9
+
+
+class TestRunEndsAtLastResponse:
+    def test_resolved_calls_do_not_stretch_virtual_time(self):
+        # Regression: the simulated client never cancelled a resolved
+        # call's deadline/hedge timers, so every deadline-bearing run
+        # ended at last arrival + deadline instead of at its last
+        # response, deflating goodput_qps and utilization. Every
+        # request here succeeds two orders of magnitude inside its
+        # deadline, so the run must end long before that timer.
+        from repro.core.resilience import ResilienceConfig
+
+        profile = AppProfile(name="fast", service=Deterministic(1e-4))
+        deadline = 0.5
+        config = SimConfig(
+            qps=2000, warmup_requests=0, measure_requests=4000, seed=5,
+            deterministic_arrivals=True,
+            resilience=ResilienceConfig(
+                deadline=deadline, max_retries=2, hedge_after=0.1
+            ),
+        )
+        result = simulate_load(profile, config)
+        assert result.outcomes["succeeded"] == 4000
+        assert result.outcomes["hedges"] == result.outcomes["retries"] == 0
+        last_arrival = 4000 / 2000.0
+        assert result.virtual_time < last_arrival + deadline
+        assert result.virtual_time == pytest.approx(last_arrival + 1e-4)
+        assert result.goodput_qps == pytest.approx(
+            result.offered_qps, rel=0.02
+        )
