@@ -464,8 +464,9 @@ class RunConfig:
         bit-identically per seed.
     cache:
         Request/result caching tier (see :class:`CacheConfig` and
-        :mod:`repro.cache`). Does not compose with batching or
-        fan-out.
+        :mod:`repro.cache`). Composes with batching — the lookup is
+        per member of a batch, and only the misses reach the
+        application — but not with fan-out.
     """
 
     configuration: str = "integrated"
@@ -558,19 +559,12 @@ class RunConfig:
                     "gathers forever incomplete; fan-out does not "
                     "compose with faults/scenarios"
                 )
-        if self.cache.enabled:
-            if self.batching.enabled:
-                raise ValueError(
-                    "a batch is serviced (and priced) as a whole and "
-                    "has no per-request hit path; caching does not "
-                    "compose with batching"
-                )
-            if self.fanout.enabled:
-                raise ValueError(
-                    "fan-out sub-requests carry partial per-shard "
-                    "responses that are only meaningful to their "
-                    "gather; caching does not compose with fan-out"
-                )
+        if self.cache.enabled and self.fanout.enabled:
+            raise ValueError(
+                "fan-out sub-requests carry partial per-shard "
+                "responses that are only meaningful to their "
+                "gather; caching does not compose with fan-out"
+            )
 
     @property
     def total_requests(self) -> int:

@@ -38,7 +38,6 @@ from .request import Request
 
 __all__ = [
     "RequestQueue",
-    "PriorityRequestQueue",
     "QueueClosed",
     "QueueSnapshot",
     "FifoBuffer",
@@ -117,7 +116,7 @@ class PriorityBuffer:
 
     Both modes are deterministic — no RNG — so the simulator replays
     identically, and the identical buffer object drives the live
-    :class:`PriorityRequestQueue` and the simulated server.
+    :class:`RequestQueue` and the simulated server.
     """
 
     def __init__(
@@ -274,25 +273,7 @@ class RequestQueue:
         is computed once, and every wakeup (notify-then-steal races,
         spurious wakeups, stall windows) waits only the remaining time.
         """
-        deadline = None if timeout is None else time.monotonic() + timeout
-        with self._not_empty:
-            while True:
-                stall = 0.0
-                if self._injector is not None and not self._closed:
-                    stall = self._injector.queue_stall_remaining(
-                        self._clock.now()
-                    )
-                if len(self._buffer) and stall <= 0.0:
-                    return self._buffer.pop()
-                if self._closed and not len(self._buffer):
-                    raise QueueClosed("queue is closed and drained")
-                wait = stall if stall > 0.0 else None
-                if deadline is not None:
-                    remaining = deadline - time.monotonic()
-                    if remaining <= 0.0:
-                        raise TimeoutError("no request arrived in time")
-                    wait = remaining if wait is None else min(wait, remaining)
-                self._not_empty.wait(wait)
+        return self._take(None, timeout)
 
     def get_batch(
         self, policy, timeout: Optional[float] = None
@@ -304,39 +285,45 @@ class RequestQueue:
         delay — then pops the batch via ``policy.form``. On close, any
         residue is flushed immediately (no point waiting out the delay
         for traffic that will never arrive); :class:`QueueClosed` is
-        raised once closed *and* empty, exactly like :meth:`get`.
+        raised once closed *and* empty, and ``timeout`` is one budget
+        for the whole call, exactly like :meth:`get`.
 
         The release decision is evaluated under the queue lock against
         the same buffer state the simulator sees, so live and simulated
         batch membership match per seed.
         """
+        return self._take(policy, timeout)
+
+    def _take(self, policy, timeout: Optional[float]):
+        """The one blocking wait: a request (``policy`` None) or a batch."""
         deadline = None if timeout is None else time.monotonic() + timeout
+        buffer, injector = self._buffer, self._injector
         with self._not_empty:
             while True:
-                stall = 0.0
-                if self._injector is not None and not self._closed:
-                    stall = self._injector.queue_stall_remaining(
-                        self._clock.now()
-                    )
-                hold = None  # seconds until the head's delay expires
-                if len(self._buffer) and stall <= 0.0:
+                # Seconds until something may change without a notify:
+                # a stall window ending, the head's batch delay
+                # expiring, the caller's budget running out.
+                wait = None
+                if injector is not None and not self._closed:
+                    stall = injector.queue_stall_remaining(self._clock.now())
+                    if stall > 0.0:
+                        wait = stall
+                if len(buffer) and wait is None:
+                    if policy is None:
+                        return buffer.pop()
                     if self._closed:
-                        return policy.form(self._buffer)
+                        return policy.form(buffer)
                     now = self._clock.now()
-                    ready = policy.ready_at(self._buffer, now)
-                    if ready is not None and ready <= now:
-                        return policy.form(self._buffer)
-                    if ready is not None:
-                        hold = ready - now
-                if self._closed and not len(self._buffer):
+                    ready = policy.ready_at(buffer, now)
+                    if ready <= now:
+                        return policy.form(buffer)
+                    wait = ready - now
+                if self._closed and not len(buffer):
                     raise QueueClosed("queue is closed and drained")
-                wait = stall if stall > 0.0 else None
-                if hold is not None:
-                    wait = hold if wait is None else min(wait, hold)
                 if deadline is not None:
                     remaining = deadline - time.monotonic()
                     if remaining <= 0.0:
-                        raise TimeoutError("no batch formed in time")
+                        raise TimeoutError("nothing to dequeue in time")
                     wait = remaining if wait is None else min(wait, remaining)
                 self._not_empty.wait(wait)
 
@@ -419,31 +406,3 @@ class RequestQueue:
                 total_shed=self._total_shed,
                 head_sojourn=max(0.0, now - head) if head is not None else 0.0,
             )
-
-
-class PriorityRequestQueue(RequestQueue):
-    """Request queue with per-class priority scheduling.
-
-    A thin :class:`RequestQueue` wired to a :class:`PriorityBuffer`:
-    the thread-safety, gating, and instrumentation machinery is
-    inherited unchanged, only the dequeue order differs. ``mode`` is
-    ``strict`` (latency-critical class always first) or ``weighted``
-    (smooth weighted round-robin by the ``weights`` map).
-    """
-
-    def __init__(
-        self,
-        clock: Clock,
-        capacity: Optional[int] = None,
-        injector=None,
-        gate=None,
-        mode: str = "strict",
-        weights: Optional[Dict[int, float]] = None,
-    ) -> None:
-        super().__init__(
-            clock,
-            capacity=capacity,
-            injector=injector,
-            gate=gate,
-            buffer=PriorityBuffer(mode=mode, weights=weights),
-        )

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import Any, Optional
+from typing import Any, Dict, Optional
 
 __all__ = ["Request", "RequestRecord"]
 
@@ -75,6 +75,16 @@ class Request:
     #: configured hit cost). Set by the server worker (live) or the
     #: simulated server (sim) when a cache lookup hits.
     cache_hit: bool = False
+
+    def trace_ids(self, server_id: int) -> Dict[str, Optional[int]]:
+        """This attempt's identity as the keyword arguments trace
+        events and cache calls take."""
+        return {
+            "logical_id": self.logical_id,
+            "request_id": self.request_id,
+            "attempt": self.attempt,
+            "server_id": server_id,
+        }
 
     def finish(self, partial: bool = False) -> "RequestRecord":
         """Freeze into an immutable record; validates the chain.

@@ -14,9 +14,9 @@ import itertools
 import threading
 import time
 import traceback
-from typing import Callable, List
+from typing import Callable, List, Sequence
 
-from ..faults import InjectedFault
+from ..faults import INJECTED_APP_ERROR
 from .clock import Clock
 from .queueing import QueueClosed, RequestQueue
 from .request import Request
@@ -48,19 +48,19 @@ class Server:
         classic single-server shape); worker threads are named after it.
     batching:
         Optional :class:`repro.batching.BatchPolicy`. When set, workers
-        run the batched loop: they dequeue size-or-deadline batches via
+        dequeue size-or-deadline batches via
         :meth:`RequestQueue.get_batch` and service each batch with one
         application call (``handle_batch`` when the app provides it,
         else a per-request ``process`` loop). When ``None`` (default)
-        the original single-request loop runs, untouched.
+        a worker takes one request at a time — the batch of one — and
+        calls ``process``.
     cache:
         Optional :class:`repro.cache.RequestCache` shared across all
-        server instances. Workers consult it before ``process``: a hit
-        short-circuits the application call, serving the cached
-        response for the configured near-zero hit cost. Requests whose
-        app declines a key (``cache_key`` returns None) bypass the
-        cache entirely. When ``None`` (default) the service path is
-        untouched.
+        server instances. Workers consult it per request before the
+        application call: a hit is served from the cache for the
+        configured near-zero hit cost, and only the misses of a batch
+        reach the application. Requests whose app declines a key
+        (``cache_key`` returns None) bypass the cache entirely.
     """
 
     def __init__(
@@ -85,11 +85,13 @@ class Server:
         self.server_id = server_id
         self._batching = batching
         self._cache = cache
+        self._handle_batch = (
+            None if batching is None else getattr(app, "handle_batch", None)
+        )
         self._batch_seq = itertools.count()
-        loop = self._worker_loop if batching is None else self._batch_worker_loop
         self._threads: List[threading.Thread] = [
             threading.Thread(
-                target=loop,
+                target=self._worker_loop,
                 name=f"tb-s{server_id}-worker-{i}",
                 daemon=True,
             )
@@ -137,200 +139,154 @@ class Server:
             t.start()
 
     def _worker_loop(self) -> None:
-        injector = self._injector
+        queue, batching = self._queue, self._batching
         while True:
             try:
-                request = self._queue.get()
+                if batching is None:
+                    batch = (queue.get(),)
+                else:
+                    batch = queue.get_batch(batching)
             except QueueClosed:
                 return
-            request.service_start_at = self._clock.now()
-            self._busy += 1
-            if injector is not None:
-                pause = injector.worker_pause()
-                if pause > 0.0:
-                    if self._tracer is not None:
-                        self._tracer.emit(
-                            "fault_pause", request.service_start_at,
-                            logical_id=request.logical_id,
-                            request_id=request.request_id,
-                            attempt=request.attempt,
-                            server_id=self.server_id, value=pause,
-                        )
-                    # GC/compaction-style stall inside the service window.
-                    self._clock.sleep(pause)
-            # Caching tier: consult before touching the application. A
-            # hit serves the stored response for the configured hit
-            # cost; the backend never runs (injected app errors model
-            # backend failures, so a hit skips those too).
-            cache_key = None
-            if self._cache is not None:
-                cache_key = self._app.cache_key(request.payload)
-                if cache_key is not None:
-                    hit, value = self._cache.lookup(
-                        cache_key, self._clock.now(),
-                        logical_id=request.logical_id,
-                        request_id=request.request_id,
-                        attempt=request.attempt,
-                        server_id=self.server_id,
+            if not self._serve(batch):
+                return
+
+    def _serve(self, batch: Sequence[Request]) -> bool:
+        """Run the one service stage over ``batch``; False = worker died.
+
+        ``batch`` is the single request an unbatched worker dequeued or
+        one formed batch (one priority class, see
+        :meth:`~repro.core.queueing.RequestQueue.get_batch`). All
+        members share one ``service_start_at`` / ``service_end_at``
+        window; the stage order is DESIGN.md §9's: open the window,
+        worker pause (one per window), cache lookup per member, injected
+        error per miss, one application call over what is left, store,
+        close the window, respond, crash draw.
+        """
+        now = self._clock.now
+        injector, tracer, cache = self._injector, self._tracer, self._cache
+        sid = self.server_id
+        start = now()
+        seq = None  # the batch's sequence number; None when unbatched
+        if self._batching is not None:
+            seq = float(next(self._batch_seq))
+            size = len(batch)
+            for request in batch:
+                request.batch_size = size
+            if tracer is not None:
+                for request in batch:
+                    tracer.emit(
+                        "batch_form", start, value=seq,
+                        **request.trace_ids(sid),
+                    )
+                tracer.emit("batch_start", start, server_id=sid, value=seq)
+        self._busy += 1
+        if injector is not None:
+            pause = injector.worker_pause()
+            if pause > 0.0:
+                if tracer is not None:
+                    # One stall covers the whole window — a worker-level
+                    # freeze, not per-request slowness — so under
+                    # batching it names the server, not a member.
+                    ids = (
+                        batch[0].trace_ids(sid) if seq is None
+                        else {"server_id": sid}
+                    )
+                    tracer.emit("fault_pause", start, value=pause, **ids)
+                # GC/compaction-style stall inside the service window.
+                self._clock.sleep(pause)
+        # Caching tier: a hit is answered from the cache for the
+        # configured hit cost and never reaches the backend (injected
+        # app errors model backend failures, so a hit skips those too).
+        served = batch
+        keys = None
+        if cache is not None:
+            served, keys = [], {}
+            for request in batch:
+                key = self._app.cache_key(request.payload)
+                if key is not None:
+                    hit, value = cache.lookup(
+                        key, now(), **request.trace_ids(sid)
                     )
                     if hit:
                         request.response = value
                         request.cache_hit = True
-                        if self._cache.hit_cost > 0.0:
-                            self._clock.sleep(self._cache.hit_cost)
-            if not request.cache_hit:
-                try:
-                    if injector is not None and injector.app_error():
-                        if self._tracer is not None:
-                            self._tracer.emit(
-                                "fault_app_error", self._clock.now(),
-                                logical_id=request.logical_id,
-                                request_id=request.request_id,
-                                attempt=request.attempt,
-                                server_id=self.server_id,
-                            )
-                        raise InjectedFault("injected application error")
-                    request.response = self._app.process(request.payload)
-                except Exception:  # noqa: BLE001 - report, don't kill the worker
-                    request.error = traceback.format_exc()
-                    with self._errors_lock:
-                        self._errors.append(request.error)
-                if cache_key is not None and request.error is None:
-                    # Only successful responses are cacheable.
-                    self._cache.store(
-                        cache_key, request.response, self._clock.now(),
-                        logical_id=request.logical_id,
-                        request_id=request.request_id,
-                        attempt=request.attempt,
-                        server_id=self.server_id,
-                    )
-            request.service_end_at = self._clock.now()
-            self._busy -= 1
-            self._respond(request)
-            if injector is not None and injector.worker_crash():
-                # Injected crash: the pool permanently loses a worker.
-                with self._alive_lock:
-                    self._alive -= 1
-                if self._tracer is not None:
-                    self._tracer.emit(
-                        "fault_crash", self._clock.now(),
-                        server_id=self.server_id,
-                    )
-                return
-
-    def _batch_worker_loop(self) -> None:
-        """Batched variant of :meth:`_worker_loop`.
-
-        Dequeues size-or-deadline batches (one priority class each, see
-        :meth:`~repro.core.queueing.RequestQueue.get_batch`) and
-        services every member with a single application call —
-        ``handle_batch`` when the app implements it, else a plain
-        ``process`` loop. All members share one ``service_start_at`` /
-        ``service_end_at`` window; per-request cost attribution divides
-        the window by the recorded ``batch_size``.
-        """
-        injector = self._injector
-        handle_batch = getattr(self._app, "handle_batch", None)
-        while True:
-            try:
-                batch = self._queue.get_batch(self._batching)
-            except QueueClosed:
-                return
-            seq = next(self._batch_seq)
-            size = len(batch)
-            start = self._clock.now()
-            for request in batch:
-                request.service_start_at = start
-                request.batch_size = size
-            if self._tracer is not None:
-                for request in batch:
-                    self._tracer.emit(
-                        "batch_form", start,
-                        logical_id=request.logical_id,
-                        request_id=request.request_id,
-                        attempt=request.attempt,
-                        server_id=self.server_id, value=float(seq),
-                    )
-                self._tracer.emit(
-                    "batch_start", start,
-                    server_id=self.server_id, value=float(seq),
-                )
-            self._busy += 1
-            if injector is not None:
-                pause = injector.worker_pause()
-                if pause > 0.0:
-                    if self._tracer is not None:
-                        self._tracer.emit(
-                            "fault_pause", start,
-                            server_id=self.server_id, value=pause,
+                        if cache.hit_cost > 0.0:
+                            self._clock.sleep(cache.hit_cost)
+                        continue
+                    keys[request.request_id] = key
+                served.append(request)
+        # Injected application errors are per request: a failed member
+        # consumes no service and gets an error response; the rest of
+        # the batch is processed normally.
+        if injector is not None:
+            kept = []
+            for request in served:
+                if injector.app_error():
+                    if tracer is not None:
+                        tracer.emit(
+                            "fault_app_error", now(), **request.trace_ids(sid)
                         )
-                    # One stall covers the whole batch: the pause models
-                    # a worker-level freeze, not per-request slowness.
-                    self._clock.sleep(pause)
-            # Injected application errors keep per-request semantics:
-            # a failed member consumes no service and gets an error
-            # response; the rest of the batch is processed normally.
-            failed = (
-                [injector.app_error() for _ in batch]
-                if injector is not None
-                else [False] * size
-            )
-            served = [r for r, bad in zip(batch, failed) if not bad]
-            try:
-                if handle_batch is not None:
-                    responses = handle_batch([r.payload for r in served])
+                    request.error = INJECTED_APP_ERROR
+                    self._record_error(request.error)
                 else:
-                    responses = [self._app.process(r.payload) for r in served]
-                if len(responses) != len(served):
-                    raise RuntimeError(
-                        f"handle_batch returned {len(responses)} responses "
-                        f"for {len(served)} payloads"
-                    )
-                for request, response in zip(served, responses):
-                    request.response = response
+                    kept.append(request)
+            served = kept
+        if served:
+            try:
+                if self._handle_batch is None:
+                    process = self._app.process
+                    for request in served:
+                        request.response = process(request.payload)
+                else:
+                    responses = self._handle_batch([r.payload for r in served])
+                    if len(responses) != len(served):
+                        raise RuntimeError(
+                            f"handle_batch returned {len(responses)} "
+                            f"responses for {len(served)} payloads"
+                        )
+                    for request, response in zip(served, responses):
+                        request.response = response
             except Exception:  # noqa: BLE001 - report, don't kill the worker
                 err = traceback.format_exc()
                 for request in served:
+                    request.response = None
                     request.error = err
-                with self._errors_lock:
-                    self._errors.append(err)
-            for request, bad in zip(batch, failed):
-                if not bad:
-                    continue
-                if self._tracer is not None:
-                    self._tracer.emit(
-                        "fault_app_error", self._clock.now(),
-                        logical_id=request.logical_id,
-                        request_id=request.request_id,
-                        attempt=request.attempt,
-                        server_id=self.server_id,
-                    )
-                request.error = "InjectedFault: injected application error"
-                with self._errors_lock:
-                    self._errors.append(request.error)
-            end = self._clock.now()
-            for request in batch:
-                request.service_end_at = end
-            self._busy -= 1
-            if self._tracer is not None:
-                self._tracer.emit(
-                    "batch_end", end,
-                    server_id=self.server_id, value=float(seq),
-                )
-            for request in batch:
-                self._respond(request)
-            if injector is not None and any(
-                injector.worker_crash() for _ in batch
-            ):
-                # Injected crash: the pool permanently loses a worker.
-                with self._alive_lock:
-                    self._alive -= 1
-                if self._tracer is not None:
-                    self._tracer.emit(
-                        "fault_crash", self._clock.now(),
-                        server_id=self.server_id,
-                    )
-                return
+                self._record_error(err)
+            else:
+                if keys:
+                    # Only successful responses are cacheable.
+                    for request in served:
+                        key = keys.get(request.request_id)
+                        if key is not None:
+                            cache.store(
+                                key, request.response, now(),
+                                **request.trace_ids(sid),
+                            )
+        end = now()
+        self._busy -= 1
+        if seq is not None and tracer is not None:
+            tracer.emit("batch_end", end, server_id=sid, value=seq)
+        respond = self._respond
+        for request in batch:
+            # One window for every member, stamped as it is answered.
+            request.service_start_at = start
+            request.service_end_at = end
+            respond(request)
+        if injector is not None and any(
+            injector.worker_crash() for _ in batch
+        ):
+            # Injected crash: the pool permanently loses a worker.
+            with self._alive_lock:
+                self._alive -= 1
+            if tracer is not None:
+                tracer.emit("fault_crash", now(), server_id=sid)
+            return False
+        return True
+
+    def _record_error(self, text: str) -> None:
+        with self._errors_lock:
+            self._errors.append(text)
 
     def shutdown(
         self, timeout: float = 30.0, discard_pending: bool = False

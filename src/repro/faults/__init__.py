@@ -15,7 +15,7 @@ simulation and replayed for-real over threads and TCP. A
 and by engine events in the simulator.
 """
 
-from .injector import FaultInjector, InjectedFault, TransportAction
+from .injector import INJECTED_APP_ERROR, FaultInjector, TransportAction
 from .plan import FaultPlan, StallWindow
 from .scenario import (
     SCENARIOS,
@@ -34,7 +34,7 @@ __all__ = [
     "FaultInjector",
     "FaultPhase",
     "FaultPlan",
-    "InjectedFault",
+    "INJECTED_APP_ERROR",
     "SCENARIOS",
     "Scenario",
     "ScenarioDriver",

@@ -23,7 +23,11 @@ from typing import Dict, NamedTuple
 
 from .plan import FaultPlan
 
-__all__ = ["FaultInjector", "InjectedFault", "TransportAction"]
+__all__ = ["FaultInjector", "INJECTED_APP_ERROR", "TransportAction"]
+
+#: ``Request.error`` of an attempt the plan failed at the application
+#: layer — the same text from the live server and the simulated one.
+INJECTED_APP_ERROR = "injected application error"
 
 
 class _NullServerInjector:
@@ -46,10 +50,6 @@ class _NullServerInjector:
 
     def app_error(self) -> bool:
         return False
-
-
-class InjectedFault(Exception):
-    """Raised by the application layer when the plan injects an error."""
 
 
 class TransportAction(NamedTuple):
@@ -198,7 +198,7 @@ class FaultInjector:
 
     # -- application layer ---------------------------------------------
     def app_error(self) -> bool:
-        """Whether to raise :class:`InjectedFault` instead of serving."""
+        """Whether this request fails with :data:`INJECTED_APP_ERROR`."""
         plan = self.plan
         if plan.error_rate == 0.0:
             return False

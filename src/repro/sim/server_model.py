@@ -19,11 +19,12 @@ from __future__ import annotations
 
 import itertools
 import random
-from typing import Callable, List, Optional
+from typing import Callable, Optional, Sequence
 
 from ..core.collector import StatsCollector
 from ..core.queueing import FifoBuffer, QueueSnapshot
 from ..core.request import Request
+from ..faults import INJECTED_APP_ERROR
 from .engine import Engine
 from .network_model import NetworkModel
 from .service_models import ServiceTimeModel
@@ -197,63 +198,50 @@ class SimulatedServer:
         )
 
     # -- server events -------------------------------------------------------
-    def _stall_remaining(self) -> float:
-        if self._injector is None:
-            return 0.0
-        return self._injector.queue_stall_remaining(self._engine.now)
-
     def _on_arrival(self, request: Request) -> None:
-        request.enqueued_at = self._engine.now
+        now = request.enqueued_at = self._engine.now
+        queue = self._queue
         # The admission gate sees every arrival — including ones a free
         # worker could start immediately — exactly as the live queue's
         # put path does, so admit/drop tallies match across modes.
         if self._gate is not None and not self._gate.admit(
-            request.enqueued_at, len(self._queue), request
+            now, len(queue), request
         ):
-            request.shed = True
-            self.shed_count += 1
-            self._schedule_response(request)
+            self._shed(request, now)
             return
-        if self._batching is not None:
-            # Batched dispatch: every arrival queues (even with a free
-            # worker — it must wait for its batch to form), mirroring
-            # the live put -> get_batch path, including its capacity
-            # semantics (the bound applies to the waiting buffer).
+        stall = 0.0
+        if self._batching is None:
+            # Idle-worker fast path: what the live get() hands a
+            # blocked worker never waits in the buffer. Under batching
+            # every arrival queues — it must wait for its batch to
+            # form — mirroring the live put -> get_batch path.
+            if self._injector is not None:
+                stall = self._injector.queue_stall_remaining(now)
             if (
-                self._capacity is not None
-                and len(self._queue) >= self._capacity
+                stall <= 0.0
+                and self._busy_workers < self._workers_alive
+                and not len(queue)
             ):
-                request.shed = True
-                self.shed_count += 1
-                self._schedule_response(request)
+                self.total_enqueued += 1
+                self._start((request,), now)
                 return
-            self._queue.push(request)
-            self.total_enqueued += 1
-            if len(self._queue) > self.peak_queue_depth:
-                self.peak_queue_depth = len(self._queue)
-            self._batch_dispatch()
+        # The bound applies to the waiting buffer, as in the live put.
+        if self._capacity is not None and len(queue) >= self._capacity:
+            self._shed(request, now)
             return
-        stall = self._stall_remaining()
-        can_start = (
-            stall <= 0.0
-            and self._busy_workers < self._workers_alive
-            and not len(self._queue)
-        )
-        if can_start:
-            self.total_enqueued += 1
-            self._start_service(request)
-            return
-        if self._capacity is not None and len(self._queue) >= self._capacity:
-            request.shed = True
-            self.shed_count += 1
-            self._schedule_response(request)
-            return
-        self._queue.push(request)
+        queue.push(request)
         self.total_enqueued += 1
-        if len(self._queue) > self.peak_queue_depth:
-            self.peak_queue_depth = len(self._queue)
-        if stall > 0.0:
+        if len(queue) > self.peak_queue_depth:
+            self.peak_queue_depth = len(queue)
+        if self._batching is not None:
+            self._dispatch()
+        elif stall > 0.0:
             self._schedule_stall_end(stall)
+
+    def _shed(self, request: Request, now: float) -> None:
+        request.shed = True
+        self.shed_count += 1
+        self._schedule_response(request, now)
 
     def _schedule_stall_end(self, stall: float) -> None:
         if not self._stall_event_pending:
@@ -262,42 +250,35 @@ class SimulatedServer:
 
     def _stall_over(self) -> None:
         self._stall_event_pending = False
-        if self._batching is not None:
-            self._batch_dispatch()
-        else:
-            self._dispatch()
+        self._dispatch()
 
     def _dispatch(self) -> None:
-        while len(self._queue) and self._busy_workers < self._workers_alive:
-            stall = self._stall_remaining()
-            if stall > 0.0:
-                self._schedule_stall_end(stall)
-                return
-            self._start_service(self._queue.pop())
+        """Start every request or batch that is releasable right now.
 
-    def _batch_dispatch(self) -> None:
-        """Form and start every batch that is releasable right now.
-
-        Evaluates the shared :class:`~repro.batching.BatchPolicy`
-        against the buffer; when the head's delay has not yet expired
-        (and the buffer holds less than a full batch) a single wakeup
-        event is scheduled for the release instant. Wakeups can go
-        stale — a completion may have dispatched the batch first — in
-        which case they simply re-evaluate and find nothing to do.
+        Unbatched, that is the buffer's next request per free worker.
+        Batched, the shared :class:`~repro.batching.BatchPolicy` is
+        evaluated against the buffer; when the head's delay has not yet
+        expired (and the buffer holds less than a full batch) a single
+        wakeup event is scheduled for the release instant. Wakeups can
+        go stale — a completion may have dispatched the batch first —
+        in which case they simply re-evaluate and find nothing to do.
         """
-        while len(self._queue) and self._busy_workers < self._workers_alive:
-            stall = self._stall_remaining()
-            if stall > 0.0:
-                self._schedule_stall_end(stall)
-                return
+        queue, batching, injector = self._queue, self._batching, self._injector
+        while len(queue) and self._busy_workers < self._workers_alive:
             now = self._engine.now
-            ready = self._batching.ready_at(self._queue, now)
-            if ready is None:
-                return
+            if injector is not None:
+                stall = injector.queue_stall_remaining(now)
+                if stall > 0.0:
+                    self._schedule_stall_end(stall)
+                    return
+            if batching is None:
+                self._start((queue.pop(),), now)
+                continue
+            ready = batching.ready_at(queue, now)
             if ready > now:
                 self._schedule_batch_deadline(ready)
                 return
-            self._start_batch(self._batching.form(self._queue))
+            self._start(batching.form(queue), now)
 
     def _schedule_batch_deadline(self, when: float) -> None:
         # The head only gets *younger* as batches pop, so an already-
@@ -310,149 +291,107 @@ class SimulatedServer:
     def _on_batch_deadline(self, when: float) -> None:
         if self._batch_deadline_at == when:
             self._batch_deadline_at = None
-        self._batch_dispatch()
-
-    def _start_batch(self, batch: List[Request]) -> None:
-        self._busy_workers += 1
-        now = self._engine.now
-        seq = next(self._batch_seq)
-        size = len(batch)
-        # One service draw per member keeps the RNG stream identical to
-        # an unbatched run; the marginal-cost sum is the batch's single
-        # service window.
-        draws = [self._service_model.sample(self._rng) for _ in batch]
-        service_time = draws[0] + self._batch_marginal * sum(draws[1:])
-        for request in batch:
-            request.service_start_at = now
-            request.batch_size = size
-        if self._tracer is not None:
-            for request in batch:
-                self._tracer.emit(
-                    "batch_form", now,
-                    logical_id=request.logical_id,
-                    request_id=request.request_id,
-                    attempt=request.attempt,
-                    server_id=self.server_id, value=float(seq),
-                )
-            self._tracer.emit(
-                "batch_start", now, server_id=self.server_id,
-                value=float(seq),
-            )
-        if self._injector is not None:
-            pause = self._injector.worker_pause()
-            if pause > 0.0:
-                if self._tracer is not None:
-                    self._tracer.emit(
-                        "fault_pause", now,
-                        server_id=self.server_id, value=pause,
-                    )
-                service_time += pause
-        self.busy_time += service_time
-        self._engine.after(service_time, self._on_batch_completion, seq, batch)
-
-    def _on_batch_completion(self, seq: int, batch: List[Request]) -> None:
-        now = self._engine.now
-        self._busy_workers -= 1
-        if self._injector is not None:
-            for request in batch:
-                if self._injector.app_error():
-                    request.error = "injected application error"
-                    if self._tracer is not None:
-                        self._tracer.emit(
-                            "fault_app_error", now,
-                            logical_id=request.logical_id,
-                            request_id=request.request_id,
-                            attempt=request.attempt,
-                            server_id=self.server_id,
-                        )
-            if any(self._injector.worker_crash() for _ in batch):
-                self._workers_alive = max(0, self._workers_alive - 1)
-                self.crashed_workers += 1
-                if self._tracer is not None:
-                    self._tracer.emit(
-                        "fault_crash", now, server_id=self.server_id,
-                    )
-        for request in batch:
-            request.service_end_at = now
-        if self._tracer is not None:
-            self._tracer.emit(
-                "batch_end", now, server_id=self.server_id, value=float(seq),
-            )
-        for request in batch:
-            self._schedule_response(request)
-        self._batch_dispatch()
-
-    def _start_service(self, request: Request) -> None:
-        self._busy_workers += 1
-        request.service_start_at = self._engine.now
-        service_time = self._service_model.sample(self._rng)
-        if self._cache is not None and request.payload is not None:
-            # RNG-stream alignment: the service draw above is consumed
-            # whether or not the lookup hits, so enabling the cache
-            # never shifts the server's random stream — a hit merely
-            # substitutes the near-zero hit cost for the drawn value.
-            hit, _ = self._cache.lookup(
-                request.payload, request.service_start_at,
-                logical_id=request.logical_id,
-                request_id=request.request_id,
-                attempt=request.attempt,
-                server_id=self.server_id,
-            )
-            if hit:
-                request.cache_hit = True
-                service_time = self._cache.hit_cost
-            else:
-                # Resident from service start: concurrent requests for
-                # the same key coalesce onto the entry optimistically.
-                self._cache.store(
-                    request.payload, True, request.service_start_at,
-                    logical_id=request.logical_id,
-                    request_id=request.request_id,
-                    attempt=request.attempt,
-                    server_id=self.server_id,
-                )
-        if self._injector is not None:
-            pause = self._injector.worker_pause()
-            if pause > 0.0 and self._tracer is not None:
-                self._tracer.emit(
-                    "fault_pause", request.service_start_at,
-                    logical_id=request.logical_id,
-                    request_id=request.request_id,
-                    attempt=request.attempt,
-                    server_id=self.server_id, value=pause,
-                )
-            service_time += pause
-        self.busy_time += service_time
-        self._engine.after(service_time, self._on_completion, request)
-
-    def _on_completion(self, request: Request) -> None:
-        request.service_end_at = self._engine.now
-        self._busy_workers -= 1
-        if self._injector is not None:
-            if self._injector.app_error():
-                request.error = "injected application error"
-                if self._tracer is not None:
-                    self._tracer.emit(
-                        "fault_app_error", request.service_end_at,
-                        logical_id=request.logical_id,
-                        request_id=request.request_id,
-                        attempt=request.attempt,
-                        server_id=self.server_id,
-                    )
-            if self._injector.worker_crash():
-                self._workers_alive = max(0, self._workers_alive - 1)
-                self.crashed_workers += 1
-                if self._tracer is not None:
-                    self._tracer.emit(
-                        "fault_crash", request.service_end_at,
-                        server_id=self.server_id,
-                    )
-        self._schedule_response(request)
         self._dispatch()
 
-    def _schedule_response(self, request: Request) -> None:
+    def _start(self, members: Sequence[Request], now: float) -> None:
+        """Open one service window over ``members`` (DESIGN.md §9).
+
+        ``members`` is one request or one formed batch. Every member
+        consumes one service draw — hit or miss, batched or not — so
+        neither the cache nor batching ever shifts the service RNG
+        stream. A hit costs ``hit_cost``; the misses cost the first
+        one's draw plus ``batch_marginal_cost`` of the others'.
+        """
+        self._busy_workers += 1
+        tracer, cache, sid = self._tracer, self._cache, self.server_id
+        sample, rng = self._service_model.sample, self._rng
+        seq = None  # the batch's sequence number; None when unbatched
+        if self._batching is not None:
+            seq = float(next(self._batch_seq))
+            size = len(members)
+            for request in members:
+                request.batch_size = size
+            if tracer is not None:
+                for request in members:
+                    tracer.emit(
+                        "batch_form", now, value=seq,
+                        **request.trace_ids(sid),
+                    )
+                tracer.emit("batch_start", now, server_id=sid, value=seq)
+        pause = 0.0
+        if self._injector is not None:
+            pause = self._injector.worker_pause()
+            if pause > 0.0 and tracer is not None:
+                # One stall per window; under batching it names the
+                # server, not a member (see Server._serve).
+                ids = (
+                    members[0].trace_ids(sid) if seq is None
+                    else {"server_id": sid}
+                )
+                tracer.emit("fault_pause", now, value=pause, **ids)
+        first = None
+        others = hits = 0.0
+        for request in members:
+            request.service_start_at = now
+            draw = sample(rng)
+            if cache is not None and request.payload is not None:
+                ids = request.trace_ids(sid)
+                if cache.lookup(request.payload, now, **ids)[0]:
+                    request.cache_hit = True
+                    hits += cache.hit_cost
+                    continue
+                # Resident from service start: concurrent requests for
+                # the same key coalesce onto the entry optimistically.
+                cache.store(request.payload, True, now, **ids)
+            if first is None:
+                first = draw
+            else:
+                others += draw
+        window = hits
+        if first is not None:
+            window += first + self._batch_marginal * others
+        window += pause
+        self.busy_time += window
+        self._engine.after(window, self._on_completion, seq, members)
+
+    def _on_completion(
+        self, seq: Optional[float], members: Sequence[Request]
+    ) -> None:
+        now = self._engine.now
+        self._busy_workers -= 1
+        injector, tracer = self._injector, self._tracer
+        if injector is not None:
+            crashed = False
+            for request in members:
+                if injector.app_error():
+                    request.error = INJECTED_APP_ERROR
+                    if tracer is not None:
+                        tracer.emit(
+                            "fault_app_error", now,
+                            **request.trace_ids(self.server_id),
+                        )
+                # Any-of-members, drawn until the first crash.
+                if not crashed and injector.worker_crash():
+                    crashed = True
+            if crashed:
+                self._workers_alive = max(0, self._workers_alive - 1)
+                self.crashed_workers += 1
+                if tracer is not None:
+                    tracer.emit(
+                        "fault_crash", now, server_id=self.server_id,
+                    )
+        if seq is not None and tracer is not None:
+            tracer.emit(
+                "batch_end", now, server_id=self.server_id, value=seq
+            )
+        for request in members:
+            request.service_end_at = now
+            self._schedule_response(request, now)
+        self._dispatch()
+
+    def _schedule_response(self, request: Request, now: float) -> None:
         self._engine.at(
-            self._engine.now + self._network.wire_latency_each_way,
+            now + self._network.wire_latency_each_way,
             self._on_response,
             request,
         )

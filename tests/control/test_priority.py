@@ -2,7 +2,7 @@
 
 from repro.control import ClassAssigner, PriorityConfig, RequestClassSpec
 from repro.core import Request, VirtualClock
-from repro.core.queueing import PriorityBuffer, PriorityRequestQueue
+from repro.core.queueing import PriorityBuffer, RequestQueue
 
 
 def make_request(priority=0):
@@ -93,9 +93,11 @@ class TestWeightedDiscipline:
         assert [buffer.pop() for _ in range(5)] == only_low
 
 
-class TestPriorityRequestQueue:
+class TestRequestQueueWithPriorityBuffer:
     def test_strict_queue_reorders_across_classes(self):
-        queue = PriorityRequestQueue(VirtualClock(), mode="strict")
+        queue = RequestQueue(
+            VirtualClock(), buffer=PriorityBuffer(mode="strict")
+        )
         low = make_request(priority=0)
         high = make_request(priority=1)
         queue.put(low)

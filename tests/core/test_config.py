@@ -82,10 +82,6 @@ _SHARED_REJECTIONS = [
         "faults/scenarios",
     ),
     (
-        dict(cache=_CACHE, batching=BatchingConfig(enabled=True)),
-        "does not compose with batching",
-    ),
-    (
         dict(n_servers=2, cache=_CACHE, fanout=_FANOUT2),
         "caching does not compose with fan-out",
     ),
@@ -109,6 +105,14 @@ class TestSharedCore:
             SimConfig(**kwargs)
         assert fragment in str(live.value)
         assert str(live.value) == str(sim.value)
+
+    def test_cache_with_batching_is_accepted_by_both(self):
+        # The lookup is per member inside the one service stage, so
+        # the pair composes (tests/cache/test_cache_batching.py runs it).
+        kwargs = dict(cache=_CACHE, batching=BatchingConfig(enabled=True))
+        for cls in (HarnessConfig, SimConfig):
+            config = cls(**kwargs)
+            assert config.cache.enabled and config.batching.enabled
 
 
 class TestHarnessConfig:

@@ -9,7 +9,6 @@ from repro.core import QueueClosed, Request, RequestQueue, VirtualClock, WallClo
 from repro.core.queueing import (
     FifoBuffer,
     PriorityBuffer,
-    PriorityRequestQueue,
     QueueSnapshot,
 )
 
@@ -194,7 +193,7 @@ class TestRequestQueue:
 
     def test_priority_queue_snapshot_mixed_class_head_sojourn(self):
         clock = VirtualClock(10.0)
-        queue = PriorityRequestQueue(clock, mode="strict")
+        queue = RequestQueue(clock, buffer=PriorityBuffer(mode="strict"))
         queue.put(make_request(priority=0))  # enqueued at 10.0
         clock.advance(0.3)
         queue.put(make_request(priority=9))  # enqueued at 10.3
