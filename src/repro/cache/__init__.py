@@ -5,7 +5,7 @@ front of the backend turns the Zipf-skewed head of the request
 popularity distribution into near-zero-cost hits, and its failure
 modes (cold-cache restart, expiry-driven load spikes) are themselves
 tail generators worth reproducing (Dean & Barroso, "The Tail at
-Scale"). See DESIGN.md §15.
+Scale"). See DESIGN.md §13.
 
 Layering:
 

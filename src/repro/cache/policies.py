@@ -1,6 +1,6 @@
 """Replacement and admission policies behind one ``CachePolicy`` seam.
 
-The caching tier (DESIGN.md §15) separates *what* is kept from *how*
+The caching tier (DESIGN.md §13) separates *what* is kept from *how*
 the keeper decides: :class:`RequestCache` owns thread-safety, counters
 and trace emission, while everything below this interface is a pure
 single-threaded data structure the simulator can drive deterministically

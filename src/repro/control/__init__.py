@@ -17,7 +17,7 @@ from .config import (
 from .controllers import AdmissionController, AutoscaleController, Controller
 from .gate import AdmissionGate
 from .loop import ControlLoop
-from .plane import ControlPlane, ControlTarget, LiveControlTarget
+from .plane import ControlPlane, ControlTarget, TransportControlTarget
 from .priority import ClassAssigner
 
 __all__ = [
@@ -32,8 +32,8 @@ __all__ = [
     "ControlPlaneConfig",
     "ControlTarget",
     "Controller",
-    "LiveControlTarget",
     "NO_CONTROL",
     "PriorityConfig",
     "RequestClassSpec",
+    "TransportControlTarget",
 ]

@@ -3,11 +3,11 @@
 :class:`ControlPlane` is the façade both execution modes share. It
 owns the per-server :class:`~repro.control.gate.AdmissionGate`
 objects, the request classifier, the windowed sojourn reservoir the
-AIMD limiter reads, and the controller set; the harness binds it to a
-:class:`LiveControlTarget` (wrapping the transport) and the simulator
-to its virtual-time topology adapter. Controllers only ever see the
-:class:`ControlTarget` interface, so live and simulated control
-decisions run the identical code.
+AIMD limiter reads, and the controller set; the harness and the
+simulator both bind it to a :class:`TransportControlTarget` over their
+transport. Controllers only ever see the :class:`ControlTarget`
+interface, so live and simulated control decisions run the identical
+code.
 
 Signal flow per tick::
 
@@ -35,15 +35,15 @@ from .controllers import AdmissionController, AutoscaleController, Controller
 from .gate import AdmissionGate
 from .priority import ClassAssigner
 
-__all__ = ["ControlTarget", "ControlPlane", "LiveControlTarget"]
+__all__ = ["ControlTarget", "ControlPlane", "TransportControlTarget"]
 
 
 class ControlTarget:
     """What a serving stack must expose to be controlled.
 
-    Implemented by :class:`LiveControlTarget` over the live transport
-    and by the simulator's topology adapter — controllers are written
-    against this interface only.
+    Implemented by :class:`TransportControlTarget` over any transport,
+    wall-clock or simulated — controllers are written against this
+    interface only.
     """
 
     def active_servers(self) -> List[int]:
@@ -220,8 +220,8 @@ class ControlPlane:
         return out
 
 
-class LiveControlTarget(ControlTarget):
-    """Bind the control plane to the live transport.
+class TransportControlTarget(ControlTarget):
+    """Bind the control plane to a transport, live or simulated.
 
     Thin adapter: every signal read goes straight to the transport's
     instances (the same objects the :mod:`repro.obs` gauges observe),

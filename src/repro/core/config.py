@@ -187,7 +187,7 @@ _START_METHODS = ("fork", "spawn")
 
 @dataclass(frozen=True)
 class ExecutionConfig:
-    """Where replica worker pools execute (see DESIGN.md §12).
+    """Where replica worker pools execute (see DESIGN.md §4).
 
     Attributes
     ----------
@@ -466,7 +466,9 @@ class RunConfig:
         Request/result caching tier (see :class:`CacheConfig` and
         :mod:`repro.cache`). Composes with batching — the lookup is
         per member of a batch, and only the misses reach the
-        application — but not with fan-out.
+        application — and with resilience, health and faults (the key
+        is the payload, so every attempt carries it) — but not with
+        fan-out.
     """
 
     configuration: str = "integrated"

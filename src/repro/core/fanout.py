@@ -12,13 +12,13 @@ every individual shard's tail stays flat
 prediction this module's measurements are validated against).
 
 Layering: :class:`FanoutGatherer` is the completion-side gather point
-shared verbatim by the live harness and the discrete-event simulator
-— same bookkeeping, same critical-shard attribution, same trace
-events. :class:`FanoutClient` is the live send side (scatters via
-``Transport.send(server_id=...)`` pinning); the simulator builds its
-own pre-scheduled sub-requests (see :mod:`repro.sim.latency_sim`) and
-feeds completions into the same gatherer, which is what keeps a K=1
-fan-out run bit-identical to an unsharded run per seed.
+and :class:`FanoutClient` the send side (scatters via
+``Transport.send(server_id=...)`` pinning). Both run unchanged under
+the live harness and the discrete-event simulator — same bookkeeping,
+same critical-shard attribution, same trace events — because both
+talk only to the transport. A pinned send draws nothing from the
+balancer, which is what keeps a K=1 fan-out run bit-identical to an
+unsharded run per seed.
 """
 
 from __future__ import annotations
@@ -105,13 +105,13 @@ class _Gather:
 class FanoutGatherer:
     """The gather point: collects K shard responses per logical request.
 
-    ``on_complete`` is installed as the transport's completion hook
-    (live) or wired into the topology's response callback (sim). When
-    a gather's last sub-request lands, the *critical* (slowest) shard's
-    request supplies the logical latency record — its lifecycle chain
-    IS the logical request's critical path — and the per-shard partial
-    responses are merged. One ``fanout_gather`` trace event per
-    logical request carries the critical shard in ``server_id``.
+    ``on_complete`` is installed as the transport's completion hook,
+    live and simulated alike. When a gather's last sub-request lands,
+    the *critical* (slowest) shard's request supplies the logical
+    latency record — its lifecycle chain IS the logical request's
+    critical path — and the per-shard partial responses are merged.
+    One ``fanout_gather`` trace event per logical request carries the
+    critical shard in ``server_id``.
 
     Thread-safe: the live transport completes requests from many
     worker threads concurrently.
@@ -212,7 +212,7 @@ class FanoutGatherer:
 
 
 class FanoutClient:
-    """Live send side: scatters each logical request to every shard.
+    """Send side: scatters each logical request to every shard.
 
     Stands where the resilient client would (the harness's
     ``send_fn``): one call dispatches K pinned sub-requests through

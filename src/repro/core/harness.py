@@ -22,10 +22,8 @@ from dataclasses import dataclass
 from typing import List, Optional
 
 from ..faults import ScenarioDriver, ScenarioInjector
-from .balancer import make_balancer
 from .clock import Clock, WallClock
 from .config import HarnessConfig
-from .resilience import ResilientClient
 from .run import RunParts, RunResult
 from .traffic import ArrivalSchedule, TrafficShaper
 from .transport import make_transport
@@ -84,13 +82,15 @@ def run_harness(
     warmup prefix, and measures the rest.
     """
     clock = clock or WallClock()
-    # Subsystems are built before transport start so the control
-    # plane's admission gates (built with the queues) can hold the
-    # tracer; gauge registration happens after start, once the
-    # instances exist.
+    if config.fanout.enabled and not callable(
+        getattr(app, "merge_responses", None)
+    ):
+        raise TypeError(
+            "fan-out needs a sharded application exposing "
+            "merge_responses(partials) — see repro.apps.ShardedApp"
+        )
     parts = RunParts(config)
-    collector, injector, schedule = parts.collector, parts.injector, parts.schedule
-    tracer, plane, health, cache = parts.tracer, parts.plane, parts.health, parts.cache
+    schedule = parts.schedule
     transport = make_transport(
         config.configuration,
         clock,
@@ -102,83 +102,24 @@ def run_harness(
     client = app.make_client(seed=config.seed)
     payloads: List = [client.next_request() for _ in range(len(schedule))]
 
-    transport.start(
-        app,
-        config.n_threads,
-        collector,
-        injector=injector,
-        queue_capacity=config.queue_capacity,
-        n_servers=config.n_servers,
-        balancer=make_balancer(config.balancer, seed=config.seed),
-        control=plane,
-        batching=parts.batching,
-        cache=cache,
-    )
-    if health is not None:
-        transport.set_health(health)
-    sampler = loop = None
-    if parts.registry is not None:
-        transport.set_observability(tracer, parts.registry)
-        if parts.live is not None:
-            transport.set_live(parts.live)
-        parts.register_metrics()
-        sampler = parts.make_sampler(clock)
+    send_fn = parts.wire(transport, app, clock)
+    # Time advances on its own under the wall clock, so whatever samples
+    # or acts on a cadence gets a thread (the simulator schedules the
+    # same callbacks as engine events).
+    sampler, resilient = parts.sampler, parts.client
+    if sampler is not None:
         sampler.start()
-    if plane is not None:
-        from ..control import ControlLoop, LiveControlTarget
+    loop = None
+    if parts.plane is not None:
+        from ..control import ControlLoop
 
-        plane.bind(LiveControlTarget(transport, plane))
-        plane.register_metrics(parts.registry)
-        loop = ControlLoop(plane, clock)
+        loop = ControlLoop(parts.plane, clock)
         loop.start()
-    resilient: Optional[ResilientClient] = None
-    if config.resilience.enabled:
-        resilient = ResilientClient(
-            transport, clock, config.resilience, collector, seed=config.seed,
-            tracer=tracer, health=health,
-        )
-    fanout_client = None
-    if config.fanout.enabled:
-        # Lazy import, same policy as the other optional subsystems.
-        from .fanout import FanoutClient, FanoutGatherer
-
-        merge = getattr(app, "merge_responses", None)
-        if not callable(merge):
-            raise TypeError(
-                "fan-out needs a sharded application exposing "
-                "merge_responses(partials) — see repro.apps.ShardedApp"
-            )
-        fanout_client = FanoutClient(
-            transport,
-            clock,
-            FanoutGatherer(
-                config.fanout.shards,
-                collector,
-                merge=merge,
-                warmup=parts.warmup,
-                tracer=tracer,
-            ),
-            tracer=tracer,
-        )
-    if injector is not None:
-        injector.start_run(clock.now())
     driver: Optional[ScenarioDriver] = None
-    if isinstance(injector, ScenarioInjector):
-        driver = ScenarioDriver(injector, clock)
-    if resilient is not None:
-        send_fn = resilient.send
-    elif fanout_client is not None:
-        send_fn = fanout_client.send
-    else:
-        send_fn = transport.send
+    if isinstance(parts.injector, ScenarioInjector):
+        driver = ScenarioDriver(parts.injector, clock)
     started = clock.now()
-    if parts.live is not None:
-        # Window boundaries anchor at run start (the simulator anchors
-        # at virtual 0.0), so alert timing is window-aligned.
-        parts.live.set_origin(started)
-    if cache is not None:
-        # Same anchoring for the cold-restart instant (clear_at).
-        cache.set_origin(started)
+    parts.anchor(started)
     if driver is not None:
         driver.start(started)
     try:
@@ -189,19 +130,7 @@ def run_harness(
             transport.drain()
     finally:
         run_end = clock.now()
-        alive_workers = transport.alive_workers
-        instances = [
-            (
-                instance.server_id,
-                instance.completed,
-                instance.started_at,
-                instance.drained_at,
-            )
-            for instance in transport.instances
-        ]
-        routed_counts = tuple(
-            instance.routed for instance in transport.instances
-        )
+        topology = parts.topology()
         if driver is not None:
             driver.stop()
         if loop is not None:
@@ -212,16 +141,7 @@ def run_harness(
             resilient.close()
         transport.stop()
 
-    shared = parts.finish(
-        run_start=started,
-        run_end=run_end,
-        sampler=sampler,
-        shed=transport.stats.shed,
-        errors=transport.stats.errored,
-        alive_workers=alive_workers,
-        routed_counts=routed_counts,
-        instances=instances,
-    )
+    shared = parts.finish(run_start=started, run_end=run_end, **topology)
     wall_time = run_end - started
     # Achieved throughput counts actual completions — responses the
     # servers produced (succeeded + failed), excluding shed rejections
@@ -229,8 +149,8 @@ def run_harness(
     # count would over-report what the system actually sustained.
     # Under fan-out the transport counts sub-requests, so logical
     # completions are the gathers that merged.
-    if fanout_client is not None:
-        completions = fanout_client.stats.completed
+    if parts.fanout is not None:
+        completions = parts.fanout.stats.completed
     else:
         completions = max(
             transport.stats.completed - transport.stats.shed, 0
@@ -247,7 +167,6 @@ def run_harness(
         achieved_qps=completions / wall_time if wall_time > 0 else 0.0,
         wall_time=wall_time,
         server_errors=tuple(transport.server_errors),
-        fanout=fanout_client.stats if fanout_client is not None else None,
         **shared,
     )
 

@@ -267,11 +267,10 @@ class ResilientClient:
     """The logical-request state machine: deadline, retry, hedge.
 
     One implementation, two schedulers. Every recovery timer goes
-    through an ``at / after / cancel`` scheduler — the :class:`_Scheduler`
-    timer thread under the wall clock, the simulator's
-    :class:`repro.sim.Engine` under the virtual one — and the only step
-    a subclass replaces is :meth:`_put_on_wire`, which hands one
-    attempt to whatever carries it (here: ``transport.send``).
+    through an ``at / after / cancel`` scheduler — a :class:`_Scheduler`
+    timer thread of its own under the wall clock, or the simulator's
+    :class:`repro.sim.Engine` passed as ``scheduler`` under the virtual
+    one — and every attempt goes out through ``transport.send``.
 
     Installs itself as the transport's completion hook and takes over
     outcome accounting: successful attempts that beat the deadline feed
@@ -290,19 +289,12 @@ class ResilientClient:
         seed: int = 0,
         tracer=None,
         health=None,
+        scheduler=None,
     ) -> None:
         self._transport = transport
-        self._setup(
-            _Scheduler(clock), clock, config, collector, seed, tracer, health
+        self._scheduler = (
+            scheduler if scheduler is not None else _Scheduler(clock)
         )
-        transport.set_completion_hook(self._on_attempt_complete)
-
-    def _setup(
-        self, scheduler, clock: Clock, config: ResilienceConfig, collector,
-        seed: int, tracer, health,
-    ) -> None:
-        """State shared by every wire; ``scheduler`` runs the timers."""
-        self._scheduler = scheduler
         self._clock = clock
         self._config = config
         self._collector = collector
@@ -318,6 +310,7 @@ class ResilientClient:
         self._calls: Dict[int, _Call] = {}
         self._ids = itertools.count()
         self._unresolved = 0
+        transport.set_completion_hook(self._on_attempt_complete)
 
     # -- client-facing API ---------------------------------------------
     def send(self, generated_at: float, payload) -> None:
@@ -391,14 +384,22 @@ class ResilientClient:
                 kind, self._clock.now(), logical_id=call.logical_id,
                 attempt=attempt_no,
             )
+        # A hedge duplicates work still in flight; sending it to the
+        # replica already holding the slow attempt would be pointless,
+        # so steer the balancer away from it.
+        server_id = self._transport.send(
+            call.generated_at,
+            call.payload,
+            logical_id=call.logical_id,
+            attempt=attempt_no,
+            deadline=call.deadline,
+            avoid_server=call.last_server if kind == "hedge" else None,
+        )
         if kind == "hedge":
-            # A hedge duplicates work still in flight; sending it to the
-            # replica already holding the slow attempt would be
-            # pointless, so steer the balancer away from it.
-            self._put_on_wire(call, attempt_no, call.last_server)
             return
-        server_id = self._put_on_wire(call, attempt_no, None)
         if server_id is not None:
+            # None: dropped before any router saw it, so the call's
+            # last-known server stands.
             call.last_server = server_id
         if self._attempt_timeout is not None:
             # Clamped to the remaining deadline budget: backoff sleeps
@@ -413,23 +414,6 @@ class ResilientClient:
                         timeout, self._on_attempt_timeout, call, attempt_no
                     )
                 )
-
-    def _put_on_wire(
-        self, call: _Call, attempt_no: int, avoid: Optional[int]
-    ) -> Optional[int]:
-        """Hand one attempt to its carrier; the server it was routed to.
-
-        ``None`` means the attempt never reached a router (dropped on
-        the way), so the call's last-known server stands.
-        """
-        return self._transport.send(
-            call.generated_at,
-            call.payload,
-            logical_id=call.logical_id,
-            attempt=attempt_no,
-            deadline=call.deadline,
-            avoid_server=avoid,
-        )
 
     def _on_attempt_complete(self, request) -> bool:
         """Transport completion hook; returns True (always handled)."""

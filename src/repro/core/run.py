@@ -18,8 +18,10 @@ from typing import Dict, Iterable, List, Optional, Tuple
 
 from ..faults import FaultInjector, ScenarioInjector
 from ..stats import LatencySummary
+from .balancer import make_balancer
 from .collector import CollectedStats, StatsCollector
 from .config import RunConfig
+from .resilience import ResilientClient
 from .traffic import ArrivalSchedule, DeterministicArrivals, PoissonArrivals
 
 __all__ = ["RunParts", "RunResult"]
@@ -177,8 +179,9 @@ class RunParts:
     schedule and every enabled optional subsystem (``None`` where
     disabled). Optional packages are imported only when their switch
     is on, so a default run never touches obs / control / batching /
-    health / cache beyond their config dataclasses. :meth:`finish` is
-    the shared tail.
+    health / cache beyond their config dataclasses. :meth:`wire`
+    connects those pieces to the run's transport — the one wiring step
+    of both clocks — and :meth:`finish` is the shared tail.
     """
 
     def __init__(self, config: RunConfig) -> None:
@@ -252,46 +255,141 @@ class RunParts:
             from ..cache import build_cache
 
             self.cache = build_cache(config.cache, tracer=self.tracer)
+        # Set by :meth:`wire`.
+        self.transport = None
+        self.sampler = None
+        self.client: Optional[ResilientClient] = None
+        self.fanout = None
 
-    def make_sampler(self, clock):
-        """The metrics sampler over this run's registry (tracing on)."""
-        from ..obs import MetricsSampler
+    def wire(self, transport, app, clock, scheduler=None):
+        """Start ``transport`` over ``app`` and connect every built part.
 
-        return MetricsSampler(
-            self.registry, clock,
-            interval=self.config.observability.metrics_interval,
+        The one wiring step of ``run_harness`` and ``simulate_load``:
+        replicas, health routing, tracer and gauges, SLO feed, control
+        target, and the client the arrivals go through. Returns that
+        client's ``send(generated_at, payload)`` — the resilient
+        client's, the fan-out client's, or the bare transport's.
+        ``scheduler`` is the ``at/after/cancel`` timer source the
+        resilient client runs on (the simulator passes its engine; by
+        default the client starts a timer thread on ``clock``).
+
+        What is left to the caller is what differs between the clocks:
+        who advances time (threads or engine events) for the sampler,
+        the control tick and scenario phases, and who drives arrivals.
+        """
+        config = self.config
+        self.transport = transport
+        transport.start(
+            app,
+            config.n_threads,
+            self.collector,
+            injector=self.injector,
+            queue_capacity=config.queue_capacity,
+            n_servers=config.n_servers,
+            balancer=make_balancer(config.balancer, seed=config.seed),
+            control=self.plane,
+            batching=self.batching,
+            cache=self.cache,
         )
+        if self.health is not None:
+            transport.set_health(self.health)
+        if self.registry is not None:
+            from ..obs import MetricsSampler
 
-    def register_metrics(self) -> None:
-        """Expose every built subsystem's gauges (tracing on only)."""
-        if self.registry is None:
-            return
-        for part in (self.injector, self.health, self.live, self.cache):
+            transport.set_observability(self.tracer, self.registry)
+            if self.live is not None:
+                transport.set_live(self.live)
+            for part in (self.injector, self.health, self.live, self.cache):
+                if part is not None:
+                    part.register_metrics(self.registry)
+            self.sampler = MetricsSampler(
+                self.registry, clock,
+                interval=config.observability.metrics_interval,
+            )
+        if self.plane is not None:
+            from ..control import TransportControlTarget
+
+            self.plane.bind(TransportControlTarget(transport, self.plane))
+            self.plane.register_metrics(self.registry)
+        if config.resilience.enabled:
+            self.client = ResilientClient(
+                transport, clock, config.resilience, self.collector,
+                seed=config.seed, tracer=self.tracer, health=self.health,
+                scheduler=scheduler,
+            )
+            return self.client.send
+        if config.fanout.enabled:
+            from .fanout import FanoutClient, FanoutGatherer
+
+            self.fanout = FanoutClient(
+                transport,
+                clock,
+                FanoutGatherer(
+                    config.fanout.shards,
+                    self.collector,
+                    merge=getattr(app, "merge_responses", None),
+                    warmup=self.warmup,
+                    tracer=self.tracer,
+                ),
+                tracer=self.tracer,
+            )
+            return self.fanout.send
+        return transport.send
+
+    def anchor(self, started: float) -> None:
+        """Pin every run-relative offset to the run's start instant.
+
+        Stall windows, SLO window boundaries and the cache's
+        cold-restart instant (``clear_at``) are all stated relative to
+        it — wall-clock "now" live, virtual 0.0 in the simulator.
+        """
+        if self.injector is not None:
+            self.injector.start_run(started)
+        for part in (self.live, self.cache):
             if part is not None:
-                part.register_metrics(self.registry)
+                part.set_origin(started)
+
+    def topology(self) -> dict:
+        """What the result reports of the transport's replicas.
+
+        Read before ``transport.stop()``: a stopped process replica no
+        longer reports its workers.
+        """
+        transport = self.transport
+        instances = transport.instances
+        return dict(
+            alive_workers=transport.alive_workers,
+            routed_counts=tuple(instance.routed for instance in instances),
+            instances=[
+                (
+                    instance.server_id,
+                    instance.completed,
+                    instance.started_at,
+                    instance.drained_at,
+                )
+                for instance in instances
+            ],
+        )
 
     def finish(
         self,
         *,
         run_start: float,
         run_end: float,
-        sampler,
-        shed: int,
-        errors: int = 0,
         alive_workers: Tuple[int, ...],
         routed_counts: Tuple[int, ...],
         instances: Iterable[Tuple[int, int, float, Optional[float]]],
     ) -> dict:
         """The :class:`RunResult` fields of a finished run.
 
-        ``instances`` yields ``(server_id, completions, started_at,
-        drained_at)`` per server instance; ``shed``/``errors`` are what
-        the servers counted, used only when no resilience layer kept
-        logical tallies itself. (The simulator never has ``errors`` to
-        pass: error responses need an injector, and an injector always
-        brings the client with its own tallies.)
+        The keyword arguments after the run window are
+        :meth:`topology`'s: ``instances`` yields ``(server_id,
+        completions, started_at, drained_at)`` per server instance.
+        What the transport counted as shed and errored is used only
+        when no resilience layer kept logical tallies itself.
         """
         config = self.config
+        transport, sampler = self.transport, self.sampler
         elapsed = run_end - run_start
         obs = None
         if self.tracer is not None:
@@ -324,8 +422,8 @@ class RunParts:
                 config.fanout.shards if config.fanout.enabled else 1
             )
             outcomes["succeeded"] = stats.count + stats.dropped_warmup
-            outcomes["errors"] = errors
-            outcomes["shed"] = shed
+            outcomes["errors"] = transport.stats.errored
+            outcomes["shed"] = transport.stats.shed
         return dict(
             config=config,
             stats=stats,
@@ -342,6 +440,7 @@ class RunParts:
             alive_workers=alive_workers,
             routed_counts=routed_counts,
             obs=obs,
+            fanout=self.fanout.stats if self.fanout is not None else None,
             control_counts=(
                 self.plane.counts() if self.plane is not None else {}
             ),

@@ -139,11 +139,15 @@ def _replicate_app(app, index: int):
 class Transport:
     """Abstract base: lifecycle, routing, and completion accounting.
 
-    Subclasses implement :meth:`_submit` (client -> server path) and
-    may override :meth:`_start_impl`/:meth:`_stop_impl` for their I/O
-    machinery. The base class routes each send to a server instance
-    via the balancer and tracks outstanding requests so :meth:`drain`
-    can wait for the last response of an open-loop run.
+    Subclasses implement :meth:`_submit` (client -> server path; or
+    :meth:`_submit_after`, when an injected delay is theirs to model)
+    and may override :meth:`_build_instance` (what a replica is) and
+    :meth:`_start_impl`/:meth:`_stop_impl` (their I/O machinery). The
+    base class applies transport faults, routes each send to a server
+    instance via the balancer, feeds the tracer / SLO / health /
+    control layers, and tracks outstanding requests so :meth:`drain`
+    can wait for the last response of an open-loop run — under
+    whichever clock it was built on.
     """
 
     def __init__(self, clock: Clock) -> None:
@@ -471,11 +475,15 @@ class Transport:
         deadline: Optional[float] = None,
         avoid_server: Optional[int] = None,
         server_id: Optional[int] = None,
-    ) -> int:
+    ) -> Optional[int]:
         """Submit one request; ``generated_at`` is the ideal instant.
 
-        Routes through the balancer and returns the chosen server
-        index, so callers (the resilient client) can steer a later
+        One order on the wire: the fault action first, then routing. A
+        dropped attempt is lost before any router sees it — no
+        balancer draw, no ``routed`` count, ``None`` returned — so the
+        resilient client keeps its last-known server for the hedge.
+        Otherwise the attempt routes through the balancer and the
+        chosen server index comes back, so callers can steer a later
         hedge to a different replica via ``avoid_server``. A caller
         that already knows the destination — fan-out sub-requests are
         pinned to their data shard — passes ``server_id`` and the
@@ -483,13 +491,44 @@ class Transport:
         """
         if not self._running:
             raise RuntimeError("transport not started")
-        request = Request(payload=payload, generated_at=generated_at)
-        request.sent_at = self._clock.now()
-        request.logical_id = (
-            logical_id if logical_id is not None else request.request_id
+        now = self._clock.now()
+        tracer = self._tracer
+        action = (
+            self._injector.transport_action()
+            if self._injector is not None
+            else None
         )
-        request.attempt = attempt
-        request.deadline = deadline
+        if action is not None and action.drop:
+            with self._lock:
+                self.stats.sent += 1
+                self.stats.dropped += 1
+            if tracer is not None:
+                # The server never sees this attempt; its truncated
+                # chain plus the fault marker is all a trace can show.
+                for kind, ts in (
+                    ("generated", generated_at),
+                    ("sent", now),
+                    ("fault_drop", now),
+                ):
+                    tracer.emit(
+                        kind, ts, logical_id=logical_id, attempt=attempt
+                    )
+            return None
+        request = Request(
+            payload=payload,
+            generated_at=generated_at,
+            logical_id=logical_id,
+            attempt=attempt,
+            deadline=deadline,
+        )
+        request.sent_at = now
+        extra_delay = action.extra_delay if action is not None else 0.0
+        if tracer is not None and extra_delay > 0.0:
+            tracer.emit(
+                "fault_delay", now, logical_id=logical_id,
+                request_id=request.request_id, attempt=attempt,
+                value=extra_delay,
+            )
         if self._control is not None:
             self._control.classify(request)
         if server_id is not None:
@@ -508,78 +547,54 @@ class Transport:
                     for instance in self._instances
                     if not instance.draining
                 ]
+            forced = False
             if self._health is not None:
-                candidates, forced = self._health.route(
-                    active_ids, request.sent_at
-                )
-                if forced:
-                    # Probation probe or breaker trial: the health
-                    # layer names the replica; the balancer sits out.
-                    server_id = candidates[0]
-                else:
-                    server_id = pick_active(
-                        self._balancer, depths, candidates,
-                        avoid=avoid_server,
-                    )
+                active_ids, forced = self._health.route(active_ids, now)
+            if forced:
+                # Probation probe or breaker trial: the health layer
+                # names the replica; the balancer sits out.
+                server_id = active_ids[0]
             else:
                 server_id = pick_active(
                     self._balancer, depths, active_ids, avoid=avoid_server
                 )
         request.server_id = server_id
         if self._send_delay_hist is not None:
-            self._send_delay_hist.observe(request.sent_at - generated_at)
+            self._send_delay_hist.observe(now - generated_at)
         if self._live is not None:
             # Send-anchored SLO accounting: the attempt burns budget
             # in the window it was dispatched, whether or not it ever
             # completes (a stalled replica must not hide its backlog).
-            self._live.observe_sent(request.sent_at)
-        action = (
-            self._injector.transport_action()
-            if self._injector is not None
-            else None
-        )
-        if action is not None and action.drop:
-            with self._lock:
-                self.stats.sent += 1
-                self.stats.dropped += 1
-            if self._tracer is not None:
-                # The server never sees this attempt; its truncated
-                # chain (generated/sent) is all the trace can show.
-                self._tracer.record_request(request, outcome="fault_drop")
-            return server_id
-        with self._all_done:
-            self._outstanding += 1
-            self.stats.sent += 1
-            instance = self._instances[server_id]
-            instance.outstanding += 1
-            instance.routed += 1
-        extra_delay = action.extra_delay if action is not None else 0.0
-        if self._tracer is not None and extra_delay > 0.0:
-            self._tracer.emit(
-                "fault_delay", request.sent_at,
-                logical_id=request.logical_id,
-                request_id=request.request_id, attempt=attempt,
-                server_id=server_id, value=extra_delay,
-            )
+            self._live.observe_sent(now)
+        dup = None
         if action is not None and action.duplicate:
-            dup = Request(payload=payload, generated_at=generated_at)
-            dup.sent_at = request.sent_at
-            dup.logical_id = request.logical_id
-            dup.attempt = attempt
-            dup.discard = True
+            # The copy loads the same server; its response is discarded.
+            dup = Request(
+                payload=payload,
+                generated_at=generated_at,
+                logical_id=logical_id,
+                attempt=attempt,
+                deadline=deadline,
+                discard=True,
+            )
+            dup.sent_at = now
             dup.server_id = server_id
-            if self._tracer is not None:
-                self._tracer.emit(
-                    "fault_duplicate", dup.sent_at,
-                    logical_id=dup.logical_id,
+            if tracer is not None:
+                tracer.emit(
+                    "fault_duplicate", now, logical_id=logical_id,
                     request_id=dup.request_id, attempt=attempt,
                     server_id=server_id,
                 )
-            with self._all_done:
-                self._outstanding += 1
-                self._instances[server_id].outstanding += 1
-            self._submit_after(dup, extra_delay)
+        copies = 1 if dup is None else 2
+        with self._lock:
+            self._outstanding += copies
+            self.stats.sent += 1
+            instance = self._instances[server_id]
+            instance.outstanding += copies
+            instance.routed += copies
         self._submit_after(request, extra_delay)
+        if dup is not None:
+            self._submit_after(dup, extra_delay)
         return server_id
 
     def _submit_after(self, request: Request, delay: float) -> None:
@@ -648,6 +663,9 @@ class Transport:
     def _complete(self, request: Request) -> None:
         """Stamp receipt, record, and account the completion."""
         request.response_received_at = self._clock.now()
+        good = (
+            request.error is None and not request.shed and not request.discard
+        )
         if self._tracer is not None:
             if request.shed:
                 outcome = "shed"
@@ -658,6 +676,14 @@ class Transport:
             else:
                 outcome = None
             self._tracer.record_request(request, outcome=outcome)
+        if self._live is not None and not request.discard:
+            self._live.observe(request)
+        if self._control is not None and good:
+            # Feed the AIMD window with end-to-end sojourn — the same
+            # latency definition the run's p99 SLO is stated against.
+            self._control.observe_sojourn(
+                request.response_received_at - request.generated_at
+            )
         if self._health is not None and not request.discard:
             health_server = request.server_id
             if health_server is not None:
@@ -672,40 +698,34 @@ class Transport:
                     health_ok,
                     request.response_received_at,
                 )
-        if self._live is not None and not request.discard:
-            self._live.observe(request)
         handled = False
         if self._completion_hook is not None:
             handled = bool(self._completion_hook(request))
-        good = (
-            request.error is None and not request.shed and not request.discard
-        )
         if not handled and good:
             self._collector.add(request.finish())
-        if self._control is not None and good:
-            # Feed the AIMD window with end-to-end sojourn — the same
-            # latency definition the run's p99 SLO is stated against.
-            self._control.observe_sojourn(
-                request.response_received_at - request.generated_at
-            )
         drained_instance = None
-        with self._all_done:
+        # ``_all_done`` shares this lock; taking the plain lock skips
+        # the condition's Python-level enter/exit on the hot path.
+        with self._lock:
             self._outstanding -= 1
-            self._settle_instance_locked(request)
             self.stats.completed += 1
             server_id = request.server_id
             if server_id is not None and 0 <= server_id < len(
                 self._instances
             ):
                 instance = self._instances[server_id]
+                instance.outstanding -= 1
                 if good:
                     instance.completed += 1
                 if instance.draining and instance.outstanding <= 0:
                     drained_instance = instance
-            if request.error is not None:
-                self.stats.errored += 1
-            if request.shed:
-                self.stats.shed += 1
+            if not request.discard:
+                # An injected duplicate's answer is thrown away, so its
+                # fate is not one of the run's outcomes.
+                if request.error is not None:
+                    self.stats.errored += 1
+                if request.shed:
+                    self.stats.shed += 1
             if self._outstanding == 0:
                 self._all_done.notify_all()
         if drained_instance is not None:

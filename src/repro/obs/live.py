@@ -489,9 +489,8 @@ class LiveObs:
     def observe(self, request) -> None:
         """Absorb one completed (or rejected) attempt.
 
-        Called from the transport's completion path (live, threaded or
-        process) and the simulated server's response path — the same
-        places the health layer taps.
+        Called from the transport's completion path (threaded, process
+        or simulated) — the same place the health layer taps.
         """
         cfg = self._config
         with self._lock:

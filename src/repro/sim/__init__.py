@@ -27,6 +27,7 @@ from .latency_sim import SimConfig, SimResult, simulate_app, simulate_load
 from .network_model import NETWORK_MODELS, NetworkModel, network_model_for
 from .server_model import SimulatedServer
 from .service_models import ServiceTimeModel, profile_application
+from .transport import SimulatedTransport
 
 __all__ = [
     "EXTENSION_PROFILES",
@@ -52,6 +53,7 @@ __all__ = [
     "NetworkModel",
     "network_model_for",
     "SimulatedServer",
+    "SimulatedTransport",
     "ServiceTimeModel",
     "profile_application",
 ]

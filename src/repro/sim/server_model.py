@@ -58,16 +58,18 @@ class SimulatedServer:
         shed.
     on_response:
         Optional hook receiving every response (including shed and
-        errored ones) in place of default collector recording — the
-        simulated resilient client installs itself here.
+        errored ones) in place of default recording — the simulated
+        transport installs its completion path here, which then owns
+        lifecycle tracing and statistics exactly as it does live.
     server_id:
         Index of this instance in a multi-server topology; stamped on
         every request it serves so per-server statistics work.
     tracer:
         Optional :class:`repro.obs.Tracer`. The simulated server emits
-        the *same* event schema as the live harness — lifecycle spans
-        on every response, ``fault_*`` markers as faults fire — so
-        live and virtual-time traces diff directly.
+        the *same* event schema as the live server — ``fault_*`` and
+        ``batch_*`` markers as they happen — so live and virtual-time
+        traces diff directly. Lifecycle spans are the transport's to
+        record; a bare server (no ``on_response``) records them itself.
     gate:
         Optional :class:`repro.control.AdmissionGate` consulted on
         every arrival — the *same* gate object type (and therefore the
@@ -107,7 +109,6 @@ class SimulatedServer:
         buffer=None,
         batching=None,
         batch_marginal_cost: float = 0.35,
-        live=None,
         cache=None,
     ) -> None:
         if n_threads < 1:
@@ -125,10 +126,6 @@ class SimulatedServer:
         self._on_response_cb = on_response
         self.server_id = server_id
         self._tracer = tracer
-        # Streaming SLO hook (repro.obs.live.LiveObs) — fed at the
-        # same two points the live transport taps: every submission
-        # and every response. None (the default) costs one test.
-        self._live = live
         self._gate = gate
         self._queue = buffer if buffer is not None else FifoBuffer()
         self._batching = batching
@@ -142,26 +139,29 @@ class SimulatedServer:
         # scheduled): lets dispatch avoid stacking redundant wakeups.
         self._batch_deadline_at: Optional[float] = None
         self._busy_workers = 0
-        self._workers_alive = n_threads
+        self._alive_workers = n_threads
         self._stall_event_pending = False
         self.peak_queue_depth = 0
-        self.completed = 0
-        self.good_completed = 0
         self.shed_count = 0
         self.crashed_workers = 0
         self.busy_time = 0.0
         self.total_enqueued = 0
-        # Runtime-membership bookkeeping (mirrors the live
-        # ServerInstance fields): the topology sets these when replicas
-        # join or drain, and per-server rate accounting reads them.
-        self.draining = False
-        self.started_at = 0.0
-        self.drained_at: Optional[float] = None
 
-    def set_response_callback(
-        self, callback: Callable[[Request], None]
+    # -- replica surface (what a transport asks of a server) ---------------
+    #: A service-time model raises nothing, so there is never an
+    #: application error text to report.
+    errors = ()
+
+    def start(self) -> None:
+        """Nothing to start: workers are counters, not threads."""
+
+    def shutdown(
+        self, timeout: float = 0.0, discard_pending: bool = False
     ) -> None:
-        self._on_response_cb = callback
+        """Nothing to join; pending events die with the engine."""
+
+    def set_tracer(self, tracer) -> None:
+        self._tracer = tracer
 
     # -- client side ------------------------------------------------------
     def submit(self, generated_at: float, payload=None) -> None:
@@ -177,29 +177,33 @@ class SimulatedServer:
         self.submit_request(request)
 
     def submit_request(self, request: Request, extra_delay: float = 0.0) -> None:
-        """Schedule an already-built attempt (``sent_at`` stamped).
+        """Accept an already-built attempt (``sent_at`` stamped).
 
         ``extra_delay`` models fault-injected in-flight latency on top
-        of the configuration's wire delay.
+        of the configuration's wire delay. An attempt that is due now
+        — sent at this instant over a zero-latency wire — arrives
+        inline, saving the heap a same-instant event.
         """
         if request.server_id is None:
             request.server_id = self.server_id
-        if self._live is not None and not request.discard:
-            # Send-anchored SLO accounting, mirroring the live
-            # transport: the attempt burns budget in the window it was
-            # dispatched, whether or not it ever completes.
-            self._live.observe_sent(request.sent_at)
-        self._engine.at(
+        when = (
             request.sent_at
             + self._network.wire_latency_each_way
-            + extra_delay,
-            self._on_arrival,
-            request,
+            + extra_delay
         )
+        now = self._engine.now
+        if when > now:
+            self._engine.at(when, self._on_arrival, request)
+        else:
+            self._on_arrival(request, now)
 
     # -- server events -------------------------------------------------------
-    def _on_arrival(self, request: Request) -> None:
-        now = request.enqueued_at = self._engine.now
+    def _on_arrival(
+        self, request: Request, now: Optional[float] = None
+    ) -> None:
+        if now is None:
+            now = self._engine.now
+        request.enqueued_at = now
         queue = self._queue
         # The admission gate sees every arrival — including ones a free
         # worker could start immediately — exactly as the live queue's
@@ -219,7 +223,7 @@ class SimulatedServer:
                 stall = self._injector.queue_stall_remaining(now)
             if (
                 stall <= 0.0
-                and self._busy_workers < self._workers_alive
+                and self._busy_workers < self._alive_workers
                 and not len(queue)
             ):
                 self.total_enqueued += 1
@@ -264,7 +268,7 @@ class SimulatedServer:
         in which case they simply re-evaluate and find nothing to do.
         """
         queue, batching, injector = self._queue, self._batching, self._injector
-        while len(queue) and self._busy_workers < self._workers_alive:
+        while len(queue) and self._busy_workers < self._alive_workers:
             now = self._engine.now
             if injector is not None:
                 stall = injector.queue_stall_remaining(now)
@@ -374,7 +378,7 @@ class SimulatedServer:
                 if not crashed and injector.worker_crash():
                     crashed = True
             if crashed:
-                self._workers_alive = max(0, self._workers_alive - 1)
+                self._alive_workers = max(0, self._alive_workers - 1)
                 self.crashed_workers += 1
                 if tracer is not None:
                     tracer.emit(
@@ -398,9 +402,10 @@ class SimulatedServer:
 
     def _on_response(self, request: Request) -> None:
         request.response_received_at = self._engine.now
-        self.completed += 1
-        if request.error is None and not request.shed and not request.discard:
-            self.good_completed += 1
+        if self._on_response_cb is not None:
+            self._on_response_cb(request)
+            return
+        # Bare server (no transport): record the response here.
         if self._tracer is not None:
             if request.shed:
                 outcome = "shed"
@@ -411,18 +416,13 @@ class SimulatedServer:
             else:
                 outcome = None
             self._tracer.record_request(request, outcome=outcome)
-        if self._live is not None and not request.discard:
-            self._live.observe(request)
-        if self._on_response_cb is not None:
-            self._on_response_cb(request)
-            return
         if request.error is None and not request.shed and not request.discard:
             self._collector.add(request.finish())
 
     # -- derived metrics --------------------------------------------------------
     @property
-    def workers_alive(self) -> int:
-        return self._workers_alive
+    def alive_workers(self) -> int:
+        return self._alive_workers
 
     @property
     def busy_workers(self) -> int:

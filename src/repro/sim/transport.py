@@ -1,0 +1,110 @@
+"""Virtual time as a transport.
+
+The live harness reaches its servers over one of four wires
+(:mod:`repro.core.transport`); the simulator's wire is the fifth. A
+:class:`SimulatedTransport` hosts :class:`SimulatedServer` replicas
+behind the ordinary :class:`~repro.core.transport.Transport` — so
+routing, transport-layer faults, outstanding/routed accounting,
+runtime membership, the tracer/SLO/health/control feeds and the
+``tb_*`` gauges are the base class's, written once for both clocks.
+Only what is clock-specific lives here: what a replica *is* (a
+service-time model under the event engine instead of a worker pool
+over an application) and how an attempt crosses the wire (an engine
+event after the modelled latency instead of a queue hand-off or a
+socket write).
+"""
+
+from __future__ import annotations
+
+import random
+
+from ..core.queueing import QueueSnapshot
+from ..core.request import Request
+from ..core.transport import ServerInstance, Transport
+from .engine import Engine
+from .network_model import NetworkModel
+from .server_model import SimulatedServer
+
+__all__ = ["SimulatedTransport"]
+
+
+class _QueueView:
+    """The two queue reads the transport side performs on a replica.
+
+    ``len`` (gauge and autoscaler depth signal) and ``snapshot`` (the
+    control plane's per-queue view), answered by the simulated server.
+    """
+
+    __slots__ = ("_server",)
+
+    def __init__(self, server: SimulatedServer) -> None:
+        self._server = server
+
+    def __len__(self) -> int:
+        return self._server.queue_len
+
+    def snapshot(self, now: float) -> QueueSnapshot:
+        return self._server.queue_snapshot(now)
+
+
+class SimulatedTransport(Transport):
+    """N simulated servers behind the shared routing/accounting layer.
+
+    ``start(app, ...)`` takes the run's
+    :class:`~repro.sim.service_models.ServiceTimeModel` where a live
+    transport takes the application: it is what every replica serves.
+    Server 0 draws service times from the pre-topology stream seed, so
+    ``n_servers=1`` reproduces the original single-server simulator
+    bit for bit; later replicas (runtime scale-ups included) draw from
+    independently seeded streams, so controlled runs stay deterministic
+    no matter when a replica joins.
+    """
+
+    def __init__(
+        self,
+        engine: Engine,
+        network: NetworkModel,
+        seed: int = 0,
+        batch_marginal_cost: float = 0.35,
+    ) -> None:
+        super().__init__(engine.clock)
+        self._engine = engine
+        self._network = network
+        self._seed = seed
+        self._batch_marginal_cost = batch_marginal_cost
+
+    def _build_instance(self, server_id: int) -> ServerInstance:
+        control = self._control
+        server = SimulatedServer(
+            self._engine,
+            self._app,
+            self._network,
+            self._n_threads,
+            self._collector,
+            random.Random((self._seed ^ 0x5EED) + 1_000_003 * server_id),
+            injector=(
+                self._injector.for_server(server_id)
+                if self._injector is not None
+                else None
+            ),
+            queue_capacity=self._queue_capacity,
+            on_response=self._complete,
+            server_id=server_id,
+            gate=control.gate_for(server_id) if control is not None else None,
+            buffer=control.make_buffer() if control is not None else None,
+            batching=self._batching,
+            batch_marginal_cost=self._batch_marginal_cost,
+            cache=self._cache,
+        )
+        instance = ServerInstance(server_id, _QueueView(server), server)
+        instance.started_at = self._clock.now()
+        return instance
+
+    def _submit_after(self, request: Request, delay: float) -> None:
+        # The injected delay rides on the modelled wire latency as one
+        # arrival event, not as a timer in front of the wire — so the
+        # base class's timer path, and the ``_submit`` behind it, are
+        # never reached.
+        self._instances[request.server_id].server.submit_request(
+            request, delay
+        )

@@ -5,8 +5,9 @@ import time
 import pytest
 
 from repro.apps.base import Application, Client
-from repro.core import CacheConfig, HarnessConfig, run_harness
+from repro.core import CacheConfig, HarnessConfig, ResilienceConfig, run_harness
 from repro.core.config import ExecutionConfig, ObservabilityConfig
+from repro.faults import FaultPlan
 
 
 class _CyclingClient(Client):
@@ -140,3 +141,21 @@ class TestHarnessComposition:
                 cache=CacheConfig(enabled=True),
                 execution=ExecutionConfig(mode="process"),
             )
+
+    def test_cache_with_resilience_and_faults_runs_live(self):
+        # The composition the simulator accepts too (tests/cache/
+        # test_sim_cache.py::TestComposition): retries re-send the
+        # payload, so they re-look-up its key.
+        result = run_harness(_SleepApp(n_keys=8), _config(
+            cache=CacheConfig(enabled=True, capacity=16),
+            resilience=ResilienceConfig(
+                deadline=1.0, attempt_timeout=0.2, max_retries=2
+            ),
+            faults=FaultPlan(drop_rate=0.05, error_rate=0.05),
+        ))
+        outcomes = result.outcomes
+        assert outcomes["offered"] == 220 == (
+            outcomes["succeeded"] + outcomes["failed"] + outcomes["timed_out"]
+        )
+        assert outcomes["retries"] > 0
+        assert result.cache_counts["hits"] > 0

@@ -4,9 +4,10 @@ import dataclasses
 
 import pytest
 
-from repro.cache import predicted_hit_rate
+from repro.cache import RequestCache, predicted_hit_rate
 from repro.control import AutoscalerConfig, ControlPlaneConfig
 from repro.core import CacheConfig, ResilienceConfig
+from repro.faults import FaultPlan
 from repro.sim import SimConfig, simulate_load
 from repro.sim.calibration import paper_profile
 
@@ -156,9 +157,62 @@ class TestControlComposition:
 
 
 class TestComposition:
-    def test_rejects_resilience(self):
-        with pytest.raises(ValueError):
-            _base(
-                cache=CacheConfig(enabled=True),
-                resilience=ResilienceConfig(deadline=0.05, max_retries=2),
+    """Cache x resilience x faults: the key rides the one wire."""
+
+    def test_every_attempt_of_a_request_carries_its_key(self, monkeypatch):
+        lookups = []
+        real_lookup = RequestCache.lookup
+
+        def spy(cache, key, now, logical_id=None, attempt=None, **ids):
+            lookups.append((logical_id, attempt, key))
+            return real_lookup(
+                cache, key, now, logical_id=logical_id, attempt=attempt, **ids
             )
+
+        monkeypatch.setattr(RequestCache, "lookup", spy)
+        mean = PROFILE.service.mean
+        result = simulate_load(PROFILE, _base(
+            n_servers=2,
+            balancer="power_of_two",
+            cache=CacheConfig(enabled=True, capacity=64),
+            resilience=ResilienceConfig(
+                deadline=400 * mean, attempt_timeout=40 * mean, max_retries=2,
+                hedge_after=10 * mean,
+            ),
+            faults=FaultPlan(
+                drop_rate=0.05, duplicate_rate=0.05, error_rate=0.1
+            ),
+        ))
+        outcomes, faults = result.outcomes, result.fault_counts
+        assert outcomes["offered"] == 1600 == (
+            outcomes["succeeded"] + outcomes["failed"] + outcomes["timed_out"]
+        )
+        # Every attempt the wire delivered — duplicates included, drops
+        # excluded — reached a worker, and each did exactly one lookup.
+        reached = (
+            outcomes["attempts"] - faults["drops"] + faults["duplicates"]
+        )
+        assert sum(result.routed_counts) == reached == len(lookups)
+        counts = result.cache_counts
+        assert counts["hits"] + counts["misses"] == reached
+        assert counts["hits"] > 0
+        # A retried or hedged request looks the same key up again ...
+        keys = {}
+        for logical_id, _, key in lookups:
+            keys.setdefault(logical_id, set()).add(key)
+        assert all(len(seen) == 1 for seen in keys.values())
+        assert outcomes["retries"] and outcomes["hedges"]
+        assert any(attempt > 1 for _, attempt, _ in lookups)
+        # ... and it is the key the cache-only run gives that arrival:
+        # one draw per arrival, in schedule order, from the same stream.
+        del lookups[:]
+        simulate_load(PROFILE, _base(
+            cache=CacheConfig(enabled=True, capacity=64)
+        ))
+        # A bare send carries no logical id; arrival order is lookup
+        # order on an unbatched single server fed in schedule order.
+        assert len(lookups) == 1600
+        assert all(
+            keys.get(i, {key}) == {key}
+            for i, (_, _, key) in enumerate(lookups)
+        )

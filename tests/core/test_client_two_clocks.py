@@ -124,20 +124,6 @@ class ScriptedWire:
             assert self._idle.wait_for(lambda: self._in_flight == 0, timeout)
 
 
-class _EngineClient(ResilientClient):
-    """``ResilientClient`` with the engine as its timer scheduler.
-
-    Overrides nothing of the state machine — not even the wire step,
-    which stays ``transport.send`` — so the two legs differ only in
-    scheduler and clock.
-    """
-
-    def __init__(self, engine, wire, config, collector, seed):
-        self._transport = wire
-        self._setup(engine, engine.clock, config, collector, seed, None, None)
-        wire.set_completion_hook(self._on_attempt_complete)
-
-
 def _under_wall_clock():
     clock = WallClock()
     wire_timer = _Scheduler(clock)
@@ -161,7 +147,10 @@ def _under_virtual_clock():
     engine = Engine()
     wire = ScriptedWire(engine.clock, engine)
     collector = StatsCollector()
-    client = _EngineClient(engine, wire, CONFIG, collector, SEED)
+    # Same class, same wire step; only scheduler and clock differ.
+    client = ResilientClient(
+        wire, engine.clock, CONFIG, collector, seed=SEED, scheduler=engine
+    )
     quiet_after = []
     for logical_id in sorted(SCRIPT):
         start = float(logical_id)

@@ -106,13 +106,29 @@ class TestSharedCore:
         assert fragment in str(live.value)
         assert str(live.value) == str(sim.value)
 
-    def test_cache_with_batching_is_accepted_by_both(self):
-        # The lookup is per member inside the one service stage, so
-        # the pair composes (tests/cache/test_cache_batching.py runs it).
-        kwargs = dict(cache=_CACHE, batching=BatchingConfig(enabled=True))
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            # The lookup is per member inside the one service stage
+            # (tests/cache/test_cache_batching.py runs it).
+            dict(batching=BatchingConfig(enabled=True)),
+            # The key is the request payload on the one wire, so every
+            # retry, hedge and duplicate carries it under both clocks
+            # (tests/cache/test_sim_cache.py::TestComposition runs it).
+            dict(resilience=ResilienceConfig(max_retries=1)),
+            dict(n_servers=2, health=HealthConfig(enabled=True)),
+            dict(faults=FaultPlan(drop_rate=0.1, duplicate_rate=0.1)),
+            dict(
+                n_servers=2,
+                scenario=retry_storm(server_id=1, start=0.1, duration=0.1,
+                                     pause=0.01),
+            ),
+        ],
+        ids=["batching", "resilience", "health", "faults", "scenario"],
+    )
+    def test_cache_compositions_accepted_by_both(self, kwargs):
         for cls in (HarnessConfig, SimConfig):
-            config = cls(**kwargs)
-            assert config.cache.enabled and config.batching.enabled
+            assert cls(cache=_CACHE, **kwargs).cache.enabled
 
 
 class TestHarnessConfig:

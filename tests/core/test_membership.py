@@ -1,9 +1,10 @@
 """Runtime replica membership: draining replicas never receive work.
 
-Satellite of the control-plane PR: with autoscaling, the instance list
-is append-only and removed replicas drain in place — so every balancer
-policy must route around them, live (this module) and simulated
-(``tests/sim/test_membership_sim.py``).
+With autoscaling, the instance list is append-only and removed
+replicas drain in place — so every balancer policy must route around
+them. The membership layer is ``Transport``'s, so one test class runs
+it over the integrated transport (wall clock) and the simulated one
+(virtual clock).
 """
 
 import pytest
@@ -11,6 +12,9 @@ import pytest
 from repro.core import StatsCollector, WallClock
 from repro.core.balancer import balancer_names, make_balancer, pick_active
 from repro.core.transport import make_transport
+from repro.sim import Engine, ServiceTimeModel, SimulatedTransport
+from repro.sim.network_model import network_model_for
+from repro.stats import Deterministic
 
 from .test_harness import ConstantApp
 
@@ -69,22 +73,45 @@ class TestPickActive:
             assert pick_active(balancer, depths, []) in (0, 1, 2)
 
 
-class TestLiveTransportMembership:
-    def _start(self, policy, n_servers=3):
-        clock = WallClock()
-        transport = make_transport("integrated", clock)
-        transport.start(
-            ConstantApp(iterations=20),
-            n_threads=1,
-            collector=StatsCollector(),
-            n_servers=n_servers,
-            balancer=make_balancer(policy, seed=1),
-        )
-        return clock, transport
+def _start_live(policy, n_servers):
+    clock = WallClock()
+    transport = make_transport("integrated", clock)
+    transport.start(
+        ConstantApp(iterations=20),
+        n_threads=1,
+        collector=StatsCollector(),
+        n_servers=n_servers,
+        balancer=make_balancer(policy, seed=1),
+    )
+    return clock, transport, lambda: transport.drain(timeout=30.0)
+
+
+def _start_simulated(policy, n_servers):
+    engine = Engine()
+    transport = SimulatedTransport(engine, network_model_for("integrated"))
+    transport.start(
+        ServiceTimeModel(Deterministic(0.01)),
+        n_threads=1,
+        collector=StatsCollector(),
+        n_servers=n_servers,
+        balancer=make_balancer(policy, seed=1),
+    )
+    return engine.clock, transport, engine.run
+
+
+@pytest.mark.parametrize(
+    "start", [_start_live, _start_simulated], ids=["live", "simulated"]
+)
+class TestTransportMembership:
+    """One membership layer — ``Transport`` — under both clocks.
+
+    ``settle`` lets outstanding work finish: it blocks on the wall
+    clock and runs the event engine dry on the virtual one.
+    """
 
     @pytest.mark.parametrize("policy", ALL_POLICIES)
-    def test_no_sends_to_drained_replica(self, policy):
-        clock, transport = self._start(policy)
+    def test_no_sends_to_drained_replica(self, start, policy):
+        clock, transport, settle = start(policy, 3)
         try:
             drained = transport.drain_server()
             assert drained == 2  # youngest active
@@ -92,27 +119,32 @@ class TestLiveTransportMembership:
             routed = [
                 transport.send(clock.now(), payload=None) for _ in range(60)
             ]
-            transport.drain(timeout=30.0)
+            settle()
             assert drained not in routed
         finally:
             transport.stop()
 
-    def test_added_replica_becomes_routable(self):
-        clock, transport = self._start("round_robin", n_servers=2)
+    @pytest.mark.parametrize("policy", ALL_POLICIES)
+    def test_added_replica_becomes_routable(self, start, policy):
+        clock, transport, settle = start(policy, 2)
         try:
             new_id = transport.add_server()
             assert new_id == 2
             assert transport.active_server_ids() == [0, 1, 2]
+            # Saturating load: every depth-aware policy must spill onto
+            # the new replica; round-robin reaches it by rotation.
             routed = [
-                transport.send(clock.now(), payload=None) for _ in range(30)
+                transport.send(clock.now(), payload=None) for _ in range(90)
             ]
-            transport.drain(timeout=30.0)
-            assert set(routed) == {0, 1, 2}
+            settle()
+            assert new_id in routed
+            if policy == "round_robin":
+                assert set(routed) == {0, 1, 2}
         finally:
             transport.stop()
 
-    def test_drain_keeps_last_replica(self):
-        clock, transport = self._start("round_robin", n_servers=2)
+    def test_drain_keeps_last_replica(self, start):
+        clock, transport, settle = start("round_robin", 2)
         try:
             assert transport.drain_server() == 1
             assert transport.drain_server() is None  # never below one
@@ -120,8 +152,8 @@ class TestLiveTransportMembership:
         finally:
             transport.stop()
 
-    def test_drained_replica_still_answers_queued_work(self):
-        clock, transport = self._start("round_robin", n_servers=2)
+    def test_drained_replica_still_answers_queued_work(self, start):
+        clock, transport, settle = start("round_robin", 2)
         try:
             completed = []
             transport.set_completion_hook(
@@ -130,9 +162,25 @@ class TestLiveTransportMembership:
             # Land work on replica 1, then drain it before it finishes.
             for _ in range(10):
                 transport.send(clock.now(), payload=None)
-            transport.drain_server()
-            transport.drain(timeout=30.0)
+            drained = transport.drain_server()
+            settle()
             assert len(completed) == 10
-            assert 1 in completed  # its queued work completed anyway
+            assert drained in completed  # its queued work completed anyway
+        finally:
+            transport.stop()
+
+    def test_drain_stamps_membership_window(self, start):
+        clock, transport, settle = start("round_robin", 2)
+        try:
+            transport.send(clock.now(), payload=None)
+            settle()
+            before = clock.now()
+            drained = transport.drain_server()
+            instance = transport.instances[drained]
+            assert instance.draining
+            # Virtual time stands still between the two reads, so there
+            # the stamp is exactly the drain instant.
+            assert before <= instance.drained_at <= clock.now()
+            assert instance.started_at <= instance.drained_at
         finally:
             transport.stop()
