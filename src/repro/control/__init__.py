@@ -16,7 +16,6 @@ from .config import (
 )
 from .controllers import AdmissionController, AutoscaleController, Controller
 from .gate import AdmissionGate
-from .loop import ControlLoop
 from .plane import ControlPlane, ControlTarget, TransportControlTarget
 from .priority import ClassAssigner
 
@@ -27,7 +26,6 @@ __all__ = [
     "AutoscaleController",
     "AutoscalerConfig",
     "ClassAssigner",
-    "ControlLoop",
     "ControlPlane",
     "ControlPlaneConfig",
     "ControlTarget",

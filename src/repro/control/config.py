@@ -176,10 +176,10 @@ class ControlPlaneConfig:
 
     ``tick_interval`` is the shared control cadence: every controller's
     :meth:`~repro.control.controllers.Controller.tick` runs at this
-    fixed interval — a background thread in the live harness, a
-    recurring virtual-time event in the simulator — so control
-    decisions are comparable (and, in the simulator, deterministic)
-    across modes.
+    fixed interval on the run's scheduler — a timer-thread callback in
+    the live harness, a recurring virtual-time event in the simulator
+    — so control decisions are comparable (and, in the simulator,
+    deterministic) across modes.
     """
 
     enabled: bool = False

@@ -5,12 +5,14 @@ through a :class:`~repro.control.plane.ControlTarget` (queue
 snapshots, per-server load, the windowed sojourn p99 — the same
 signals the :mod:`repro.obs` gauges export), mutates its own state,
 and pushes decisions back out (gate limits, drop states, scaling
-actions). Nothing here threads or schedules: the
-:class:`~repro.control.loop.ControlLoop` ticks controllers on a wall-
-clock thread in live runs, and the simulator ticks them as recurring
-virtual-time events — identical control logic in both modes, which is
-what makes simulated control-plane results trustworthy stand-ins for
-live ones.
+actions). Nothing here threads or schedules: the run ticks the plane
+every ``tick_interval`` on its scheduler
+(:meth:`repro.core.run.RunParts.start`) — a timer-thread callback in
+live runs, a recurring virtual-time event in the simulator — identical
+control logic in both modes, which is what makes simulated
+control-plane results trustworthy stand-ins for live ones. A tick
+therefore must not block: it shares the timer thread with every
+deadline, retry and hedge of the run.
 """
 
 from __future__ import annotations

@@ -43,6 +43,7 @@ from .resilience import ResilienceConfig, ResilientClient
 from .run import RunResult
 from .runner import CampaignResult, run_campaign
 from .runtime import ReplicaRuntime
+from .scheduler import Scheduler
 from .server import Server
 from .traffic import (
     ArrivalProcess,
@@ -105,6 +106,7 @@ __all__ = [
     "CampaignResult",
     "run_campaign",
     "ReplicaRuntime",
+    "Scheduler",
     "Server",
     "ArrivalProcess",
     "ArrivalSchedule",

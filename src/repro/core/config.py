@@ -144,7 +144,7 @@ class ObservabilityConfig:
     ----------
     tracing:
         Master switch. Off (the default) constructs nothing: no
-        tracer, no registry, no sampler thread — the instrumented hot
+        tracer, no registry, no sampler — the instrumented hot
         paths see ``None`` hooks, keeping measurement overhead within
         noise of the uninstrumented harness.
     trace_capacity:
@@ -426,8 +426,9 @@ class RunConfig:
         priority scheduling, replica autoscaling. Fully disabled by
         default; ``n_servers`` is then the fixed replica count, while
         an enabled autoscaler treats it as the *initial* count.
-        Control ticks are a thread live and recurring events in the
-        simulator, so controlled sim runs stay deterministic per seed.
+        Control ticks are recurring callbacks on the run's scheduler
+        (the timer thread live, engine events in the simulator), so
+        controlled sim runs stay deterministic per seed.
     batching:
         Dynamic request batching (see
         :class:`repro.batching.BatchingConfig`): workers dequeue
@@ -449,9 +450,9 @@ class RunConfig:
         retry budget. Fully disabled by default.
     scenario:
         Optional chaos :class:`repro.faults.Scenario` — a timed
-        sequence of fault-plan phases played back by a scheduler
-        thread (live) or engine events (simulator). Composes over
-        ``faults`` as the steady-state base plan.
+        sequence of fault-plan phases played back on the run's
+        scheduler (timer thread live, engine events in the simulator).
+        Composes over ``faults`` as the steady-state base plan.
     fanout:
         Scatter-gather request shape (see :class:`FanoutConfig`) for
         sharded applications: each logical request visits every server
@@ -602,12 +603,11 @@ class HarnessConfig(RunConfig):
         ``process`` (one OS process per replica — multi-core scaling).
         Process mode requires the ``integrated`` configuration and
         supports autoscaling, batching, health, resilience, static
-        fault plans, and observability; admission control, priority
-        scheduling, and chaos scenarios need shared-memory access to
-        the replicas' queues and stay threaded-only, as do fan-out
-        (replica processes do not ship response payloads back, and the
-        application must expose ``merge_responses`` — see
-        :class:`repro.apps.ShardedApp`) and the cache.
+        fault plans, observability and fan-out (completion records
+        carry each shard's response payload back to the gather point);
+        admission control, priority scheduling, and chaos scenarios
+        need shared-memory access to the replicas' queues and stay
+        threaded-only, as does the cache.
     """
 
     one_way_delay: float = 25e-6
@@ -643,12 +643,6 @@ class HarnessConfig(RunConfig):
                     "chaos scenarios mutate fault plans at run time and "
                     "cannot reach replica processes; process execution "
                     "supports static fault plans only"
-                )
-            if self.fanout.enabled:
-                raise ValueError(
-                    "replica processes do not ship response payloads "
-                    "back to the parent, so the gather point cannot "
-                    "merge; fan-out is threaded-only"
                 )
             if self.cache.enabled:
                 raise ValueError(

@@ -21,10 +21,10 @@ import threading
 from dataclasses import dataclass
 from typing import List, Optional
 
-from ..faults import ScenarioDriver, ScenarioInjector
 from .clock import Clock, WallClock
 from .config import HarnessConfig
 from .run import RunParts, RunResult
+from .scheduler import Scheduler
 from .traffic import ArrivalSchedule, TrafficShaper
 from .transport import make_transport
 
@@ -102,44 +102,29 @@ def run_harness(
     client = app.make_client(seed=config.seed)
     payloads: List = [client.next_request() for _ in range(len(schedule))]
 
-    send_fn = parts.wire(transport, app, clock)
-    # Time advances on its own under the wall clock, so whatever samples
-    # or acts on a cadence gets a thread (the simulator schedules the
-    # same callbacks as engine events).
-    sampler, resilient = parts.sampler, parts.client
-    if sampler is not None:
-        sampler.start()
-    loop = None
-    if parts.plane is not None:
-        from ..control import ControlLoop
-
-        loop = ControlLoop(parts.plane, clock)
-        loop.start()
-    driver: Optional[ScenarioDriver] = None
-    if isinstance(parts.injector, ScenarioInjector):
-        driver = ScenarioDriver(parts.injector, clock)
+    # Time advances on its own under the wall clock: the run's one
+    # timer thread fires what the simulator's engine fires as events
+    # (and a run that schedules nothing never starts it).
+    scheduler = Scheduler(clock)
+    send_fn = parts.wire(transport, app, clock, scheduler)
     started = clock.now()
-    parts.anchor(started)
-    if driver is not None:
-        driver.start(started)
+    parts.start(started)
     try:
         _run_clients(clock, shaper, schedule, send_fn, payloads, config.n_clients)
-        if resilient is not None:
-            resilient.drain()
+        if parts.client is not None:
+            parts.client.drain()
         else:
             transport.drain()
     finally:
         run_end = clock.now()
         topology = parts.topology()
-        if driver is not None:
-            driver.stop()
-        if loop is not None:
-            loop.stop()
-        if sampler is not None:
-            sampler.stop()
-        if resilient is not None:
-            resilient.close()
-        transport.stop()
+        try:
+            # Timers first, so nothing fires into the teardown below;
+            # re-raises what a timer callback raised during the run.
+            scheduler.stop()
+        finally:
+            parts.stop()
+            transport.stop()
 
     shared = parts.finish(run_start=started, run_end=run_end, **topology)
     wall_time = run_end - started

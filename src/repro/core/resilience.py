@@ -7,7 +7,7 @@ optionally *hedge* — send a duplicate once the request has outlived a
 high percentile of normal latency [Dean & Barroso, "The Tail at
 Scale", CACM 2013]. :class:`ResilientClient` adds all three while
 preserving the open-loop guarantee: retries and hedges are scheduled
-as *new arrivals* on a timer scheduler — a background timer wheel live,
+as *new arrivals* on the run's timer scheduler — one timer thread live,
 the event engine in the simulator, the same state machine under both —
 and never block the traffic shaper, so injected faults cannot
 re-introduce coordinated omission through the recovery path.
@@ -21,14 +21,14 @@ are measured over every attempt that produced a response.
 
 from __future__ import annotations
 
-import heapq
 import itertools
 import random
 import threading
 from dataclasses import dataclass
-from typing import Callable, Dict, Optional
+from typing import Dict, Optional
 
 from .clock import Clock
+from .scheduler import Scheduler
 
 __all__ = [
     "ResilienceConfig",
@@ -137,92 +137,6 @@ def effective_attempt_timeout(
     return base
 
 
-class _TimerHandle:
-    """One scheduled callback; ``cancel`` makes firing a no-op."""
-
-    __slots__ = ("fn", "args", "cancelled")
-
-    def __init__(self, fn: Callable, args: tuple) -> None:
-        self.fn = fn
-        self.args = args
-        self.cancelled = False
-
-
-class _Scheduler:
-    """Minimal timer wheel: run callables at absolute clock instants.
-
-    One daemon thread sleeps until the earliest event; callbacks run
-    outside the internal lock so they may schedule further events.
-    :meth:`at`/:meth:`after` return a :class:`_TimerHandle` that
-    :meth:`cancel` turns into a no-op — a resolved call's outstanding
-    deadline/hedge/timeout entries are cancelled instead of burning
-    timer-wheel wakeups on dead calls at high QPS. Pending events are
-    discarded on stop.
-    """
-
-    def __init__(self, clock: Clock) -> None:
-        self._clock = clock
-        self._heap: list = []
-        self._seq = itertools.count()
-        self._lock = threading.Lock()
-        self._wakeup = threading.Condition(self._lock)
-        self._stopped = False
-        self._thread = threading.Thread(
-            target=self._loop, name="tb-resilience-timer", daemon=True
-        )
-        self._thread.start()
-
-    def at(self, when: float, fn: Callable, *args) -> _TimerHandle:
-        handle = _TimerHandle(fn, args)
-        with self._wakeup:
-            if self._stopped:
-                handle.cancelled = True
-                return handle
-            heapq.heappush(self._heap, (when, next(self._seq), handle))
-            self._wakeup.notify()
-        return handle
-
-    def after(self, delay: float, fn: Callable, *args) -> _TimerHandle:
-        return self.at(self._clock.now() + max(delay, 0.0), fn, *args)
-
-    @staticmethod
-    def cancel(handle: _TimerHandle) -> None:
-        handle.cancelled = True
-
-    def pending(self) -> int:
-        """Live (uncancelled) entries still on the heap (test hook)."""
-        with self._lock:
-            return sum(1 for _, _, h in self._heap if not h.cancelled)
-
-    def _loop(self) -> None:
-        while True:
-            with self._wakeup:
-                # Prune cancelled leaders so they neither schedule a
-                # wakeup nor count as work.
-                while self._heap and self._heap[0][2].cancelled:
-                    heapq.heappop(self._heap)
-                if self._stopped:
-                    return
-                if not self._heap:
-                    self._wakeup.wait()
-                    continue
-                when, _, handle = self._heap[0]
-                now = self._clock.now()
-                if when > now:
-                    self._wakeup.wait(when - now)
-                    continue
-                heapq.heappop(self._heap)
-                if handle.cancelled:
-                    continue
-            handle.fn(*handle.args)
-
-    def stop(self) -> None:
-        with self._wakeup:
-            self._stopped = True
-            self._wakeup.notify_all()
-        self._thread.join(5.0)
-
-
 class _Call:
     """State of one logical request across its attempts."""
 
@@ -267,10 +181,12 @@ class ResilientClient:
     """The logical-request state machine: deadline, retry, hedge.
 
     One implementation, two schedulers. Every recovery timer goes
-    through an ``at / after / cancel`` scheduler — a :class:`_Scheduler`
-    timer thread of its own under the wall clock, or the simulator's
-    :class:`repro.sim.Engine` passed as ``scheduler`` under the virtual
-    one — and every attempt goes out through ``transport.send``.
+    through the ``at / after / cancel`` scheduler passed as
+    ``scheduler`` — the run's :class:`~repro.core.scheduler.Scheduler`
+    timer thread under the wall clock, the simulator's
+    :class:`repro.sim.Engine` under the virtual one; a client built
+    without one makes (and :meth:`close` stops) a timer thread of its
+    own — and every attempt goes out through ``transport.send``.
 
     Installs itself as the transport's completion hook and takes over
     outcome accounting: successful attempts that beat the deadline feed
@@ -293,7 +209,7 @@ class ResilientClient:
     ) -> None:
         self._transport = transport
         self._scheduler = (
-            scheduler if scheduler is not None else _Scheduler(clock)
+            scheduler if scheduler is not None else Scheduler(clock)
         )
         self._clock = clock
         self._config = config
@@ -363,6 +279,11 @@ class ResilientClient:
                 self._resolve_locked(call, "failed")
 
     def close(self) -> None:
+        """Stop the timer thread of a client built without a scheduler.
+
+        A client given the run's scheduler is not closed: whoever made
+        the scheduler stops it.
+        """
         self._scheduler.stop()
 
     # -- attempt lifecycle ---------------------------------------------

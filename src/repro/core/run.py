@@ -22,6 +22,7 @@ from .balancer import make_balancer
 from .collector import CollectedStats, StatsCollector
 from .config import RunConfig
 from .resilience import ResilientClient
+from .scheduler import every
 from .traffic import ArrivalSchedule, DeterministicArrivals, PoissonArrivals
 
 __all__ = ["RunParts", "RunResult"]
@@ -181,7 +182,8 @@ class RunParts:
     is on, so a default run never touches obs / control / batching /
     health / cache beyond their config dataclasses. :meth:`wire`
     connects those pieces to the run's transport — the one wiring step
-    of both clocks — and :meth:`finish` is the shared tail.
+    of both clocks — :meth:`start` / :meth:`stop` bracket the run's
+    time-driven work, and :meth:`finish` is the shared tail.
     """
 
     def __init__(self, config: RunConfig) -> None:
@@ -257,11 +259,13 @@ class RunParts:
             self.cache = build_cache(config.cache, tracer=self.tracer)
         # Set by :meth:`wire`.
         self.transport = None
+        self.clock = None
+        self.scheduler = None
         self.sampler = None
         self.client: Optional[ResilientClient] = None
         self.fanout = None
 
-    def wire(self, transport, app, clock, scheduler=None):
+    def wire(self, transport, app, clock, scheduler):
         """Start ``transport`` over ``app`` and connect every built part.
 
         The one wiring step of ``run_harness`` and ``simulate_load``:
@@ -269,16 +273,19 @@ class RunParts:
         target, and the client the arrivals go through. Returns that
         client's ``send(generated_at, payload)`` — the resilient
         client's, the fan-out client's, or the bare transport's.
-        ``scheduler`` is the ``at/after/cancel`` timer source the
-        resilient client runs on (the simulator passes its engine; by
-        default the client starts a timer thread on ``clock``).
+        ``scheduler`` is the run's one ``at/after/cancel`` timer source
+        (:mod:`repro.core.scheduler`): the timer thread live, the
+        engine in the simulator. Everything time-driven — recovery
+        timers, fault-delayed sends, and what :meth:`start` schedules —
+        runs on it.
 
         What is left to the caller is what differs between the clocks:
-        who advances time (threads or engine events) for the sampler,
-        the control tick and scenario phases, and who drives arrivals.
+        what a replica is (the transport) and who drives arrivals.
         """
         config = self.config
         self.transport = transport
+        self.clock = clock
+        self.scheduler = scheduler
         transport.start(
             app,
             config.n_threads,
@@ -290,6 +297,7 @@ class RunParts:
             control=self.plane,
             batching=self.batching,
             cache=self.cache,
+            scheduler=scheduler,
         )
         if self.health is not None:
             transport.set_health(self.health)
@@ -336,18 +344,51 @@ class RunParts:
             return self.fanout.send
         return transport.send
 
-    def anchor(self, started: float) -> None:
-        """Pin every run-relative offset to the run's start instant.
+    def start(self, started: float, until: Optional[float] = None) -> None:
+        """Anchor the run at ``started`` and schedule what recurs in it.
 
         Stall windows, SLO window boundaries and the cache's
         cold-restart instant (``clear_at``) are all stated relative to
-        it — wall-clock "now" live, virtual 0.0 in the simulator.
+        ``started`` — wall-clock "now" live, virtual 0.0 in the
+        simulator. On the run's scheduler go, in this order (it decides
+        ties on the event heap): one plan swap per scenario phase
+        boundary, a metrics sample every ``metrics_interval`` from
+        ``started``, and a control tick every ``tick_interval`` — the
+        first one interval in, since at the start there is nothing to
+        observe. ``until`` bounds the two cadences (virtual time: the
+        arrival horizon, so the event heap drains).
         """
         if self.injector is not None:
             self.injector.start_run(started)
         for part in (self.live, self.cache):
             if part is not None:
                 part.set_origin(started)
+        scheduler, clock, plane = self.scheduler, self.clock, self.plane
+        if isinstance(self.injector, ScenarioInjector):
+            for offset in self.injector.scenario.boundaries():
+                scheduler.at(
+                    started + offset, self.injector.advance_to, offset
+                )
+        if self.sampler is not None:
+            every(
+                scheduler, self.sampler.interval, started,
+                self.sampler.sample, until,
+            )
+        if plane is not None:
+            interval = self.config.control.tick_interval
+            every(
+                scheduler, interval, started + interval,
+                lambda: plane.tick(clock.now()), until,
+            )
+
+    def stop(self) -> None:
+        """Close what :meth:`start` opened: the series' final point.
+
+        Called once nothing fires any more (scheduler stopped, or
+        engine run dry), at the run's last instant.
+        """
+        if self.sampler is not None:
+            self.sampler.sample()
 
     def topology(self) -> dict:
         """What the result reports of the transport's replicas.

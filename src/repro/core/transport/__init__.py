@@ -5,7 +5,6 @@ from .integrated import IntegratedTransport
 from .loopback import LoopbackTransport
 from .networked import DelayLine, NetworkedTransport
 from .process import ProcessReplicaHandle, ProcessTransport
-from .remote import AppServerProcess, run_harness_multiprocess
 
 __all__ = [
     "ServerInstance",
@@ -17,8 +16,6 @@ __all__ = [
     "DelayLine",
     "ProcessTransport",
     "ProcessReplicaHandle",
-    "AppServerProcess",
-    "run_harness_multiprocess",
 ]
 
 

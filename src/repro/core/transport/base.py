@@ -42,6 +42,7 @@ from ..collector import StatsCollector
 from ..queueing import QueueClosed, RequestQueue
 from ..request import Request
 from ..runtime import ReplicaRuntime
+from ..scheduler import Scheduler
 
 __all__ = ["ServerInstance", "Transport", "TransportStats"]
 
@@ -81,7 +82,6 @@ class ServerInstance:
         "server_id",
         "queue",
         "server",
-        "runtime",
         "outstanding",
         "routed",
         "completed",
@@ -90,20 +90,10 @@ class ServerInstance:
         "drained_at",
     )
 
-    def __init__(
-        self,
-        server_id: int,
-        queue: RequestQueue,
-        server,
-        runtime=None,
-    ) -> None:
+    def __init__(self, server_id: int, queue: RequestQueue, server) -> None:
         self.server_id = server_id
         self.queue = queue
         self.server = server
-        #: The :class:`~repro.core.runtime.ReplicaRuntime` backing the
-        #: replica when it executes in this process; a process-mode
-        #: replica's runtime lives in the child, so this is None there.
-        self.runtime = runtime
         self.outstanding = 0
         self.routed = 0
         self.completed = 0
@@ -161,7 +151,10 @@ class Transport:
         self._lock = threading.Lock()
         self._all_done = threading.Condition(self._lock)
         self._running = False
-        self._fault_timers: List[threading.Timer] = []
+        # Timer source for fault-delayed sends: the run's scheduler,
+        # or one of the transport's own when started without.
+        self._scheduler = None
+        self._own_scheduler: Optional[Scheduler] = None
         self.stats = TransportStats()
         # Observability hooks: None unless the run enables tracing, so
         # the hot-path cost of the default configuration is one test.
@@ -202,6 +195,7 @@ class Transport:
         control=None,
         batching=None,
         cache=None,
+        scheduler=None,
     ) -> None:
         if self._running:
             raise RuntimeError("transport already started")
@@ -216,6 +210,11 @@ class Transport:
         self._app = app
         self._n_threads = n_threads
         self._queue_capacity = queue_capacity
+        if scheduler is None:
+            # Standalone use: its thread starts with the first delayed
+            # send and is stopped with the transport.
+            scheduler = self._own_scheduler = Scheduler(self._clock)
+        self._scheduler = scheduler
         self._instances = []
         for server_id in range(n_servers):
             self._instances.append(self._build_instance(server_id))
@@ -251,19 +250,13 @@ class Transport:
             gate=control.gate_for(server_id) if control is not None else None,
             buffer=control.make_buffer() if control is not None else None,
         )
-        instance = ServerInstance(
-            server_id, runtime.queue, runtime.server, runtime=runtime
-        )
+        instance = ServerInstance(server_id, runtime.queue, runtime.server)
         instance.started_at = self._clock.now()
         return instance
 
     def stop(self) -> None:
         if not self._running:
             return
-        with self._lock:
-            timers, self._fault_timers = self._fault_timers, []
-        for timer in timers:
-            timer.cancel()
         for instance in self._instances:
             # Anything still queued belongs to requests nobody is
             # waiting on (drain() already returned or timed out);
@@ -271,6 +264,12 @@ class Transport:
             instance.server.shutdown(discard_pending=True)
         self._stop_impl()
         self._running = False
+        own, self._own_scheduler = self._own_scheduler, None
+        if own is not None:
+            # Last, so a callback failure it re-raises leaves nothing
+            # running; a delayed send that fired into the teardown
+            # above was abandoned like any arrival after shutdown.
+            own.stop()
 
     def _start_impl(self) -> None:
         """Hook for I/O machinery startup (sockets, threads)."""
@@ -601,15 +600,7 @@ class Transport:
         if delay <= 0.0:
             self._submit_safe(request)
             return
-        timer = threading.Timer(delay, self._submit_safe, [request])
-        timer.daemon = True
-        with self._lock:
-            self._fault_timers.append(timer)
-            if len(self._fault_timers) > 256:
-                self._fault_timers = [
-                    t for t in self._fault_timers if t.is_alive()
-                ]
-        timer.start()
+        self._scheduler.after(delay, self._submit_safe, request)
 
     def _submit_safe(self, request: Request) -> None:
         try:

@@ -16,7 +16,8 @@ Wire protocol (pickle frames over two simplex pipes per replica):
   installs the child-side trace relay; ``("stop", discard_pending)``
   begins shutdown.
 - child -> parent: ``("ready", child_now, pid)`` once at startup (the
-  clock-offset handshake); ``("recs", records, status, events)`` — all
+  clock-offset handshake, the reader thread's first frame);
+  ``("recs", records, status, events)`` — all
   completions since the last flush, a status snapshot (queue depth,
   busy/alive workers, fault counts — the autoscaler's signals), and
   drained trace-relay events, one frame per batch; ``("bye", errors,
@@ -24,10 +25,9 @@ Wire protocol (pickle frames over two simplex pipes per replica):
 
 Timestamps never cross the pipe as absolutes. The child reports
 *durations* (queue wait, service time); the parent anchors the chain
-at response receipt exactly like the remote transport
-(:mod:`repro.core.transport.remote`): ``service_end = receipt``,
-``service_start = end - service_time``, ``enqueued = start -
-queue_time``, clamped to ``sent_at``. Sojourn time is therefore
+at response receipt (:meth:`ProcessTransport._apply_record`):
+``service_end = receipt``, ``service_start = end - service_time``,
+``enqueued = start - queue_time``, clamped to ``sent_at``. Sojourn time is therefore
 measured entirely on the parent clock and coordinated-omission
 semantics are identical to threaded mode.
 
@@ -398,6 +398,9 @@ class ProcessReplicaHandle:
         self.dead = False
         self.crashed = False
         self._got_bye = False
+        #: Set by the reader: the child's handshake arrived, or the
+        #: pipe closed without one.
+        self._ready = threading.Event()
         self._stopping = False
         self._shutdown_done = False
         self._shutdown_guard = threading.Lock()
@@ -436,20 +439,6 @@ class ProcessReplicaHandle:
         # pipes deliver EOF when exactly one side goes away.
         req_recv.close()
         resp_send.close()
-        if not resp_recv.poll(_READY_TIMEOUT):
-            self.process.terminate()
-            raise RuntimeError(
-                f"replica process {self.server_id} failed to start "
-                f"within {_READY_TIMEOUT}s"
-            )
-        msg = resp_recv.recv()
-        if msg[0] != "ready":
-            self.process.terminate()
-            raise RuntimeError(
-                f"replica process {self.server_id} sent {msg[0]!r} "
-                "before ready handshake"
-            )
-        self.clock_offset = self._transport._clock.now() - msg[1]
         self._sender_thread = threading.Thread(
             target=self._sender_loop,
             name=f"tb-proc-send-{self.server_id}",
@@ -462,6 +451,19 @@ class ProcessReplicaHandle:
         )
         self._sender_thread.start()
         self._reader_thread.start()
+        if self._transport._running:
+            # Runtime scale-up: the caller may be the run's timer
+            # thread, so do not wait for the handshake. Requests routed
+            # here meanwhile sit in the pipe until the child reads
+            # them; a child that never comes up fails them (reader).
+            return
+        # The run must not begin before its initial replicas are up.
+        self._ready.wait(_READY_TIMEOUT)
+        if self.dead or not self._ready.is_set():
+            self.process.terminate()
+            raise RuntimeError(
+                f"replica process {self.server_id} failed to start"
+            )
 
     def shutdown(
         self, timeout: float = 30.0, discard_pending: bool = False
@@ -612,6 +614,9 @@ class ProcessReplicaHandle:
 
     def _reader_loop(self) -> None:
         conn = self._resp_recv
+        if not conn.poll(_READY_TIMEOUT):
+            # Never came up: the EOF this forces fails its work below.
+            self.process.terminate()
         while True:
             try:
                 msg = conn.recv()
@@ -620,6 +625,9 @@ class ProcessReplicaHandle:
             tag = msg[0]
             if tag == "recs":
                 self._transport._ingest(self, msg[1], msg[2], msg[3])
+            elif tag == "ready":
+                self.clock_offset = self._transport._clock.now() - msg[1]
+                self._ready.set()
             elif tag == "bye":
                 self._got_bye = True
                 self.errors.extend(
@@ -635,6 +643,7 @@ class ProcessReplicaHandle:
             self._transport._on_child_failure(self)
         else:
             self.dead = True
+        self._ready.set()
 
 
 class ProcessTransport(Transport):
@@ -676,9 +685,7 @@ class ProcessTransport(Transport):
             batching=self._batching,
             queue_capacity=self._queue_capacity,
         )
-        instance = ServerInstance(
-            server_id, handle.queue_view, handle, runtime=None
-        )
+        instance = ServerInstance(server_id, handle.queue_view, handle)
         instance.started_at = self._clock.now()
         return instance
 
@@ -731,10 +738,10 @@ class ProcessTransport(Transport):
     def _apply_record(request: Request, rec: tuple, now: float) -> None:
         """Rebuild the timestamp chain from child-reported durations.
 
-        Anchored at receipt on the parent clock (the remote-transport
-        idiom): no child-clock absolute ever enters the chain, so
-        sojourn/latency percentiles are free of cross-process clock
-        skew. Clamped at ``sent_at`` to keep the chain monotone.
+        Anchored at receipt on the parent clock: no child-clock
+        absolute ever enters the chain, so sojourn/latency percentiles
+        are free of cross-process clock skew. Clamped at ``sent_at`` to
+        keep the chain monotone.
         """
         _, shed, error, response, queue_time, service_time, batch_size = rec
         request.shed = bool(shed)

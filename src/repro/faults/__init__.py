@@ -11,8 +11,8 @@ simulator (:func:`repro.sim.latency_sim.simulate_load`) accept the
 same plan, so fault experiments can be debugged deterministically in
 simulation and replayed for-real over threads and TCP. A
 :class:`Scenario` sequences timed plan phases (chaos windows — see
-:mod:`repro.faults.scenario`) played back by a scheduler thread live
-and by engine events in the simulator.
+:mod:`repro.faults.scenario`) played back on the run's scheduler —
+the timer thread live, engine events in the simulator.
 """
 
 from .injector import INJECTED_APP_ERROR, FaultInjector, TransportAction
@@ -21,7 +21,6 @@ from .scenario import (
     SCENARIOS,
     FaultPhase,
     Scenario,
-    ScenarioDriver,
     ScenarioInjector,
     crash_recover,
     error_burst,
@@ -37,7 +36,6 @@ __all__ = [
     "INJECTED_APP_ERROR",
     "SCENARIOS",
     "Scenario",
-    "ScenarioDriver",
     "ScenarioInjector",
     "StallWindow",
     "TransportAction",

@@ -4,15 +4,12 @@ A :class:`Scenario` is pure data — a named sequence of
 :class:`FaultPhase` windows, each activating a
 :class:`~repro.faults.plan.FaultPlan` for ``[start, start+duration)``
 relative to run start. The :class:`ScenarioInjector` plays it back by
-swapping the active (merged) plan at phase boundaries:
-
-- **live** — a :class:`ScenarioDriver` thread sleeps to each boundary
-  and advances the injector on the run's wall clock;
-- **sim** — the harness schedules one engine event per boundary, so
-  replay is single-threaded and bit-identical per seed.
-
-Both modes call the same :meth:`ScenarioInjector.advance_to`; fault
-*decisions* keep flowing through the inherited
+swapping the active (merged) plan at phase boundaries: the run
+(:meth:`repro.core.run.RunParts.start`) schedules one
+:meth:`ScenarioInjector.advance_to` per boundary on its scheduler — a
+timer-thread callback under the wall clock, an engine event in the
+simulator, where replay is single-threaded and bit-identical per seed.
+Fault *decisions* keep flowing through the inherited
 :class:`~repro.faults.injector.FaultInjector` streams, so a scenario
 run with the same seed makes the same draws as the equivalent
 fixed-plan run while any given phase is active.
@@ -25,7 +22,6 @@ Built-in scenarios cover the canonical serving pathologies:
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
@@ -35,7 +31,6 @@ from .plan import FaultPlan
 __all__ = [
     "FaultPhase",
     "Scenario",
-    "ScenarioDriver",
     "ScenarioInjector",
     "SCENARIOS",
     "crash_recover",
@@ -203,47 +198,6 @@ class ScenarioInjector(FaultInjector):
     def for_server(self, server_id: int):
         """Dynamic per-replica view (scope re-checked per decision)."""
         return _ScenarioServerView(self, server_id)
-
-
-class ScenarioDriver:
-    """Live playback: advance a :class:`ScenarioInjector` on the wall clock.
-
-    One daemon thread sleeps to each phase boundary (anchored at
-    :meth:`start`'s instant) and swaps the active plan. The simulator
-    does not use this class — it schedules ``advance_to`` as engine
-    events at the same offsets.
-    """
-
-    def __init__(self, injector: ScenarioInjector, clock) -> None:
-        self._injector = injector
-        self._clock = clock
-        self._stop = threading.Event()
-        self._thread: Optional[threading.Thread] = None
-        self._run_start = 0.0
-
-    def start(self, run_start: float) -> None:
-        if self._thread is not None:
-            raise RuntimeError("driver already started")
-        self._run_start = run_start
-        self._thread = threading.Thread(
-            target=self._loop, name="tb-scenario-driver", daemon=True
-        )
-        self._thread.start()
-
-    def _loop(self) -> None:
-        for offset in self._injector.scenario.boundaries():
-            delay = (self._run_start + offset) - self._clock.now()
-            if delay > 0 and self._stop.wait(delay):
-                return
-            if self._stop.is_set():
-                return
-            self._injector.advance_to(offset)
-
-    def stop(self) -> None:
-        self._stop.set()
-        if self._thread is not None:
-            self._thread.join(5.0)
-            self._thread = None
 
 
 # -- built-in scenarios --------------------------------------------------

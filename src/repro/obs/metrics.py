@@ -2,7 +2,7 @@
 
 The registry instruments the harness's hot paths — per-replica queue
 depth, worker busy fraction, in-flight count, shed/retry/hedge rates,
-send-delay drift — and a background :class:`MetricsSampler` turns the
+send-delay drift — and a :class:`MetricsSampler` turns the
 instantaneous values into per-run time series
 (:class:`~repro.core.collector.TimelinePoint` lists, one per metric).
 
@@ -15,8 +15,9 @@ Design constraints, in order:
    (atomic enough under the GIL for monitoring purposes — these feed
    dashboards, not invariants); histograms bucket with ``bisect``.
 3. **Sampled, not logged.** Hot paths never append to unbounded lists;
-   the sampler thread (or, in virtual time, a recurring simulator
-   event) reads the registry at a fixed cadence.
+   a recurring callback on the run's scheduler (the timer thread live,
+   an engine event in virtual time) reads the registry at a fixed
+   cadence.
 """
 
 from __future__ import annotations
@@ -293,12 +294,14 @@ class MetricsRegistry:
 
 
 class MetricsSampler:
-    """Background ticker turning registry values into time series.
+    """Turns registry values into per-metric time series.
 
-    Live mode: a daemon thread samples every ``interval`` seconds of
-    wall time. (The simulator does not use this class — it schedules
-    the same :meth:`sample` body as a recurring virtual-time event, so
-    both modes produce identical series shapes.)
+    Each :meth:`sample` appends one point per registered metric. The
+    sampler keeps no time of its own: the run schedules :meth:`sample`
+    every :attr:`interval` seconds on its scheduler
+    (:meth:`repro.core.run.RunParts.start`) — a timer-thread callback
+    live, an engine event in the simulator — so both clocks produce
+    identical series shapes.
     """
 
     def __init__(self, registry: MetricsRegistry, clock,
@@ -307,11 +310,9 @@ class MetricsSampler:
             raise ValueError("interval must be positive")
         self._registry = registry
         self._clock = clock
-        self._interval = interval
+        self.interval = interval
         self._series: Dict[str, List[TimelinePoint]] = {}
         self._n_samples = 0
-        self._stop = threading.Event()
-        self._thread: Optional[threading.Thread] = None
 
     def sample(self, now: Optional[float] = None) -> None:
         """Record one sample of every registered metric."""
@@ -324,25 +325,6 @@ class MetricsSampler:
                     metric=metric.full_name,
                 )
             )
-
-    def start(self) -> None:
-        if self._thread is not None:
-            raise RuntimeError("sampler already started")
-        self._thread = threading.Thread(
-            target=self._loop, name="tb-metrics-sampler", daemon=True
-        )
-        self._thread.start()
-
-    def _loop(self) -> None:
-        while not self._stop.wait(self._interval):
-            self.sample()
-
-    def stop(self) -> None:
-        self._stop.set()
-        if self._thread is not None:
-            self._thread.join(5.0)
-            self._thread = None
-        self.sample()  # final sample so short runs still get a point
 
     @property
     def series(self) -> Dict[str, List[TimelinePoint]]:

@@ -11,13 +11,14 @@ The simulator is a transport, not a second harness:
 :class:`~repro.sim.transport.SimulatedTransport` puts simulated servers
 behind the live :class:`~repro.core.transport.Transport`, and
 :meth:`repro.core.run.RunParts.wire` connects it to the same client,
-control target and feeds ``run_harness`` uses — the resilient client's
-timers run on the engine instead of a timer thread. What this module
-adds is the virtual clock's way of driving a run: one arrival loop and
-recurring engine events where the live harness has threads. Because
-the event loop is single-threaded and every random draw comes from
-seeded streams, the same plan replayed with the same seed yields
-byte-identical results.
+control target and feeds ``run_harness`` uses — and the engine is the
+run's scheduler where the live harness has a timer thread, so recovery
+timers, scenario phases, metrics samples and control ticks are engine
+events scheduled by the same :meth:`~repro.core.run.RunParts.start`.
+What this module adds is the virtual clock's way of driving a run: one
+arrival loop. Because the event loop is single-threaded and every
+random draw comes from seeded streams, the same plan replayed with the
+same seed yields byte-identical results.
 """
 
 from __future__ import annotations
@@ -29,7 +30,6 @@ from typing import Iterable
 
 from ..core.config import RunConfig
 from ..core.run import RunParts, RunResult
-from ..faults import ScenarioInjector
 from .calibration import AppProfile, paper_profile
 from .engine import Engine
 from .network_model import network_model_for
@@ -97,39 +97,18 @@ def simulate_load(profile: AppProfile, config: SimConfig) -> SimResult:
     )
     engine = Engine()
     parts = RunParts(config)
-    schedule, injector, plane = parts.schedule, parts.injector, parts.plane
+    schedule = parts.schedule
     transport = SimulatedTransport(
         engine, network, seed=config.seed,
         batch_marginal_cost=config.batching.sim_marginal_cost,
     )
-    send_fn = parts.wire(transport, service_model, engine.clock, scheduler=engine)
+    # The engine is the run's scheduler: virtual time advances only
+    # through its heap.
+    send_fn = parts.wire(transport, service_model, engine.clock, engine)
     # Virtual 0.0 is the run's start: window boundaries and fault
-    # onsets are deterministic and alignable.
-    parts.anchor(0.0)
-    # Virtual time advances only through the heap, so whatever samples
-    # or acts on a cadence is a recurring event (the live harness gives
-    # the same callbacks a thread), bounded by the arrival horizon so
-    # the heap still drains.
-    horizon = schedule.times[-1]
-
-    def every(interval: float, first: float, fn) -> None:
-        def tick() -> None:
-            fn()
-            if engine.now + interval <= horizon:
-                engine.after(interval, tick)
-
-        engine.at(first, tick)
-
-    if isinstance(injector, ScenarioInjector):
-        for offset in injector.scenario.boundaries():
-            engine.at(offset, injector.advance_to, offset)
-    sampler = parts.sampler
-    if sampler is not None:
-        every(config.observability.metrics_interval, 0.0, sampler.sample)
-    if plane is not None:
-        # First tick one interval in — at t=0 there is nothing to observe.
-        interval = config.control.tick_interval
-        every(interval, interval, lambda: plane.tick(engine.now))
+    # onsets are deterministic and alignable. What recurs is bounded by
+    # the arrival horizon so the heap still drains.
+    parts.start(0.0, until=schedule.times[-1])
     payloads = _synthetic_payloads(config, len(schedule))
     for generated_at, payload in zip(schedule, payloads):
         engine.at(generated_at, send_fn, generated_at, payload)
@@ -137,8 +116,7 @@ def simulate_load(profile: AppProfile, config: SimConfig) -> SimResult:
     if parts.client is not None:
         parts.client.fail_unresolved()
     elapsed = engine.now
-    if sampler is not None:
-        sampler.sample()  # final sample at the run's last instant
+    parts.stop()
     shared = parts.finish(run_start=0.0, run_end=elapsed, **parts.topology())
     total_busy = sum(
         instance.server.busy_time for instance in transport.instances

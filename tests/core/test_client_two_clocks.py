@@ -2,7 +2,7 @@
 
 The same scripted wire — a fixed per-attempt completion / drop / error
 / shed / straggler script — is driven once by ``ResilientClient`` on
-its own ``_Scheduler`` timer thread under the wall clock, and once by
+its own ``Scheduler`` timer thread under the wall clock, and once by
 the same class on the simulator's ``Engine`` under the virtual clock.
 Both must send the identical attempt sequence, tally the identical
 outcomes, and leave no live timer behind a resolved call.
@@ -19,7 +19,7 @@ import pytest
 
 from repro.core import Request, ResilienceConfig, ResilientClient, StatsCollector
 from repro.core.clock import WallClock
-from repro.core.resilience import _Scheduler
+from repro.core.scheduler import Scheduler
 from repro.sim import Engine
 
 SEED = 11
@@ -65,7 +65,7 @@ class ScriptedWire:
     """Transport-shaped fake: answers each attempt as the script says.
 
     Responses are delivered through ``scheduler.after`` — a
-    ``_Scheduler`` in the wall-clock leg, the ``Engine`` itself in the
+    ``Scheduler`` in the wall-clock leg, the ``Engine`` itself in the
     virtual one — so the wire is the same object under both clocks.
     """
 
@@ -126,7 +126,7 @@ class ScriptedWire:
 
 def _under_wall_clock():
     clock = WallClock()
-    wire_timer = _Scheduler(clock)
+    wire_timer = Scheduler(clock)
     wire = ScriptedWire(clock, wire_timer)
     collector = StatsCollector()
     client = ResilientClient(wire, clock, CONFIG, collector, seed=SEED)

@@ -1,7 +1,10 @@
 """Tests for scatter-gather fan-out: config, gatherer, live harness."""
 
+import itertools
+
 import pytest
 
+from repro.apps.base import Application, Client, ShardedApp
 from repro.apps.vsearch import VsearchApp
 from repro.core import (
     ExecutionConfig,
@@ -45,14 +48,6 @@ class TestFanoutConfig:
     def test_shards_validated(self):
         with pytest.raises(ValueError):
             FanoutConfig(shards=0)
-
-    def test_rejects_process_execution(self):
-        with pytest.raises(ValueError, match="process"):
-            HarnessConfig(
-                n_servers=2,
-                fanout=FanoutConfig(enabled=True, shards=2),
-                execution=ExecutionConfig(mode="process"),
-            )
 
     def test_disabled_composes_freely(self):
         config = HarnessConfig(
@@ -143,6 +138,62 @@ class TestFanoutGatherer:
             gatherer.stats.leaf_samples(), 0.99 ** 0.5
         )
         assert gatherer.stats.predicted_quantile(0.99) == expected
+
+
+class _EchoShard(Application):
+    """Answers ``(shard, payload)``, so a merge can check what it got."""
+
+    name = "echo"
+
+    def __init__(self, shard):
+        self.shard = shard
+
+    def setup(self):
+        pass
+
+    def process(self, payload):
+        return (self.shard, payload)
+
+
+class _Numbered(Client):
+    def __init__(self):
+        self._next = itertools.count()
+
+    def next_request(self):
+        return next(self._next)
+
+
+def test_process_execution_merges_every_shard():
+    """Replica processes ship each shard's response back to the gather."""
+    merged = []
+
+    def merge(partials):
+        merged.append(sorted(partials))
+        return len(partials)
+
+    app = ShardedApp(
+        [_EchoShard(i) for i in range(3)], merge,
+        client_factory=lambda seed: _Numbered(),
+    )
+    result = run_harness(
+        app,
+        HarnessConfig(
+            qps=1000.0,
+            n_servers=3,
+            warmup_requests=20,
+            measure_requests=200,
+            fanout=FanoutConfig(enabled=True, shards=3),
+            execution=ExecutionConfig(mode="process"),
+        ),
+    )
+    assert (result.fanout.completed, result.fanout.failed) == (220, 0)
+    assert result.stats.count == 200
+    assert result.routed_counts == (220, 220, 220)
+    # Every merge saw shards 0, 1, 2 of one payload, and every payload
+    # was merged exactly once.
+    assert sorted(merged) == [
+        [(0, n), (1, n), (2, n)] for n in range(220)
+    ]
 
 
 class TestLiveFanout:

@@ -13,11 +13,14 @@ from repro.core import (
     ExecutionConfig,
     HarnessConfig,
     ReplicaRuntime,
+    Scheduler,
     StatsCollector,
     WallClock,
 )
 from repro.core.harness import run_harness
+from repro.core.scheduler import every
 from repro.core.transport import ProcessTransport, make_transport
+from repro.core.transport import process as process_module
 
 from .test_harness import ConstantApp
 
@@ -194,13 +197,14 @@ class TestProcessHarness:
     def test_attribution_matches_threaded(self):
         """Same workload, both modes: counts identical, latencies sane."""
         app = ConstantApp()
+        # No warmup: the discard is by completion order, so which
+        # replica loses how many records to it depends on timing.
+        split = dict(n_servers=2, balancer="round_robin", warmup_requests=0)
         threaded = run_harness(
-            app, _process_config(execution=ExecutionConfig(mode="threaded"),
-                                 n_servers=2, balancer="round_robin")
+            app,
+            _process_config(execution=ExecutionConfig(mode="threaded"), **split),
         )
-        process = run_harness(
-            app, _process_config(n_servers=2, balancer="round_robin")
-        )
+        process = run_harness(app, _process_config(**split))
         assert process.stats.count == threaded.stats.count
         per_t = threaded.stats.per_server()
         per_p = process.stats.per_server()
@@ -341,6 +345,42 @@ class TestProcessLifecycle:
             assert transport.instances[1].routed > 0
         finally:
             transport.stop()
+
+    def test_scale_up_does_not_hold_the_timer_thread(self, monkeypatch):
+        """An autoscaler tick runs on the run's timer thread: the fork
+        it triggers must not make every other timer sit out the new
+        child's start-up handshake."""
+        clock, transport, collector = self._start_transport(n_servers=1)
+        real_main = process_module._replica_main
+
+        def slow_to_come_up(*args):
+            time.sleep(0.3)
+            real_main(*args)
+
+        # Forked children inherit the patch; the initial replica above
+        # came up normally.
+        monkeypatch.setattr(process_module, "_replica_main", slow_to_come_up)
+        scheduler = Scheduler(clock)
+        fires, added = [], []
+        try:
+            every(
+                scheduler, 0.002, clock.now(),
+                lambda: fires.append(clock.now()),
+            )
+            scheduler.after(
+                0.02, lambda: added.append(transport.add_server())
+            )
+            assert _wait_until(lambda: added, timeout=5.0)
+            assert added == [1]
+            # Work routed to the newcomer before it is up waits for it.
+            transport.send(clock.now(), None, server_id=1)
+            transport.drain(timeout=10.0)
+            assert transport.instances[1].completed == 1
+        finally:
+            scheduler.stop()
+            transport.stop()
+        gaps = [later - sooner for sooner, later in zip(fires, fires[1:])]
+        assert max(gaps) < 0.05, f"a 2 ms timer stalled {max(gaps):.3f} s"
 
     def test_stop_reaps_all_children(self):
         clock, transport, collector = self._start_transport(n_servers=2)

@@ -27,7 +27,8 @@ import pytest
 
 from repro.core import StatsCollector
 from repro.core.balancer import make_balancer
-from repro.core.clock import VirtualClock
+from repro.core.clock import VirtualClock, WallClock
+from repro.core.scheduler import Scheduler
 from repro.core.transport import IntegratedTransport
 from repro.faults import FaultInjector, FaultPlan
 from repro.health import HealthConfig, HealthManager
@@ -74,12 +75,21 @@ def _counting(rng: random.Random) -> CountingRandom:
 
 
 class HeldIntegratedTransport(IntegratedTransport):
-    """``IntegratedTransport`` whose responses wait for the script."""
+    """``IntegratedTransport`` whose responses wait for the script.
+
+    Its clock is frozen, so fault-delayed sends are released by a
+    wall-clock timer thread (``timers``, passed to ``start``).
+    """
 
     def __init__(self, clock):
         super().__init__(clock)
         self._parked = []
         self._parked_lock = threading.Lock()
+        self.timers = Scheduler(WallClock())
+
+    def stop(self):
+        super().stop()
+        self.timers.stop()
 
     def _on_response(self, request):
         with self._parked_lock:
@@ -101,25 +111,28 @@ class HeldIntegratedTransport(IntegratedTransport):
 def _live():
     clock = VirtualClock()
     transport = HeldIntegratedTransport(clock)
-    return clock, transport, ConstantApp(iterations=5), transport.settle
+    return (
+        clock, transport, ConstantApp(iterations=5), transport.settle,
+        transport.timers,
+    )
 
 
 def _simulated():
     engine = Engine()
     transport = SimulatedTransport(engine, network_model_for("integrated"))
     app = ServiceTimeModel(Deterministic(0.001))
-    return engine.clock, transport, app, engine.run
+    return engine.clock, transport, app, engine.run, engine
 
 
 def _start(leg, plan=PLAN, health=None, tracer=None, n_servers=3):
-    clock, transport, app, settle = leg()
+    clock, transport, app, settle, scheduler = leg()
     injector = FaultInjector(plan, seed=SEED)
     injector._rngs = {k: _counting(v) for k, v in injector._rngs.items()}
     balancer = make_balancer("power_of_two", seed=SEED)
     balancer._rng = _counting(balancer._rng)
     transport.start(
         app, 1, StatsCollector(), injector=injector, n_servers=n_servers,
-        balancer=balancer,
+        balancer=balancer, scheduler=scheduler,
     )
     if health is not None:
         transport.set_health(health)

@@ -2,20 +2,17 @@
 
 Satellite of the failure-aware-serving PR: :meth:`FaultPlan.merged`
 with ``server_ids`` scoping, and the recovery-window contract — a
-scenario phase that ends mid-run *stops injecting*, live (driver
-thread) and simulated (engine events).
+scenario phase that ends mid-run *stops injecting*. Timed playback on
+the run's scheduler, under both clocks, is in
+``tests/core/test_run_timers.py``.
 """
-
-import time
 
 import pytest
 
-from repro.core import WallClock
 from repro.faults import (
     FaultPhase,
     FaultPlan,
     Scenario,
-    ScenarioDriver,
     ScenarioInjector,
     crash_recover,
     error_burst,
@@ -163,47 +160,3 @@ class TestScenarioInjector:
         )
         injector.start_run(0.0)
         assert injector.for_server(0).app_error()  # base active at t=0
-
-
-class TestScenarioDriver:
-    def test_live_playback_advances_and_heals(self):
-        # Real (short) wall-clock playback: the driver thread must
-        # activate the phase and deactivate it when the window closes.
-        scenario = error_burst(start=0.05, duration=0.1, error_rate=1.0)
-        injector = ScenarioInjector(scenario, seed=0)
-        clock = WallClock()
-        driver = ScenarioDriver(injector, clock)
-        injector.start_run(clock.now())
-        driver.start(clock.now())
-        try:
-            assert injector.plan.is_noop  # before the phase opens
-            deadline = time.time() + 2.0
-            while injector.plan.is_noop and time.time() < deadline:
-                time.sleep(0.005)
-            assert injector.plan.error_rate == 1.0
-            while not injector.plan.is_noop and time.time() < deadline:
-                time.sleep(0.005)
-            assert injector.plan.is_noop  # healed mid-run
-            assert injector.counts()["phase_changes"] == 2
-        finally:
-            driver.stop()
-
-    def test_stop_interrupts_playback(self):
-        scenario = error_burst(start=30.0, duration=1.0, error_rate=1.0)
-        injector = ScenarioInjector(scenario, seed=0)
-        clock = WallClock()
-        driver = ScenarioDriver(injector, clock)
-        driver.start(clock.now())
-        driver.stop()  # must return promptly, not sleep 30s
-        assert injector.counts()["phase_changes"] == 0
-
-    def test_driver_cannot_start_twice(self):
-        injector = ScenarioInjector(error_burst(), seed=0)
-        clock = WallClock()
-        driver = ScenarioDriver(injector, clock)
-        driver.start(clock.now())
-        try:
-            with pytest.raises(RuntimeError):
-                driver.start(0.0)
-        finally:
-            driver.stop()
