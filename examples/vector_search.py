@@ -62,6 +62,9 @@ def main() -> None:
         leaf = quantile(result.fanout.leaf_samples(), 0.99)
         print(f"{k:>4} {format_latency(e2e):>12} "
               f"{format_latency(predicted):>12} {format_latency(leaf):>12}")
+    # What became of the widest run's gathers, as describe() reports it.
+    print(next(line for line in result.describe().splitlines()
+               if line.startswith("fanout:")))
 
     print(
         "\nPer-shard leaf p99 stays flat while the end-to-end p99 climbs "

@@ -545,11 +545,6 @@ class StatsCollector:
             return dict(self._outcomes)
 
     @property
-    def outcomes_used(self) -> bool:
-        with self._lock:
-            return self._outcomes_used
-
-    @property
     def measured_count(self) -> int:
         with self._lock:
             if self._records is not None:

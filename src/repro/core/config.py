@@ -247,10 +247,11 @@ class FanoutConfig:
     """Scatter-gather request shape for sharded applications.
 
     With fan-out enabled, one *logical* request scatters into
-    ``shards`` sub-requests — one pinned to every server instance,
-    bypassing the balancer — and completes when the last shard
-    responds (the gather point merges the per-shard partial
-    responses). Measured latency is the logical request's sojourn:
+    ``shards`` legs — one pinned to every server instance, whatever
+    client layer lies beneath (:mod:`repro.core.fanout`) — and
+    completes when the last shard responds (the gather point merges
+    the per-shard partial responses; a leg that fails, fails the
+    gather). Measured latency is the logical request's sojourn:
     the max over its shards, which is what makes the tail grow with
     ``shards`` (tail at scale, Dean & Barroso 2013; see
     :mod:`repro.analysis.fanout` for the order-statistic prediction).
@@ -457,19 +458,15 @@ class RunConfig:
         Scatter-gather request shape (see :class:`FanoutConfig`) for
         sharded applications: each logical request visits every server
         instance and completes at the gather point, so its latency is
-        the slowest shard's. Requires ``n_servers == fanout.shards``;
-        composes with batching and observability, but not with
-        resilience/control/health/faults (a retried, dropped, or
-        rerouted sub-request would break the all-shards-answer gather
-        contract). A K=1 fan-out replays the unsharded run
-        bit-identically per seed.
+        the slowest shard's. Requires ``n_servers == fanout.shards``.
+        A K=1 fan-out replays the unsharded run bit-identically per
+        seed.
     cache:
         Request/result caching tier (see :class:`CacheConfig` and
         :mod:`repro.cache`). Composes with batching — the lookup is
         per member of a batch, and only the misses reach the
         application — and with resilience, health and faults (the key
-        is the payload, so every attempt carries it) — but not with
-        fan-out.
+        is the payload, so every attempt carries it).
     """
 
     configuration: str = "integrated"
@@ -525,15 +522,14 @@ class RunConfig:
                     raise ValueError(
                         "load_profile durations and qps must be positive"
                     )
-        if self.control.enabled and self.control.autoscaler is not None:
-            scaler = self.control.autoscaler
-            if not (
-                scaler.min_servers <= self.n_servers <= scaler.max_servers
-            ):
-                raise ValueError(
-                    "n_servers must lie within the autoscaler's "
-                    "[min_servers, max_servers] band"
-                )
+        scaler = self.control.autoscaler if self.control.enabled else None
+        if scaler is not None and not (
+            scaler.min_servers <= self.n_servers <= scaler.max_servers
+        ):
+            raise ValueError(
+                "n_servers must lie within the autoscaler's "
+                "[min_servers, max_servers] band"
+            )
         if self.fanout.enabled:
             if self.n_servers != self.fanout.shards:
                 raise ValueError(
@@ -543,31 +539,18 @@ class RunConfig:
                     f"(n_servers={self.n_servers}, "
                     f"shards={self.fanout.shards})"
                 )
-            if self.resilience.enabled:
+            if scaler is not None:
                 raise ValueError(
-                    "fan-out sub-requests are pinned to their shard; "
-                    "retries/hedges would reroute them, so resilience "
-                    "cannot be combined with fan-out"
+                    "fan-out has one replica per data shard, and a "
+                    "replica the autoscaler adds holds no shard: "
+                    "control.autoscaler must be None under fan-out"
                 )
-            if self.control.enabled or self.health.enabled:
+            if self.cache.enabled:
                 raise ValueError(
-                    "control-plane and health policies drop or reroute "
-                    "individual requests, which would break the "
-                    "all-shards-answer gather contract; disable them "
-                    "under fan-out"
+                    "the replicas share one cache keyed by the query, so "
+                    "one shard's partial response would answer another "
+                    "shard's leg: cache must be off under fan-out"
                 )
-            if self.faults is not None or self.scenario is not None:
-                raise ValueError(
-                    "fault injection can drop sub-requests, leaving "
-                    "gathers forever incomplete; fan-out does not "
-                    "compose with faults/scenarios"
-                )
-        if self.cache.enabled and self.fanout.enabled:
-            raise ValueError(
-                "fan-out sub-requests carry partial per-shard "
-                "responses that are only meaningful to their "
-                "gather; caching does not compose with fan-out"
-            )
 
     @property
     def total_requests(self) -> int:
@@ -601,13 +584,9 @@ class HarnessConfig(RunConfig):
         Execution substrate (see :class:`ExecutionConfig`):
         ``threaded`` (default, bit-identical with prior builds) or
         ``process`` (one OS process per replica — multi-core scaling).
-        Process mode requires the ``integrated`` configuration and
-        supports autoscaling, batching, health, resilience, static
-        fault plans, observability and fan-out (completion records
-        carry each shard's response payload back to the gather point);
-        admission control, priority scheduling, and chaos scenarios
-        need shared-memory access to the replicas' queues and stay
-        threaded-only, as does the cache.
+        What process mode does not run is rejected below, each
+        rejection saying why (DESIGN.md's composition table lists
+        them with the tests that pin them).
     """
 
     one_way_delay: float = 25e-6

@@ -11,14 +11,29 @@ every individual shard's tail stays flat
 (:func:`repro.analysis.fanout.fanout_quantile` is the order-statistic
 prediction this module's measurements are validated against).
 
-Layering: :class:`FanoutGatherer` is the completion-side gather point
-and :class:`FanoutClient` the send side (scatters via
-``Transport.send(server_id=...)`` pinning). Both run unchanged under
-the live harness and the discrete-event simulator — same bookkeeping,
-same critical-shard attribution, same trace events — because both
-talk only to the transport. A pinned send draws nothing from the
-balancer, which is what keeps a K=1 fan-out run bit-identical to an
-unsharded run per seed.
+Fan-out is the top layer of the client stack, not a client of its
+own: :class:`FanoutClient` scatters each logical request as K *legs*
+through whatever ``send`` lies beneath — the bare transport's, or the
+resilient client's, whose calls the legs then are (deadline, retries
+and hedges per leg) — each leg pinned to its shard (``server_id``), and
+:class:`FanoutGatherer` is where the layer beneath reports every leg
+back. Both run unchanged under the live harness and the discrete-event
+simulator. A pinned send is routed over the one-element candidate set
+``[shard]``, which draws nothing from the balancer — that keeps a K=1
+fan-out run bit-identical to an unsharded run per seed — and a hedge of
+a leg goes where that set allows: the same shard.
+
+The leg/gather contract. A leg is *answered* (its response is the
+shard's partial), *failed* (shed, errored, and — beneath a resilient
+client — retries exhausted or timed out at the deadline, which every
+leg of a gather shares because all carry one ``generated_at``) or
+*never answered* (dropped on the wire with no deadline to notice). An
+injected duplicate's ``discard`` copy is not a leg. A gather resolves
+exactly once, when its last leg has reported: merged into one latency
+record — the critical (slowest) leg's — if every leg was answered,
+otherwise counted in :attr:`FanoutStats.failed`; and
+:meth:`FanoutGatherer.fail_unresolved`, swept at run end, fails the
+gathers a never-answered leg left open.
 """
 
 from __future__ import annotations
@@ -50,7 +65,7 @@ class FanoutStats:
         self.critical_counts: List[int] = [0] * shards
         #: Successful gathers (all shards responded, merge ran).
         self.completed = 0
-        #: Gathers spoiled by a shed/errored sub-request.
+        #: Gathers with a leg that failed or was never answered.
         self.failed = 0
 
     def leaf_samples(self) -> List[float]:
@@ -91,7 +106,7 @@ class FanoutStats:
 
 
 class _Gather:
-    """In-flight state of one logical request's K sub-requests."""
+    """In-flight state of one logical request's K legs."""
 
     __slots__ = ("gather_id", "remaining", "slots", "failed")
 
@@ -99,19 +114,28 @@ class _Gather:
         self.gather_id = gather_id
         self.remaining = shards
         self.slots: List[Optional[Request]] = [None] * shards
-        self.failed = False
+        #: Outcome of the first leg that failed; None while none has.
+        self.failed: Optional[str] = None
 
 
 class FanoutGatherer:
-    """The gather point: collects K shard responses per logical request.
+    """The gather point: collects K leg reports per logical request.
 
-    ``on_complete`` is installed as the transport's completion hook,
-    live and simulated alike. When a gather's last sub-request lands,
-    the *critical* (slowest) shard's request supplies the logical
-    latency record — its lifecycle chain IS the logical request's
-    critical path — and the per-shard partial responses are merged.
-    One ``fanout_gather`` trace event per logical request carries the
-    critical shard in ``server_id``.
+    The layer beneath reports each leg once to :meth:`leg_resolved` —
+    the resilient client as its sink, the bare transport through the
+    :meth:`on_complete` completion hook. When a gather's last leg
+    lands, the *critical* (slowest) shard's request supplies the
+    logical latency record — its lifecycle chain IS the logical
+    request's critical path — and the per-shard partial responses are
+    merged. One ``fanout_gather`` trace event per merged request
+    carries the critical shard in ``server_id``.
+
+    The gather's own resolution goes up through ``record(gather_id,
+    outcome, request)``: beneath a resilient client that is the
+    client's :meth:`~repro.core.resilience.ResilientClient.record`,
+    so logical tallies count gathers, not legs; over the bare
+    transport a merged gather is one latency record and nothing is
+    tallied, as for any run without a resilience layer.
 
     Thread-safe: the live transport completes requests from many
     worker threads concurrently.
@@ -124,12 +148,14 @@ class FanoutGatherer:
         merge: Optional[Callable[[Sequence[Any]], Any]] = None,
         warmup: int = 0,
         tracer=None,
+        record: Optional[Callable[[int, str, Optional[Request]], None]] = None,
     ) -> None:
         if shards < 1:
             raise ValueError("shards must be >= 1")
         self.shards = shards
         self.stats = FanoutStats(shards)
         self._collector = collector
+        self._record = record if record is not None else self._record_merged
         self._merge = merge
         self._warmup = warmup
         self._tracer = tracer
@@ -141,8 +167,8 @@ class FanoutGatherer:
     def open_gather(self) -> Tuple[int, List[Tuple[int, int]]]:
         """Allocate one gather; returns (gather_id, [(logical_id, shard)]).
 
-        The caller must then dispatch exactly one sub-request per
-        returned ``(logical_id, shard)`` pair.
+        The caller must then dispatch exactly one leg per returned
+        ``(logical_id, shard)`` pair.
         """
         with self._lock:
             gather = _Gather(self._next_gather, self.shards)
@@ -157,31 +183,52 @@ class FanoutGatherer:
 
     @property
     def outstanding(self) -> int:
-        """Sub-requests dispatched but not yet completed."""
+        """Legs dispatched but not yet reported."""
         with self._lock:
             return len(self._pending)
 
     def on_complete(self, request: Request) -> bool:
-        """Completion hook: returns True when the request was ours."""
+        """Bare-transport completion hook: True when the request was ours."""
+        if request.discard:
+            return True  # injected duplicate: not a leg
+        good = not request.shed and request.error is None
+        return self.leg_resolved(
+            request.logical_id, "succeeded" if good else "failed", request
+        )
+
+    def leg_resolved(self, logical_id: int, outcome: str, request) -> bool:
+        """One leg's fate: answered by ``request`` iff ``succeeded``."""
         with self._lock:
-            entry = self._pending.pop(request.logical_id, None)
+            entry = self._pending.pop(logical_id, None)
             if entry is None:
                 return False
             gather, shard = entry
-            gather.slots[shard] = request
-            if request.shed or request.discard or request.error is not None:
-                gather.failed = True
+            if outcome == "succeeded":
+                gather.slots[shard] = request
+            elif gather.failed is None:
+                gather.failed = outcome
             gather.remaining -= 1
             if gather.remaining == 0:
                 self._finalize(gather)
         return True
 
+    def fail_unresolved(self) -> None:
+        """Fail every leg never answered, and so its gather (run end:
+        nothing else reports any more)."""
+        for logical_id in list(self._pending):
+            self.leg_resolved(logical_id, "failed", None)
+
+    def _record_merged(self, gather_id, outcome, request) -> None:
+        if request is not None:
+            self._collector.add(request.finish())
+
     def _finalize(self, gather: _Gather) -> None:
         # Called under the lock: gather completion order here defines
         # the warmup cutoff, and must match the collector's own
         # completion-ordered discard exactly.
-        if gather.failed:
+        if gather.failed is not None:
             self.stats.failed += 1
+            self._record(gather.gather_id, gather.failed, None)
             return
         critical = gather.slots[0]
         for request in gather.slots[1:]:
@@ -193,7 +240,7 @@ class FanoutGatherer:
             )
         measured = self.stats.completed >= self._warmup
         self.stats.completed += 1
-        self._collector.add(critical.finish())
+        self._record(gather.gather_id, "succeeded", critical)
         if measured:
             self.stats.critical_counts[critical.server_id] += 1
             for shard, request in enumerate(gather.slots):
@@ -214,31 +261,26 @@ class FanoutGatherer:
 class FanoutClient:
     """Send side: scatters each logical request to every shard.
 
-    Stands where the resilient client would (the harness's
-    ``send_fn``): one call dispatches K pinned sub-requests through
-    the transport, each with its own ``logical_id`` so per-attempt
-    accounting and attribution treat shards independently. The
-    transport's ordinary outstanding accounting covers the
-    sub-requests, so ``transport.drain()`` already waits for every
+    The top of the client stack: one call dispatches K pinned legs
+    through ``send`` — the transport's or the resilient client's —
+    each with its own ``logical_id`` so per-attempt accounting and
+    attribution treat shards independently. The transport's ordinary
+    outstanding accounting covers the legs, so ``transport.drain()``
+    (or the resilient client's ``drain()``) already waits for every
     gather to finish.
     """
 
     def __init__(
         self,
-        transport,
+        send: Callable[..., Any],
         clock,
         gatherer: FanoutGatherer,
         tracer=None,
     ) -> None:
-        self._transport = transport
+        self._send = send
         self._clock = clock
         self._gatherer = gatherer
         self._tracer = tracer
-        transport.set_completion_hook(gatherer.on_complete)
-
-    @property
-    def stats(self) -> FanoutStats:
-        return self._gatherer.stats
 
     def send(self, generated_at: float, payload: Any) -> int:
         gather_id, pairs = self._gatherer.open_gather()
@@ -251,7 +293,7 @@ class FanoutClient:
                     server_id=shard,
                     value=float(gather_id),
                 )
-            self._transport.send(
+            self._send(
                 generated_at,
                 payload,
                 logical_id=logical_id,

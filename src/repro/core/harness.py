@@ -111,10 +111,9 @@ def run_harness(
     parts.start(started)
     try:
         _run_clients(clock, shaper, schedule, send_fn, payloads, config.n_clients)
-        if parts.client is not None:
-            parts.client.drain()
-        else:
-            transport.drain()
+        # Until every logical call has resolved, or — with no client
+        # layer counting them — every attempt has been answered.
+        (parts.client or transport).drain()
     finally:
         run_end = clock.now()
         topology = parts.topology()
@@ -132,14 +131,7 @@ def run_harness(
     # servers produced (succeeded + failed), excluding shed rejections
     # — not offered requests: under saturation or shedding the offered
     # count would over-report what the system actually sustained.
-    # Under fan-out the transport counts sub-requests, so logical
-    # completions are the gathers that merged.
-    if parts.fanout is not None:
-        completions = parts.fanout.stats.completed
-    else:
-        completions = max(
-            transport.stats.completed - transport.stats.shed, 0
-        )
+    completions = max(transport.stats.completed - transport.stats.shed, 0)
     child_counts = getattr(transport, "child_fault_counts", None)
     if callable(child_counts):
         # Process-mode replicas inject worker/app faults in their own

@@ -153,16 +153,20 @@ class _Call:
         "resolved",
         "last_server",
         "timers",
+        "server_id",
     )
 
     def __init__(
         self, logical_id: int, payload, generated_at: float,
-        deadline: Optional[float],
+        deadline: Optional[float], server_id: Optional[int],
     ) -> None:
         self.logical_id = logical_id
         self.payload = payload
         self.generated_at = generated_at
         self.deadline = deadline
+        #: The one replica that can answer (a fan-out leg's shard), sent
+        #: with every attempt; None leaves routing to the balancer.
+        self.server_id = server_id
         self.attempt_seq = 0
         self.cur_attempt = 0
         self.retries = 0
@@ -194,6 +198,14 @@ class ResilientClient:
     responses are tallied separately, so percentiles stay sound under
     injected faults. Use :meth:`send` in place of ``transport.send``
     and :meth:`drain` in place of ``transport.drain``.
+
+    A call resolves exactly once, through ``sink(logical_id, outcome,
+    request)`` — ``request`` is the winning attempt of a ``succeeded``
+    call, else None. The default, :meth:`record`, is the top of the
+    client stack writing to the collector; a layer stacked on this one
+    (the fan-out gatherer, whose legs are this client's calls) takes
+    the sink over and records what *it* resolves instead. Attempt-level
+    tallies stay here either way.
     """
 
     def __init__(
@@ -214,6 +226,9 @@ class ResilientClient:
         self._clock = clock
         self._config = config
         self._collector = collector
+        #: Where a resolved call is reported (see the class docstring);
+        #: ``RunParts.wire`` points it at the layer stacked above.
+        self.sink = self.record
         self._tracer = tracer
         #: Optional repro.health.HealthManager: feeds the retry budget
         #: and reports attempt timeouts (the one failure signal the
@@ -229,20 +244,30 @@ class ResilientClient:
         transport.set_completion_hook(self._on_attempt_complete)
 
     # -- client-facing API ---------------------------------------------
-    def send(self, generated_at: float, payload) -> None:
-        """Submit one logical request (traffic-shaper entry point)."""
+    def send(
+        self, generated_at: float, payload, *,
+        logical_id: Optional[int] = None, server_id: Optional[int] = None,
+    ) -> None:
+        """Submit one logical request (traffic-shaper entry point).
+
+        A layer above that splits its own requests into calls of this
+        client (fan-out) names each call (``logical_id``) and the one
+        replica that can answer it (``server_id``); every attempt of
+        the call — retries and hedges included — carries that pin.
+        """
         config = self._config
-        logical_id = next(self._ids)
+        if logical_id is None:
+            logical_id = next(self._ids)
+            self._collector.note("offered")
         deadline = (
             generated_at + config.deadline
             if config.deadline is not None
             else None
         )
-        call = _Call(logical_id, payload, generated_at, deadline)
+        call = _Call(logical_id, payload, generated_at, deadline, server_id)
         with self._lock:
             self._calls[logical_id] = call
             self._unresolved += 1
-        self._collector.note("offered")
         if self._health is not None:
             self._health.on_first_attempt()
         self._send_attempt(call, kind="first")
@@ -315,6 +340,7 @@ class ResilientClient:
             attempt=attempt_no,
             deadline=call.deadline,
             avoid_server=call.last_server if kind == "hedge" else None,
+            server_id=call.server_id,
         )
         if kind == "hedge":
             return
@@ -354,12 +380,8 @@ class ResilientClient:
                     server_id=request.server_id,
                 )
             return True
-        if request.shed:
-            self._collector.note("shed")
-            self._retry_or_fail(call, request.attempt, "failed")
-            return True
-        if request.error is not None:
-            self._collector.note("errors")
+        if request.shed or request.error is not None:
+            self._collector.note("shed" if request.shed else "errors")
             self._retry_or_fail(call, request.attempt, "failed")
             return True
         if call.deadline is not None and now > call.deadline:
@@ -367,8 +389,7 @@ class ResilientClient:
             # counts only deadline-met completions.
             self._resolve(call, "timed_out")
             return True
-        if self._resolve(call, "succeeded"):
-            self._collector.add(request.finish())
+        self._resolve(call, "succeeded", request)
         return True
 
     def _on_attempt_timeout(self, call: _Call, attempt_no: int) -> None:
@@ -446,13 +467,19 @@ class ResilientClient:
         self._resolve(call, "timed_out")
 
     # -- resolution ----------------------------------------------------
-    def _resolve(self, call: _Call, outcome: str) -> bool:
-        with self._lock:
-            return self._resolve_locked(call, outcome)
+    def record(self, logical_id: int, outcome: str, request) -> None:
+        """The default sink: tally the outcome, record a success."""
+        self._collector.note(outcome)
+        if request is not None:
+            self._collector.add(request.finish())
 
-    def _resolve_locked(self, call: _Call, outcome: str) -> bool:
+    def _resolve(self, call: _Call, outcome: str, request=None) -> None:
+        with self._lock:
+            self._resolve_locked(call, outcome, request)
+
+    def _resolve_locked(self, call: _Call, outcome: str, request=None) -> None:
         if call.resolved:
-            return False
+            return
         call.resolved = True
         # Disarm the call's outstanding deadline/hedge/timeout/retry
         # entries so the scheduler stops paying for a dead call (and a
@@ -464,5 +491,4 @@ class ResilientClient:
         self._unresolved -= 1
         if self._unresolved == 0:
             self._resolved_cv.notify_all()
-        self._collector.note(outcome)
-        return True
+        self.sink(call.logical_id, outcome, request)

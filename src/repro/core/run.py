@@ -116,7 +116,7 @@ class RunResult:
 
     def _describe_tail(self) -> List[str]:
         """Report lines after the clock-specific head, in one order:
-        topology, per-server, control, cache, health, outcomes."""
+        topology, per-server, fanout, control, cache, health, outcomes."""
         lines = []
         if self.config.n_servers > 1:
             lines.append(
@@ -129,6 +129,12 @@ class RunResult:
                 lines.append(
                     f"  server[{server_id}]: {summary.describe()}"
                 )
+        if self.fanout is not None:
+            f = self.fanout
+            lines.append(
+                f"fanout: {f.shards} shards merged={f.completed} "
+                f"failed={f.failed} critical={f.critical_counts}"
+            )
         if self.control_counts:
             c = self.control_counts
             lines.append(
@@ -263,6 +269,7 @@ class RunParts:
         self.scheduler = None
         self.sampler = None
         self.client: Optional[ResilientClient] = None
+        #: The gather point (:class:`~repro.core.fanout.FanoutGatherer`).
         self.fanout = None
 
     def wire(self, transport, app, clock, scheduler):
@@ -270,9 +277,10 @@ class RunParts:
 
         The one wiring step of ``run_harness`` and ``simulate_load``:
         replicas, health routing, tracer and gauges, SLO feed, control
-        target, and the client the arrivals go through. Returns that
-        client's ``send(generated_at, payload)`` — the resilient
-        client's, the fan-out client's, or the bare transport's.
+        target, and the client stack the arrivals go through —
+        ``transport.send``, wrapped by the resilient client if
+        resilience is on, wrapped by the fan-out client if fan-out is.
+        Returns the top layer's ``send(generated_at, payload)``.
         ``scheduler`` is the run's one ``at/after/cancel`` timer source
         (:mod:`repro.core.scheduler`): the timer thread live, the
         engine in the simulator. Everything time-driven — recovery
@@ -319,30 +327,35 @@ class RunParts:
 
             self.plane.bind(TransportControlTarget(transport, self.plane))
             self.plane.register_metrics(self.registry)
+        # The client stack, bottom-up: each layer wraps the send below
+        # it, and the layer below reports what it resolved to the one
+        # above. Exactly one object is the transport's completion hook.
+        send = transport.send
         if config.resilience.enabled:
             self.client = ResilientClient(
                 transport, clock, config.resilience, self.collector,
                 seed=config.seed, tracer=self.tracer, health=self.health,
                 scheduler=scheduler,
             )
-            return self.client.send
+            send = self.client.send
         if config.fanout.enabled:
             from .fanout import FanoutClient, FanoutGatherer
 
-            self.fanout = FanoutClient(
-                transport,
-                clock,
-                FanoutGatherer(
-                    config.fanout.shards,
-                    self.collector,
-                    merge=getattr(app, "merge_responses", None),
-                    warmup=self.warmup,
-                    tracer=self.tracer,
-                ),
+            beneath = self.client
+            self.fanout = FanoutGatherer(
+                config.fanout.shards,
+                self.collector,
+                merge=getattr(app, "merge_responses", None),
+                warmup=self.warmup,
                 tracer=self.tracer,
+                record=beneath.record if beneath is not None else None,
             )
-            return self.fanout.send
-        return transport.send
+            if beneath is not None:
+                beneath.sink = self.fanout.leg_resolved
+            else:
+                transport.set_completion_hook(self.fanout.on_complete)
+            send = FanoutClient(send, clock, self.fanout, self.tracer).send
+        return send
 
     def start(self, started: float, until: Optional[float] = None) -> None:
         """Anchor the run at ``started`` and schedule what recurs in it.
@@ -382,11 +395,17 @@ class RunParts:
             )
 
     def stop(self) -> None:
-        """Close what :meth:`start` opened: the series' final point.
+        """Close what the run left open, then the series' final point.
 
         Called once nothing fires any more (scheduler stopped, or
-        engine run dry), at the run's last instant.
+        engine run dry), at the run's last instant: a call or a gather
+        still unresolved — a dropped attempt with no deadline to notice
+        — will never resolve on its own, so it fails here, bottom layer
+        first.
         """
+        for layer in (self.client, self.fanout):
+            if layer is not None:
+                layer.fail_unresolved()
         if self.sampler is not None:
             self.sampler.sample()
 
@@ -450,18 +469,15 @@ class RunParts:
             )
         stats = self.collector.snapshot()
         outcomes = self.collector.outcome_counts()
-        if not self.collector.outcomes_used:
+        # Offered is what the schedule held — under fan-out, gathers:
+        # each costs `shards` attempts, so scatter amplification shows
+        # up exactly where retry amplification would.
+        outcomes["offered"] = len(self.schedule)
+        if self.client is None:
             # No resilience layer ran: synthesize the logical tallies
-            # from what the servers saw, so downstream reporting is
-            # uniform. Under fan-out each logical request costs
-            # `shards` attempts — the scatter amplification shows up
-            # exactly where retry amplification would (and at K=1
-            # reduces to the unsharded tally).
-            n_offered = len(self.schedule)
-            outcomes["offered"] = n_offered
-            outcomes["attempts"] = n_offered * (
-                config.fanout.shards if config.fanout.enabled else 1
-            )
+            # from what the wire and the servers saw, so downstream
+            # reporting is uniform.
+            outcomes["attempts"] = transport.stats.sent
             outcomes["succeeded"] = stats.count + stats.dropped_warmup
             outcomes["errors"] = transport.stats.errored
             outcomes["shed"] = transport.stats.shed

@@ -484,9 +484,10 @@ class Transport:
         Otherwise the attempt routes through the balancer and the
         chosen server index comes back, so callers can steer a later
         hedge to a different replica via ``avoid_server``. A caller
-        that already knows the destination — fan-out sub-requests are
-        pinned to their data shard — passes ``server_id`` and the
-        balancer sits out entirely.
+        whose request only one replica can answer — a fan-out leg and
+        its data shard — passes ``server_id``: routing then runs over
+        that one-element candidate set (health still sees the attempt;
+        an ejected shard is routed to all the same, fail-open).
         """
         if not self._running:
             raise RuntimeError("transport not started")
@@ -530,32 +531,34 @@ class Transport:
             )
         if self._control is not None:
             self._control.classify(request)
-        if server_id is not None:
-            # Pinned sub-request (fan-out): destination fixed by the
-            # data partition, not the balancer.
-            pass
-        elif len(self._instances) == 1:
+        if len(self._instances) == 1:
             server_id = 0
         else:
-            with self._lock:
-                depths = [
-                    instance.outstanding for instance in self._instances
-                ]
-                active_ids = [
-                    instance.server_id
-                    for instance in self._instances
-                    if not instance.draining
-                ]
+            if server_id is not None:
+                # Pinned (a fan-out leg): the candidate set is the one
+                # replica holding its data shard, so no depths are read
+                # and the balancer draws nothing.
+                depths, candidates = (), [server_id]
+            else:
+                with self._lock:
+                    depths = [
+                        instance.outstanding for instance in self._instances
+                    ]
+                    candidates = [
+                        instance.server_id
+                        for instance in self._instances
+                        if not instance.draining
+                    ]
             forced = False
             if self._health is not None:
-                active_ids, forced = self._health.route(active_ids, now)
+                candidates, forced = self._health.route(candidates, now)
             if forced:
                 # Probation probe or breaker trial: the health layer
                 # names the replica; the balancer sits out.
-                server_id = active_ids[0]
+                server_id = candidates[0]
             else:
                 server_id = pick_active(
-                    self._balancer, depths, active_ids, avoid=avoid_server
+                    self._balancer, depths, candidates, avoid=avoid_server
                 )
         request.server_id = server_id
         if self._send_delay_hist is not None:

@@ -21,17 +21,13 @@ already unsaturated and the delay bound dominates.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 from typing import Dict, Tuple
 
-from ..apps.base import Application, Client
 from ..batching import BatchingConfig
-from ..core import HarnessConfig, run_harness
-from ..sim import SimConfig, simulate_load
-from ..sim.calibration import AppProfile
 from ..stats import LogNormal
 from .reporting import ascii_table
+from .sleep_app import SleepApp
 
 __all__ = [
     "BatchingCell",
@@ -40,53 +36,15 @@ __all__ = [
     "render_fig_batching",
 ]
 
-#: Per-request service-time distribution (shared by both modes).
-_SERVICE = LogNormal(mean=1e-3, sigma=0.5)
 #: Marginal cost of each batch member past the first, as a fraction of
 #: its full service draw — the amortization a vectorized ``handle_batch``
 #: buys (matmul batching, grouped lookups).
 _MARGINAL = 0.35
 #: Offered load as a multiple of one worker's *unbatched* capacity.
 _OVERLOAD = 1.3
-
-
-class _BatchSleepClient(Client):
-    """Draws per-request service times from the shared distribution."""
-
-    def __init__(self, seed: int) -> None:
-        import random
-
-        self._rng = random.Random(seed ^ 0xBA7C)
-
-    def next_request(self) -> float:
-        return _SERVICE.sample(self._rng)
-
-
-class _BatchSleepApp(Application):
-    """Sleep app with the amortized batch profile.
-
-    The payload *is* the service time. A batch sleeps the first
-    member's full draw plus ``_MARGINAL`` of every further member's —
-    the same window the simulator charges, so live and sim frontiers
-    are directly comparable.
-    """
-
-    name = "synthetic-batch-sleep"
-
-    def setup(self) -> None:
-        pass
-
-    def process(self, payload: float) -> float:
-        time.sleep(payload)
-        return payload
-
-    def handle_batch(self, payloads):
-        if payloads:
-            time.sleep(payloads[0] + _MARGINAL * sum(payloads[1:]))
-        return list(payloads)
-
-    def make_client(self, seed: int = 0) -> Client:
-        return _BatchSleepClient(seed)
+#: The workload of both modes: 1 ms-mean draws, slept (live) or charged
+#: (sim) with the amortized batch window above.
+_APP = SleepApp(LogNormal(mean=1e-3, sigma=0.5), batch_marginal=_MARGINAL)
 
 
 @dataclass(frozen=True)
@@ -151,9 +109,8 @@ def run_fig_batching(
     Size 1 is the baseline: batching stays *disabled* (not a 1-batch),
     so the sweep includes the exact pre-batching code path.
     """
-    offered = _OVERLOAD / _SERVICE.mean
+    offered = _OVERLOAD / _APP.service.mean
     warmup = max(100, measure_requests // 10)
-    sim_profile = AppProfile(name="synthetic-batch-sleep", service=_SERVICE)
 
     cells: Dict[Tuple[str, int], BatchingCell] = {}
     for size in batch_sizes:
@@ -167,18 +124,16 @@ def run_fig_batching(
             if size > 1
             else BatchingConfig()
         )
-        live = run_harness(
-            _BatchSleepApp(),
-            HarnessConfig(
-                configuration="integrated",
-                qps=offered,
-                n_threads=1,
-                warmup_requests=warmup,
-                measure_requests=measure_requests,
-                seed=seed,
-                batching=batching,
-            ),
+        fields = dict(
+            configuration="integrated",
+            qps=offered,
+            n_threads=1,
+            warmup_requests=warmup,
+            measure_requests=measure_requests,
+            seed=seed,
+            batching=batching,
         )
+        live = _APP.run("live", **fields)
         cells[("live", size)] = BatchingCell(
             mode="live",
             max_batch_size=size,
@@ -187,18 +142,7 @@ def run_fig_batching(
             mean_occupancy=live.stats.mean_batch_size,
             utilization=0.0,  # the live harness does not measure this
         )
-        sim = simulate_load(
-            sim_profile,
-            SimConfig(
-                configuration="integrated",
-                qps=offered,
-                n_threads=1,
-                warmup_requests=warmup,
-                measure_requests=measure_requests,
-                seed=seed,
-                batching=batching,
-            ),
-        )
+        sim = _APP.run("sim", **fields)
         cells[("sim", size)] = BatchingCell(
             mode="sim",
             max_batch_size=size,

@@ -32,11 +32,9 @@ from ..control import (
     AutoscalerConfig,
     ControlPlaneConfig,
 )
-from ..core import HarnessConfig, run_harness
-from ..sim import SimConfig, simulate_load
-from ..sim.calibration import AppProfile
-from .fig_topology import _SERVICE, _SleepApp
+from ..stats import LogNormal
 from .reporting import ascii_table
+from .sleep_app import SleepApp
 
 __all__ = [
     "ControlArm",
@@ -44,6 +42,9 @@ __all__ = [
     "run_fig_control",
     "render_fig_control",
 ]
+
+#: The same 1 ms-mean synthetic service the topology figure uses.
+_APP = SleepApp(LogNormal(mean=1e-3, sigma=0.5))
 
 #: The latency objective both arms are judged against.
 DEFAULT_SLO_P99 = 0.05
@@ -136,24 +137,16 @@ def run_fig_control(
     twice that), so ``--fast`` shrinks wall-clock without changing the
     shape of the step.
     """
-    capacity = 1.0 / _SERVICE.mean  # one replica's service rate
+    capacity = 1.0 / _APP.service.mean  # one replica's service rate
     profile_steps = (
         (step_seconds, 0.5 * capacity),
         (2.0 * step_seconds, 1.5 * capacity),
     )
-    sim_profile = AppProfile(name="synthetic-sleep", service=_SERVICE)
     control = _control_config(slo_p99)
 
     arms: Dict[Tuple[str, str], ControlArm] = {}
     for arm_name, plane in (("static", None), ("controlled", control)):
-        live_config = HarnessConfig(
-            configuration="integrated",
-            n_threads=1,
-            n_servers=1,
-            seed=seed,
-            load_profile=profile_steps,
-        )
-        sim_config = SimConfig(
+        fields = dict(
             configuration="integrated",
             n_threads=1,
             n_servers=1,
@@ -161,30 +154,19 @@ def run_fig_control(
             load_profile=profile_steps,
         )
         if plane is not None:
-            live_config = live_config.replace(control=plane)
-            sim_config = sim_config.replace(control=plane)
-        live = run_harness(_SleepApp(), live_config)
-        sim = simulate_load(sim_profile, sim_config)
-        arms[("live", arm_name)] = ControlArm(
-            mode="live",
-            arm=arm_name,
-            p99=live.sojourn.p99,
-            served=live.stats.count,
-            shed=live.outcomes.get("shed", 0),
-            goodput_qps=live.goodput_qps,
-            scale_ups=live.control_counts.get("scale_ups", 0),
-            active_servers=live.control_counts.get("active_servers", 1),
-        )
-        arms[("sim", arm_name)] = ControlArm(
-            mode="sim",
-            arm=arm_name,
-            p99=sim.sojourn.p99,
-            served=sim.stats.count,
-            shed=sim.outcomes.get("shed", 0),
-            goodput_qps=sim.goodput_qps,
-            scale_ups=sim.control_counts.get("scale_ups", 0),
-            active_servers=sim.control_counts.get("active_servers", 1),
-        )
+            fields["control"] = plane
+        for mode in ("live", "sim"):
+            result = _APP.run(mode, **fields)
+            arms[(mode, arm_name)] = ControlArm(
+                mode=mode,
+                arm=arm_name,
+                p99=result.sojourn.p99,
+                served=result.stats.count,
+                shed=result.outcomes.get("shed", 0),
+                goodput_qps=result.goodput_qps,
+                scale_ups=result.control_counts.get("scale_ups", 0),
+                active_servers=result.control_counts.get("active_servers", 1),
+            )
     return ControlComparison(
         slo_p99=slo_p99, step_qps=profile_steps, arms=arms
     )

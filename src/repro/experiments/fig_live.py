@@ -31,18 +31,14 @@ it but carries scheduler noise.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 from typing import Dict, Optional, Tuple
 
-from ..apps.base import Application, Client
-from ..core import HarnessConfig, run_harness
 from ..core.config import ObservabilityConfig, SloConfig
 from ..faults import slow_replica
-from ..sim import SimConfig, simulate_load
-from ..sim.calibration import AppProfile
 from ..stats import LogNormal
 from .reporting import ascii_table
+from .sleep_app import SleepApp
 
 __all__ = [
     "LiveObsArm",
@@ -53,7 +49,7 @@ __all__ = [
 
 #: Service-time distribution shared by the live sleep app and the
 #: simulator: 10 ms mean, moderate tail.
-_SERVICE = LogNormal(mean=10e-3, sigma=0.3)
+_APP = SleepApp(LogNormal(mean=10e-3, sigma=0.3))
 
 #: Replicas behind the (deliberately blind) round-robin balancer.
 _N_SERVERS = 3
@@ -71,34 +67,6 @@ _SLOW_PAUSE = 0.15
 
 #: Index of the replica the scenario degrades.
 _FAULT_SERVER = _N_SERVERS - 1
-
-
-class _SlowSleepClient(Client):
-    """Draws per-request service times from this experiment's distribution."""
-
-    def __init__(self, seed: int) -> None:
-        import random
-
-        self._rng = random.Random(seed ^ 0x11FE)
-
-    def next_request(self) -> float:
-        return _SERVICE.sample(self._rng)
-
-
-class _SlowSleepApp(Application):
-    """Live stand-in: the payload *is* the service time, slept away."""
-
-    name = "synthetic-sleep"
-
-    def setup(self) -> None:
-        pass
-
-    def process(self, payload: float) -> float:
-        time.sleep(payload)
-        return payload
-
-    def make_client(self, seed: int = 0) -> Client:
-        return _SlowSleepClient(seed)
 
 
 @dataclass(frozen=True)
@@ -259,7 +227,7 @@ def run_fig_live(
     post = 8.0 * scale
     fault_end = warm + fault_duration
     horizon = warm + fault_duration + post
-    qps = _LOAD_FRACTION * _N_SERVERS / _SERVICE.mean
+    qps = _LOAD_FRACTION * _N_SERVERS / _APP.service.mean
 
     # SLO: 90% of requests under 100 ms. Healthy operation sits at
     # ~1% bad (burn ~0.1x); the fault pushes the send-anchored bad
@@ -285,36 +253,23 @@ def run_fig_live(
         duration=fault_duration,
         pause=_SLOW_PAUSE,
     )
-    sim_profile = AppProfile(name="synthetic-sleep", service=_SERVICE)
     measure = dict(fault_start=warm, fault_end=fault_end, slo=slo)
 
-    arms: Dict[str, LiveObsArm] = {}
-    if "sim" in modes:
-        sim_config = SimConfig(
-            configuration="integrated",
-            n_threads=1,
-            n_servers=_N_SERVERS,
-            balancer="round_robin",
-            seed=seed,
-            load_profile=((horizon, qps),),
-            scenario=scenario,
-            observability=observability,
-        )
-        sim = simulate_load(sim_profile, sim_config)
-        arms["sim"] = _measure_arm("sim", sim, **measure)
-    if "live" in modes:
-        live_config = HarnessConfig(
-            configuration="integrated",
-            n_threads=1,
-            n_servers=_N_SERVERS,
-            balancer="round_robin",
-            seed=seed,
-            load_profile=((horizon, qps),),
-            scenario=scenario,
-            observability=observability,
-        )
-        live = run_harness(_SlowSleepApp(), live_config)
-        arms["live"] = _measure_arm("live", live, **measure)
+    fields = dict(
+        configuration="integrated",
+        n_threads=1,
+        n_servers=_N_SERVERS,
+        balancer="round_robin",
+        seed=seed,
+        load_profile=((horizon, qps),),
+        scenario=scenario,
+        observability=observability,
+    )
+    arms: Dict[str, LiveObsArm] = {
+        mode: _measure_arm(mode, _APP.run(mode, **fields), **measure)
+        for mode in ("sim", "live")
+        if mode in modes
+    }
     return LiveObsComparison(
         time_scale=scale,
         fault_start=warm,

@@ -33,19 +33,15 @@ carry scheduler noise.
 from __future__ import annotations
 
 import math
-import time
 from dataclasses import dataclass
 from typing import Dict, List, Sequence, Tuple
 
-from ..apps.base import Application, Client
-from ..core import HarnessConfig, run_harness
 from ..core.resilience import ResilienceConfig
 from ..faults import retry_storm
 from ..health import HealthConfig
-from ..sim import SimConfig, simulate_load
-from ..sim.calibration import AppProfile
 from ..stats import LogNormal
 from .reporting import ascii_table
+from .sleep_app import SleepApp
 
 __all__ = [
     "ResilienceArm",
@@ -58,7 +54,7 @@ __all__ = [
 #: simulator: 10 ms mean, moderate tail — long enough that live
 #: sleep()/scheduler overhead (tens of microseconds per request) stays
 #: second-order even at the storm's amplified attempt rates.
-_SERVICE = LogNormal(mean=10e-3, sigma=0.3)
+_APP = SleepApp(LogNormal(mean=10e-3, sigma=0.3))
 
 #: Replicas behind the (deliberately blind) round-robin balancer.
 _N_SERVERS = 3
@@ -76,34 +72,6 @@ _LOAD_FRACTION = 0.58
 #: ~75x the mean service time, far beyond the attempt timeout, so the
 #: undefended client times out on every attempt it routes there.
 _STORM_PAUSE = 0.3
-
-
-class _StormSleepClient(Client):
-    """Draws per-request service times from this experiment's distribution."""
-
-    def __init__(self, seed: int) -> None:
-        import random
-
-        self._rng = random.Random(seed ^ 0x570B)
-
-    def next_request(self) -> float:
-        return _SERVICE.sample(self._rng)
-
-
-class _StormSleepApp(Application):
-    """Live stand-in: the payload *is* the service time, slept away."""
-
-    name = "synthetic-sleep"
-
-    def setup(self) -> None:
-        pass
-
-    def process(self, payload: float) -> float:
-        time.sleep(payload)
-        return payload
-
-    def make_client(self, seed: int = 0) -> Client:
-        return _StormSleepClient(seed)
 
 
 @dataclass(frozen=True)
@@ -284,7 +252,7 @@ def run_fig_resilience(
     post = 15.0 * scale
     fault_end = warm + fault_duration
     horizon = warm + fault_duration + post
-    qps = _LOAD_FRACTION * _N_SERVERS / _SERVICE.mean
+    qps = _LOAD_FRACTION * _N_SERVERS / _APP.service.mean
 
     scenario = retry_storm(
         server_id=_N_SERVERS - 1,
@@ -304,47 +272,29 @@ def run_fig_resilience(
         backoff_cap=0.02,
     )
     defense = HealthConfig(enabled=True, probe_interval=50)
-    sim_profile = AppProfile(name="synthetic-sleep", service=_SERVICE)
 
     arms: Dict[Tuple[str, str], ResilienceArm] = {}
     for arm_name, health in (("undefended", None), ("defended", defense)):
         measure = dict(
             warm=warm, fault_end=fault_end, horizon=horizon, scale=scale
         )
-        if "sim" in modes:
-            sim_config = SimConfig(
-                configuration="integrated",
-                n_threads=1,
-                n_servers=_N_SERVERS,
-                balancer="round_robin",
-                seed=seed,
-                load_profile=((horizon, qps),),
-                resilience=resilience,
-                scenario=scenario,
-            )
-            if health is not None:
-                sim_config = sim_config.replace(health=health)
-            sim = simulate_load(sim_profile, sim_config)
-            arms[("sim", arm_name)] = _measure_arm(
-                "sim", arm_name, sim, **measure
-            )
-        if "live" in modes:
-            live_config = HarnessConfig(
-                configuration="integrated",
-                n_threads=1,
-                n_servers=_N_SERVERS,
-                balancer="round_robin",
-                seed=seed,
-                load_profile=((horizon, qps),),
-                resilience=resilience,
-                scenario=scenario,
-            )
-            if health is not None:
-                live_config = live_config.replace(health=health)
-            live = run_harness(_StormSleepApp(), live_config)
-            arms[("live", arm_name)] = _measure_arm(
-                "live", arm_name, live, **measure
-            )
+        fields = dict(
+            configuration="integrated",
+            n_threads=1,
+            n_servers=_N_SERVERS,
+            balancer="round_robin",
+            seed=seed,
+            load_profile=((horizon, qps),),
+            resilience=resilience,
+            scenario=scenario,
+        )
+        if health is not None:
+            fields["health"] = health
+        for mode in ("sim", "live"):
+            if mode in modes:
+                arms[(mode, arm_name)] = _measure_arm(
+                    mode, arm_name, _APP.run(mode, **fields), **measure
+                )
     return ResilienceComparison(
         time_scale=scale,
         warm=warm,

@@ -20,16 +20,12 @@ methodology (Fig. 5/6).
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 from typing import Dict, Tuple
 
-from ..apps.base import Application, Client
-from ..core import HarnessConfig, run_harness
-from ..sim import SimConfig, simulate_load
-from ..sim.calibration import AppProfile
 from ..stats import LatencySummary, LogNormal
 from .reporting import ascii_table
+from .sleep_app import SleepApp
 
 __all__ = [
     "TopologyComparison",
@@ -44,35 +40,7 @@ DEFAULT_TOPOLOGY_LOADS: Tuple[float, ...] = (0.5, 0.65, 0.8, 0.9)
 #: Synthetic service-time distribution used by both modes: 1 ms mean
 #: with a moderate lognormal tail, long enough that sleep() jitter is
 #: second-order in the live runs.
-_SERVICE = LogNormal(mean=1e-3, sigma=0.5)
-
-
-class _SleepClient(Client):
-    """Draws per-request service times from the shared distribution."""
-
-    def __init__(self, seed: int) -> None:
-        import random
-
-        self._rng = random.Random(seed ^ 0x70B0)
-
-    def next_request(self) -> float:
-        return _SERVICE.sample(self._rng)
-
-
-class _SleepApp(Application):
-    """Live stand-in: the payload *is* the service time, slept away."""
-
-    name = "synthetic-sleep"
-
-    def setup(self) -> None:
-        pass
-
-    def process(self, payload: float) -> float:
-        time.sleep(payload)
-        return payload
-
-    def make_client(self, seed: int = 0) -> Client:
-        return _SleepClient(seed)
+_APP = SleepApp(LogNormal(mean=1e-3, sigma=0.5))
 
 
 @dataclass(frozen=True)
@@ -113,20 +81,15 @@ def run_fig_topology(
     policies: Tuple[str, ...] = TOPOLOGY_POLICIES,
 ) -> TopologyComparison:
     """Sweep load x policy through the live harness and the simulator."""
-    profile = AppProfile(name="synthetic-sleep", service=_SERVICE)
-    capacity = n_servers / _SERVICE.mean
+    capacity = n_servers / _APP.service.mean
     qps_points = tuple(load * capacity for load in load_points)
     warmup = max(100, measure_requests // 10)
 
-    live: Dict[str, Tuple[LatencySummary, ...]] = {}
-    sim: Dict[str, Tuple[LatencySummary, ...]] = {}
-    for policy in policies:
-        live_summaries = []
-        sim_summaries = []
-        for qps in qps_points:
-            live_result = run_harness(
-                _SleepApp(),
-                HarnessConfig(
+    summaries: Dict[str, Dict[str, Tuple[LatencySummary, ...]]] = {
+        mode: {
+            policy: tuple(
+                _APP.run(
+                    mode,
                     configuration="integrated",
                     qps=qps,
                     n_threads=1,
@@ -135,31 +98,18 @@ def run_fig_topology(
                     warmup_requests=warmup,
                     measure_requests=measure_requests,
                     seed=seed,
-                ),
+                ).sojourn
+                for qps in qps_points
             )
-            live_summaries.append(live_result.sojourn)
-            sim_result = simulate_load(
-                profile,
-                SimConfig(
-                    qps=qps,
-                    n_threads=1,
-                    configuration="integrated",
-                    n_servers=n_servers,
-                    balancer=policy,
-                    warmup_requests=warmup,
-                    measure_requests=measure_requests,
-                    seed=seed,
-                ),
-            )
-            sim_summaries.append(sim_result.sojourn)
-        live[policy] = tuple(live_summaries)
-        sim[policy] = tuple(sim_summaries)
+            for policy in policies
+        }
+        for mode in ("live", "sim")
+    }
     return TopologyComparison(
         n_servers=n_servers,
         load_points=tuple(load_points),
         qps_points=qps_points,
-        live=live,
-        sim=sim,
+        **summaries,
     )
 
 

@@ -10,6 +10,7 @@ from repro.control import (
     PriorityConfig,
     RequestClassSpec,
 )
+from repro.core import FanoutConfig
 from repro.sim import SimConfig, simulate_load
 from repro.sim.calibration import AppProfile
 from repro.stats import LogNormal
@@ -122,6 +123,30 @@ class TestControlledBehavior:
         assert shed == counts["codel_dropped"] + counts["limit_dropped"]
         # Offered = served + shed: nothing vanishes.
         assert result.stats.count + shed == 2000
+
+    def test_a_shed_leg_fails_its_gather_and_nothing_else(self):
+        """Admission × fan-out: every gather merges or has a shed leg."""
+        result = sim(
+            qps=2500,
+            n_servers=3,
+            fanout=FanoutConfig(enabled=True, shards=3),
+            warmup_requests=0,
+            control=full_control(
+                autoscaler=None, priority=None,
+                admission=AdmissionConfig(
+                    target_p99=0.02, initial_limit=16, min_limit=2,
+                    multiplicative_decrease=0.5,
+                ),
+            ),
+        )
+        shed, fanout = result.outcomes["shed"], result.fanout
+        assert shed > 0
+        counts = result.control_counts
+        assert shed == counts["codel_dropped"] + counts["limit_dropped"]
+        assert 0 < fanout.failed <= shed
+        assert fanout.completed + fanout.failed == 2000
+        assert result.stats.count == fanout.completed
+        assert sum(result.routed_counts) == 3 * 2000
 
     def test_autoscaler_requires_n_servers_within_band(self):
         with pytest.raises(ValueError):

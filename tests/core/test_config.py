@@ -5,7 +5,11 @@ from dataclasses import fields
 import pytest
 
 from repro.batching import BatchingConfig
-from repro.control import AutoscalerConfig, ControlPlaneConfig
+from repro.control import (
+    AdmissionConfig,
+    AutoscalerConfig,
+    ControlPlaneConfig,
+)
 from repro.core import (
     PAPER_SYSTEM,
     CacheConfig,
@@ -50,11 +54,8 @@ _SHARED_REJECTIONS = [
         dict(n_servers=2, fanout=FanoutConfig(enabled=True, shards=4)),
         "n_servers == fanout.shards",
     ),
-    (
-        dict(n_servers=2, fanout=_FANOUT2,
-             resilience=ResilienceConfig(max_retries=1)),
-        "resilience cannot be combined with fan-out",
-    ),
+    # The two fan-out rejections that survive; what goes wrong without
+    # them is exhibited in tests/core/test_fanout.py::TestWhyRejected.
     (
         dict(
             n_servers=2, fanout=_FANOUT2,
@@ -62,28 +63,11 @@ _SHARED_REJECTIONS = [
                 enabled=True, autoscaler=AutoscalerConfig(max_servers=3)
             ),
         ),
-        "gather contract",
-    ),
-    (
-        dict(n_servers=2, fanout=_FANOUT2,
-             health=HealthConfig(enabled=True)),
-        "gather contract",
-    ),
-    (
-        dict(n_servers=2, fanout=_FANOUT2, faults=FaultPlan(drop_rate=0.1)),
-        "faults/scenarios",
-    ),
-    (
-        dict(
-            n_servers=2, fanout=_FANOUT2,
-            scenario=retry_storm(server_id=1, start=0.1, duration=0.1,
-                                 pause=0.01),
-        ),
-        "faults/scenarios",
+        "control.autoscaler must be None under fan-out",
     ),
     (
         dict(n_servers=2, cache=_CACHE, fanout=_FANOUT2),
-        "caching does not compose with fan-out",
+        "cache must be off under fan-out",
     ),
 ]
 
@@ -129,6 +113,32 @@ class TestSharedCore:
     def test_cache_compositions_accepted_by_both(self, kwargs):
         for cls in (HarnessConfig, SimConfig):
             assert cls(cache=_CACHE, **kwargs).cache.enabled
+
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            # Fan-out is the top layer of the client stack: its legs are
+            # calls of whatever lies beneath, and a leg that fails,
+            # fails its gather (tests/sim/test_config_invariants.py and
+            # tests/core/test_fanout_two_clocks.py run these).
+            dict(resilience=ResilienceConfig(max_retries=1)),
+            dict(health=HealthConfig(enabled=True)),
+            dict(faults=FaultPlan(drop_rate=0.1)),
+            dict(
+                scenario=retry_storm(server_id=1, start=0.1, duration=0.1,
+                                     pause=0.01),
+            ),
+            dict(
+                control=ControlPlaneConfig(
+                    enabled=True, admission=AdmissionConfig()
+                ),
+            ),
+        ],
+        ids=["resilience", "health", "faults", "scenario", "admission"],
+    )
+    def test_fanout_compositions_accepted_by_both(self, kwargs):
+        for cls in (HarnessConfig, SimConfig):
+            assert cls(n_servers=2, fanout=_FANOUT2, **kwargs).fanout.enabled
 
 
 class TestHarnessConfig:

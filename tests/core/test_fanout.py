@@ -1,21 +1,30 @@
 """Tests for scatter-gather fan-out: config, gatherer, live harness."""
 
 import itertools
+import time
 
 import pytest
 
 from repro.apps.base import Application, Client, ShardedApp
 from repro.apps.vsearch import VsearchApp
+from repro.cache import LRUCache, RequestCache
 from repro.core import (
     ExecutionConfig,
     FanoutConfig,
     FanoutGatherer,
     HarnessConfig,
     ObservabilityConfig,
+    ResilienceConfig,
+    StatsCollector,
     run_harness,
 )
+from repro.core.clock import WallClock
 from repro.core.config import NO_FANOUT
+from repro.core.queueing import RequestQueue
 from repro.core.request import Request
+from repro.core.server import Server
+from repro.core.transport import IntegratedTransport
+from repro.faults import FaultPlan
 from repro.stats import quantile
 
 
@@ -117,6 +126,28 @@ class TestFanoutGatherer:
         assert gatherer.stats.completed == 0
         assert collector.records == []
 
+    def test_discarded_duplicate_is_not_a_leg(self):
+        collector = _StubCollector()
+        gatherer = FanoutGatherer(2, collector)
+        _, pairs = gatherer.open_gather()
+        copy = _finished_request(pairs[0][0], 0, 0.0, 1e-3)
+        copy.discard = True
+        assert gatherer.on_complete(copy) is True
+        assert gatherer.outstanding == 2
+        for lid, shard in pairs:
+            gatherer.on_complete(_finished_request(lid, shard, 0.0, 2e-3))
+        assert (gatherer.stats.completed, gatherer.stats.failed) == (1, 0)
+        assert len(collector.records) == 1
+
+    def test_sweep_fails_a_gather_once_however_many_legs_are_open(self):
+        gatherer = FanoutGatherer(3, _StubCollector())
+        _, pairs = gatherer.open_gather()
+        gatherer.on_complete(_finished_request(pairs[0][0], 0, 0.0, 1e-3))
+        gatherer.fail_unresolved()
+        gatherer.fail_unresolved()
+        assert (gatherer.stats.completed, gatherer.stats.failed) == (0, 1)
+        assert gatherer.outstanding == 0
+
     def test_warmup_gathers_not_measured(self):
         collector = _StubCollector()
         gatherer = FanoutGatherer(1, collector, warmup=2)
@@ -161,6 +192,92 @@ class _Numbered(Client):
 
     def next_request(self):
         return next(self._next)
+
+
+class _KeyedEchoShard(_EchoShard):
+    def cache_key(self, payload):
+        return payload
+
+
+class TestWhyRejected:
+    """What the two surviving fan-out rejections keep from happening."""
+
+    def test_a_replica_the_autoscaler_adds_holds_no_shard(self):
+        app = ShardedApp([_EchoShard(i) for i in range(2)], len)
+        transport = IntegratedTransport(WallClock())
+        transport.start(app, 1, StatsCollector(), n_servers=2)
+        try:
+            with pytest.raises(IndexError):
+                transport.add_server()  # asks the app for shard 2 of 2
+        finally:
+            transport.stop()
+
+    def test_a_shared_cache_answers_a_shard_with_anothers_partial(self):
+        clock = WallClock()
+        cache = RequestCache(LRUCache(8))
+        answered = []
+        queues = [RequestQueue(clock) for _ in range(2)]
+        servers = [
+            Server(_KeyedEchoShard(shard), queue, clock, cache=cache,
+                   server_id=shard, respond=answered.append)
+            for shard, queue in enumerate(queues)
+        ]
+        for server in servers:
+            server.start()
+        try:
+            for shard, queue in enumerate(queues):  # one query, two legs
+                leg = Request(payload="q", generated_at=0.0)
+                leg.sent_at = 0.0
+                queue.put(leg)
+                deadline = time.time() + 2.0
+                while len(answered) <= shard and time.time() < deadline:
+                    time.sleep(0.001)
+        finally:
+            for server in servers:
+                server.shutdown()
+        # Shard 1 never ran: its leg was a hit on shard 0's partial.
+        assert [r.response for r in answered] == [(0, "q"), (0, "q")]
+        assert [r.cache_hit for r in answered] == [False, True]
+
+
+@pytest.mark.parametrize("mode", ["threaded", "process"])
+def test_faulted_legs_never_mix_payloads(mode):
+    """Drops, errors and duplicates beneath the gather, retries above
+    the wire: a merge still gets shards 0, 1, 2 of *one* payload, and
+    every gather either merges or fails."""
+    merged = []
+
+    def merge(partials):
+        merged.append(sorted(partials))
+        return len(partials)
+
+    app = ShardedApp(
+        [_EchoShard(i) for i in range(3)], merge,
+        client_factory=lambda seed: _Numbered(),
+    )
+    result = run_harness(
+        app,
+        HarnessConfig(
+            qps=1000.0,
+            n_servers=3,
+            warmup_requests=20,
+            measure_requests=200,
+            fanout=FanoutConfig(enabled=True, shards=3),
+            faults=FaultPlan(
+                drop_rate=0.05, error_rate=0.1, duplicate_rate=0.1
+            ),
+            resilience=ResilienceConfig(deadline=0.05, max_retries=2),
+            execution=ExecutionConfig(mode=mode),
+        ),
+    )
+    fanout, outcomes = result.fanout, result.outcomes
+    assert fanout.completed + fanout.failed == outcomes["offered"] == 220
+    assert fanout.completed == len(merged) == outcomes["succeeded"]
+    assert fanout.failed == outcomes["failed"] + outcomes["timed_out"]
+    assert outcomes["retries"] > 0 and result.fault_counts["drops"] > 0
+    payloads = [partials[0][1] for partials in merged]
+    assert merged == [[(0, n), (1, n), (2, n)] for n in payloads]
+    assert len(set(payloads)) == len(payloads)
 
 
 def test_process_execution_merges_every_shard():

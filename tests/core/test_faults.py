@@ -260,7 +260,7 @@ class FakeTransport:
         self.hook = hook
 
     def send(self, generated_at, payload, *, logical_id=None, attempt=0,
-             deadline=None, avoid_server=None):
+             deadline=None, avoid_server=None, server_id=None):
         request = Request(
             payload=payload, generated_at=generated_at,
             logical_id=logical_id, attempt=attempt, deadline=deadline,

@@ -4,7 +4,8 @@
 the same idea one level, to whole runs assembled from a config: one
 Hypothesis strategy over topology, balancer, queue bound, fault plan,
 resilience, health, batching, cache and fan-out — pruned only by the
-compositions ``RunConfig`` still rejects — and the properties every
+one composition of these ``RunConfig`` still rejects, cache × fan-out
+— and the properties every
 accepted composition must keep, whatever it does to latency: requests
 are conserved, timestamp chains are monotone, the routing books
 balance, and no replica is left holding an attempt. Virtual time only,
@@ -65,10 +66,8 @@ batching = st.one_of(
     ),
 )
 runs = st.fixed_dictionaries(dict(
-    # One run in four scatters. Fan-out composes with none of
-    # resilience / health / faults / cache (``RunConfig`` rejects each,
-    # see tests/core/test_config.py) and has one replica per shard, so
-    # ``_config`` ignores those draws for it.
+    # One run in four scatters, over whatever the other draws put
+    # beneath it; only the cache draw is ignored then.
     fanout=st.integers(0, 3).map(lambda k: k == 0),
     n_servers=st.integers(1, 4),
     n_threads=st.integers(1, 2),
@@ -100,6 +99,25 @@ CACHE_HEALTH_BATCHING = dict(
     CACHE_RESILIENCE_FAULTS, resilience=None, health=True,
     batching=BatchingConfig(enabled=True, max_batch_size=4),
 )
+#: Fan-out over each client stack. The first fails with the parent's
+#: gatherer: a dropped leg left its gather open and uncounted, and a
+#: duplicate's discarded copy spoiled one and double-recorded the real.
+FANOUT_DROP_DUPLICATE = dict(
+    CACHE_RESILIENCE_FAULTS, fanout=True, n_threads=2, cached=False,
+    resilience=None, faults=FaultPlan(drop_rate=0.1, duplicate_rate=0.15),
+)
+FANOUT_RESILIENCE_DROP_ERROR = dict(
+    FANOUT_DROP_DUPLICATE, n_threads=1,
+    resilience=ResilienceConfig(deadline=400 * MEAN, max_retries=2),
+    faults=FaultPlan(drop_rate=0.1, error_rate=0.2),
+)
+FANOUT_HEALTH_BATCHING = dict(
+    FANOUT_DROP_DUPLICATE, health=True,
+    batching=BatchingConfig(enabled=True, max_batch_size=4),
+    faults=FaultPlan(
+        error_rate=0.2, worker_pause_rate=0.1, worker_pause=5 * MEAN
+    ),
+)
 
 
 def _config(draw: dict) -> SimConfig:
@@ -111,6 +129,8 @@ def _config(draw: dict) -> SimConfig:
         n_threads=draw["n_threads"],
         queue_capacity=draw["queue_capacity"],
         seed=draw["seed"],
+        balancer=draw["balancer"],
+        faults=draw["faults"],
     )
     if draw["batching"] is not None:
         kwargs["batching"] = draw["batching"]
@@ -118,17 +138,14 @@ def _config(draw: dict) -> SimConfig:
     if draw["fanout"]:
         kwargs["fanout"] = FanoutConfig(enabled=True, shards=servers)
         servers = 1  # every shard sees every request
-    else:
-        kwargs["balancer"] = draw["balancer"]
-        kwargs["faults"] = draw["faults"]
-        if draw["resilience"] is not None:
-            kwargs["resilience"] = draw["resilience"]
-        if draw["health"]:
-            kwargs["health"] = HealthConfig(enabled=True, min_samples=5)
-        if draw["cached"]:
-            kwargs["cache"] = CacheConfig(
-                enabled=True, capacity=16, sim_keyspace=64
-            )
+    elif draw["cached"]:
+        kwargs["cache"] = CacheConfig(
+            enabled=True, capacity=16, sim_keyspace=64
+        )
+    if draw["resilience"] is not None:
+        kwargs["resilience"] = draw["resilience"]
+    if draw["health"]:
+        kwargs["health"] = HealthConfig(enabled=True, min_samples=5)
     return SimConfig(
         qps=draw["load"] * servers * draw["n_threads"] / MEAN, **kwargs
     )
@@ -137,6 +154,9 @@ def _config(draw: dict) -> SimConfig:
 @given(draw=runs)
 @example(draw=CACHE_RESILIENCE_FAULTS)
 @example(draw=CACHE_HEALTH_BATCHING)
+@example(draw=FANOUT_DROP_DUPLICATE)
+@example(draw=FANOUT_RESILIENCE_DROP_ERROR)
+@example(draw=FANOUT_HEALTH_BATCHING)
 @settings(max_examples=200, deadline=None, derandomize=True)
 def test_run_invariants(draw):
     config = _config(draw)
@@ -147,16 +167,19 @@ def test_run_invariants(draw):
 
     # Conservation: every offered request ends in exactly one bucket.
     assert outcomes["offered"] == N_OFFERED
+    if config.fanout.enabled:
+        # A gather resolves exactly once, whatever lies beneath.
+        fanout = result.fanout
+        assert N_OFFERED == fanout.completed + fanout.failed
+        assert outcomes["succeeded"] == fanout.completed
     if config.resilience.enabled:
-        # The client resolves each logical request exactly once; shed
-        # and errored *attempts* are tallies on the side.
+        # The top of the client stack resolves each logical request
+        # exactly once; shed and errored *attempts* are tallies on the
+        # side.
         assert N_OFFERED == (
             outcomes["succeeded"] + outcomes["failed"] + outcomes["timed_out"]
         )
-    elif config.fanout.enabled:
-        assert N_OFFERED == result.fanout.completed + result.fanout.failed
-        assert outcomes["succeeded"] == result.fanout.completed
-    else:
+    elif not config.fanout.enabled:
         # One attempt each: answered well, answered with an error,
         # refused by admission, or lost on the wire.
         assert N_OFFERED == (
