@@ -39,10 +39,6 @@ def test_ablation_closed_loop_underestimates_tail(
         # Closed loop: 1 client, next request only after the response.
         engine = Engine()
         collector = StatsCollector()
-        server = SimulatedServer(
-            engine, ServiceTimeModel(profile.service),
-            NETWORK_MODELS["integrated"], 1, collector, random.Random(0),
-        )
         state = {"sent": 0}
 
         def send_next():
@@ -50,13 +46,14 @@ def test_ablation_closed_loop_underestimates_tail(
                 state["sent"] += 1
                 server.submit(engine.now)
 
-        original = server._on_response
-
         def on_response(request):
-            original(request)
+            collector.add(request.finish())
             send_next()
 
-        server._on_response = on_response
+        server = SimulatedServer(
+            engine, ServiceTimeModel(profile.service),
+            NETWORK_MODELS["integrated"], 1, random.Random(0), on_response,
+        )
         send_next()
         engine.run()
         closed_p99 = collector.snapshot().summary("sojourn").p99
@@ -398,7 +395,8 @@ def test_ablation_bursty_traffic(benchmark, save_result, save_baseline):
         collector = StatsCollector(warmup_requests=2000)
         server = SimulatedServer(
             engine, ServiceTimeModel(service),
-            NETWORK_MODELS["integrated"], 1, collector, _random.Random(1),
+            NETWORK_MODELS["integrated"], 1, _random.Random(1),
+            lambda request: collector.add(request.finish()),
         )
         for t in ArrivalSchedule.generate(process, 30_000, seed=4):
             server.submit(t)

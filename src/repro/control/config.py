@@ -10,7 +10,7 @@ bit-identical to the pre-control-plane harness and simulator.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional, Tuple
 
 __all__ = [
@@ -187,9 +187,6 @@ class ControlPlaneConfig:
     admission: Optional[AdmissionConfig] = None
     priority: Optional[PriorityConfig] = None
     autoscaler: Optional[AutoscalerConfig] = None
-    #: Seed offset for the control plane's own random streams (the
-    #: request classifier); combined with the run seed.
-    seed_salt: int = field(default=0x0C7A1, repr=False)
 
     def __post_init__(self) -> None:
         if self.tick_interval <= 0:

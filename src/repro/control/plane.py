@@ -71,6 +71,10 @@ class ControlTarget:
         raise NotImplementedError
 
 
+#: Offsets the request classifier's random stream from the run seed.
+_CLASSIFIER_SALT = 0x0C7A1
+
+
 class ControlPlane:
     """Controllers + gates + classifier for one run."""
 
@@ -87,7 +91,7 @@ class ControlPlane:
         self._gates: Dict[int, AdmissionGate] = {}
         self._gates_lock = threading.Lock()
         self._assigner = (
-            ClassAssigner(config.priority, seed=seed ^ config.seed_salt)
+            ClassAssigner(config.priority, seed=seed ^ _CLASSIFIER_SALT)
             if config.priority is not None
             else None
         )

@@ -204,12 +204,6 @@ class ExecutionConfig:
         ``"fork"`` (default) inherits the already-set-up application
         object for free; ``"spawn"`` requires the application and
         fault plan to be picklable.
-    ipc_flush_interval:
-        Child-side cadence (seconds) for flushing a status heartbeat
-        (queue depth, busy/alive workers, fault counts) to the parent
-        when no completions are flowing — the autoscaler's signal
-        freshness bound. Completion records themselves are flushed
-        immediately, coalesced into one framed message per batch.
     drain_timeout:
         Seconds a replica process is given to drain and exit after a
         shutdown message (scale-down join, end-of-run stop) before it
@@ -218,7 +212,6 @@ class ExecutionConfig:
 
     mode: str = "threaded"
     start_method: str = "fork"
-    ipc_flush_interval: float = 0.05
     drain_timeout: float = 10.0
 
     def __post_init__(self) -> None:
@@ -232,8 +225,6 @@ class ExecutionConfig:
                 f"start_method must be one of {_START_METHODS}, "
                 f"got {self.start_method!r}"
             )
-        if self.ipc_flush_interval <= 0:
-            raise ValueError("ipc_flush_interval must be positive")
         if self.drain_timeout <= 0:
             raise ValueError("drain_timeout must be positive")
 

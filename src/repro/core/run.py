@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Tuple
 
-from ..faults import FaultInjector, ScenarioInjector
+from ..faults import FaultInjector
 from ..stats import LatencySummary
 from .balancer import make_balancer
 from .collector import CollectedStats, StatsCollector
@@ -202,12 +202,13 @@ class RunParts:
         )
         self.collector = StatsCollector(warmup_requests=self.warmup)
         self.injector: Optional[FaultInjector] = None
-        if config.scenario is not None:
-            self.injector = ScenarioInjector(
-                config.scenario, seed=config.seed, base=config.faults
+        faults = config.faults
+        if config.scenario is not None or (
+            faults is not None and not faults.is_noop
+        ):
+            self.injector = FaultInjector(
+                faults, seed=config.seed, scenario=config.scenario
             )
-        elif config.faults is not None and not config.faults.is_noop:
-            self.injector = FaultInjector(config.faults, seed=config.seed)
         if config.load_profile is not None:
             self.schedule = ArrivalSchedule.piecewise(
                 config.load_profile,
@@ -377,8 +378,8 @@ class RunParts:
             if part is not None:
                 part.set_origin(started)
         scheduler, clock, plane = self.scheduler, self.clock, self.plane
-        if isinstance(self.injector, ScenarioInjector):
-            for offset in self.injector.scenario.boundaries():
+        if self.injector is not None:
+            for offset in self.injector.boundaries():
                 scheduler.at(
                     started + offset, self.injector.advance_to, offset
                 )

@@ -120,6 +120,12 @@ def _child_seed(seed: int, server_id: int) -> int:
 
 # -- child side ---------------------------------------------------------
 
+#: Child-side cadence (seconds) of the status heartbeat (queue depth,
+#: busy/alive workers, fault counts) while no completions are flowing —
+#: the autoscaler's signal freshness bound. Completion records
+#: themselves are flushed immediately.
+_IPC_FLUSH_INTERVAL = 0.05
+
 
 class _RecordStreamer:
     """Child-side flusher: completions out, one pickle frame per batch.
@@ -128,13 +134,12 @@ class _RecordStreamer:
     flusher thread ships everything accumulated since the previous
     ``send`` in a single frame, so a blocked pipe coalesces bookkeeping
     instead of queueing one message per request. With no completions
-    flowing it still sends a status heartbeat every ``interval``
-    seconds — the parent-side autoscaler's signal freshness bound.
+    flowing it still sends a status heartbeat every
+    ``_IPC_FLUSH_INTERVAL`` seconds.
     """
 
-    def __init__(self, conn, interval: float) -> None:
+    def __init__(self, conn) -> None:
         self._conn = conn
-        self._interval = interval
         self._lock = threading.Lock()
         self._cond = threading.Condition(self._lock)
         self._records: List[tuple] = []
@@ -212,7 +217,7 @@ class _RecordStreamer:
         while True:
             with self._cond:
                 if not self._records and not self._stopping:
-                    self._cond.wait(self._interval)
+                    self._cond.wait(_IPC_FLUSH_INTERVAL)
                 records, self._records = self._records, []
                 stopping = self._stopping
             events = self._relay.drain() if self._relay is not None else []
@@ -251,7 +256,6 @@ def _replica_main(
     server_id: int,
     batching,
     queue_capacity: Optional[int],
-    flush_interval: float,
     drain_timeout: float,
 ) -> None:
     """Entry point of one replica process."""
@@ -261,7 +265,7 @@ def _replica_main(
         injector = FaultInjector(plan, seed=_child_seed(seed, server_id))
         injector.start_run(clock.now())
     scoped = injector.for_server(server_id) if injector is not None else None
-    streamer = _RecordStreamer(resp_conn, flush_interval)
+    streamer = _RecordStreamer(resp_conn)
     runtime = ReplicaRuntime(
         app,
         clock,
@@ -427,7 +431,6 @@ class ProcessReplicaHandle:
                 self.server_id,
                 self._batching,
                 self._queue_capacity,
-                self._execution.ipc_flush_interval,
                 self._execution.drain_timeout,
             ),
             name=f"tb-replica-{self.server_id}",

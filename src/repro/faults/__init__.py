@@ -21,7 +21,6 @@ from .scenario import (
     SCENARIOS,
     FaultPhase,
     Scenario,
-    ScenarioInjector,
     crash_recover,
     error_burst,
     retry_storm,
@@ -36,7 +35,6 @@ __all__ = [
     "INJECTED_APP_ERROR",
     "SCENARIOS",
     "Scenario",
-    "ScenarioInjector",
     "StallWindow",
     "TransportAction",
     "crash_recover",

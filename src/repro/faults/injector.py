@@ -19,9 +19,12 @@ from __future__ import annotations
 import hashlib
 import random
 import threading
-from typing import Dict, NamedTuple
+from typing import TYPE_CHECKING, Dict, NamedTuple, Optional, Tuple
 
 from .plan import FaultPlan
+
+if TYPE_CHECKING:
+    from .scenario import Scenario
 
 __all__ = ["FaultInjector", "INJECTED_APP_ERROR", "TransportAction"]
 
@@ -30,26 +33,44 @@ __all__ = ["FaultInjector", "INJECTED_APP_ERROR", "TransportAction"]
 INJECTED_APP_ERROR = "injected application error"
 
 
-class _NullServerInjector:
-    """Server-side injector view for instances outside a plan's scope.
+class _ServerView:
+    """One replica's queue/worker/application decisions, scope re-checked.
 
-    Implements the queue/worker/application decision surface only —
-    transport faults model the shared wire and are applied before
-    routing, so a scoped-out server never sees this object on that
-    path.
+    What :meth:`FaultInjector.for_server` hands a replica the active
+    plan does not, or may not always, target: under a scenario the plan
+    — and with it the target set — changes at phase boundaries, so the
+    view consults ``injector.plan`` per decision. An out-of-scope call
+    says "no fault" without consuming a random draw, so scoping a plan
+    to one replica never perturbs the others' decision streams.
+    Transport faults model the shared wire and are applied before
+    routing, so they are not part of this surface.
     """
 
+    __slots__ = ("_injector", "_server_id")
+
+    def __init__(self, injector: "FaultInjector", server_id: int) -> None:
+        self._injector = injector
+        self._server_id = server_id
+
     def queue_stall_remaining(self, now: float) -> float:
-        return 0.0
+        if not self._injector.plan.applies_to(self._server_id):
+            return 0.0
+        return self._injector.queue_stall_remaining(now)
 
     def worker_pause(self) -> float:
-        return 0.0
+        if not self._injector.plan.applies_to(self._server_id):
+            return 0.0
+        return self._injector.worker_pause()
 
     def worker_crash(self) -> bool:
-        return False
+        if not self._injector.plan.applies_to(self._server_id):
+            return False
+        return self._injector.worker_crash()
 
     def app_error(self) -> bool:
-        return False
+        if not self._injector.plan.applies_to(self._server_id):
+            return False
+        return self._injector.app_error()
 
 
 class TransportAction(NamedTuple):
@@ -73,18 +94,34 @@ def _derive_seed(seed: int, layer: str) -> int:
 class FaultInjector:
     """Stateful, thread-safe sampler over a :class:`FaultPlan`.
 
+    Every decision reads ``self.plan`` per call, so swapping the plan at
+    a scenario's phase boundary (:meth:`advance_to`) retargets what
+    follows without touching the per-layer random streams — a phase's
+    draws are the same ones the equivalent fixed plan would have made.
+
     Parameters
     ----------
     plan:
-        The faults to inject.
+        The faults to inject; with a ``scenario``, the standing plan
+        its phases overlay (may be None).
     seed:
         Root seed; per-layer streams are derived from it.
+    scenario:
+        Optional :class:`~repro.faults.scenario.Scenario` whose
+        timeline the active plan follows.
     """
 
     _LAYERS = ("transport", "worker", "app")
 
-    def __init__(self, plan: FaultPlan, seed: int = 0) -> None:
-        self.plan = plan
+    def __init__(
+        self,
+        plan: Optional[FaultPlan],
+        seed: int = 0,
+        scenario: Optional["Scenario"] = None,
+    ) -> None:
+        self.base = plan
+        self.scenario = scenario
+        self.plan = plan if scenario is None else scenario.plan_at(0.0, plan)
         self.seed = seed
         self._rngs = {
             layer: random.Random(_derive_seed(seed, layer))
@@ -100,25 +137,36 @@ class FaultInjector:
             "crashes": 0,
             "app_errors": 0,
         }
+        if scenario is not None:
+            self._counts["phase_changes"] = 0
 
     # -- lifecycle -----------------------------------------------------
     def start_run(self, start_time: float) -> None:
         """Anchor stall windows to the run's start instant."""
         self._run_start = start_time
 
-    def for_server(self, server_id: int):
-        """Server-side view of this injector for one instance.
+    def boundaries(self) -> Tuple[float, ...]:
+        """Run offsets at which :meth:`advance_to` is due, ascending."""
+        return () if self.scenario is None else self.scenario.boundaries()
 
-        When the plan's ``server_ids`` covers the instance (or targets
-        all servers), the injector itself is returned — counts and
-        random streams stay shared. Otherwise a null view is returned
-        whose server-side decisions always say "no fault", without
-        consuming any random draws, so scoping a plan to one replica
-        never perturbs the others' decision streams.
+    def advance_to(self, offset: float) -> None:
+        """Install the plan active at ``offset`` (a phase boundary)."""
+        plan = self.scenario.plan_at(offset, self.base)
+        with self._lock:
+            self.plan = plan
+            self._counts["phase_changes"] += 1
+
+    def for_server(self, server_id: int):
+        """Server-side decision surface for one instance.
+
+        The injector itself — no indirection — when the plan cannot
+        change and targets the instance; otherwise a view that checks
+        the active plan's scope on every call. Counts and random
+        streams are shared either way.
         """
-        if self.plan.applies_to(server_id):
+        if self.scenario is None and self.plan.applies_to(server_id):
             return self
-        return _NullServerInjector()
+        return _ServerView(self, server_id)
 
     def counts(self) -> Dict[str, int]:
         """Snapshot of how many faults actually fired."""

@@ -3,16 +3,16 @@
 A :class:`Scenario` is pure data — a named sequence of
 :class:`FaultPhase` windows, each activating a
 :class:`~repro.faults.plan.FaultPlan` for ``[start, start+duration)``
-relative to run start. The :class:`ScenarioInjector` plays it back by
-swapping the active (merged) plan at phase boundaries: the run
+relative to run start. The run's one
+:class:`~repro.faults.injector.FaultInjector` plays it back by swapping
+its active (merged) plan at phase boundaries: the run
 (:meth:`repro.core.run.RunParts.start`) schedules one
-:meth:`ScenarioInjector.advance_to` per boundary on its scheduler — a
+:meth:`FaultInjector.advance_to` per boundary on its scheduler — a
 timer-thread callback under the wall clock, an engine event in the
 simulator, where replay is single-threaded and bit-identical per seed.
-Fault *decisions* keep flowing through the inherited
-:class:`~repro.faults.injector.FaultInjector` streams, so a scenario
-run with the same seed makes the same draws as the equivalent
-fixed-plan run while any given phase is active.
+Fault *decisions* keep flowing through the injector's per-layer
+streams, so a scenario run with the same seed makes the same draws as
+the equivalent fixed-plan run while any given phase is active.
 
 Built-in scenarios cover the canonical serving pathologies:
 :func:`slow_replica`, :func:`crash_recover`, :func:`error_burst`, and
@@ -25,13 +25,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
-from .injector import FaultInjector
 from .plan import FaultPlan
 
 __all__ = [
     "FaultPhase",
     "Scenario",
-    "ScenarioInjector",
     "SCENARIOS",
     "crash_recover",
     "error_burst",
@@ -128,76 +126,6 @@ class Scenario:
             )
         lines.append(f"  {self.horizon:6.2f}s -          all clear")
         return "\n".join(lines)
-
-
-class _ScenarioServerView:
-    """Per-replica decision surface that re-checks scope on every call.
-
-    A plain :class:`FaultInjector` scopes replicas once, at build time
-    (``for_server`` returns a null view for out-of-scope ids). Under a
-    scenario the active plan — and with it the target set — changes at
-    phase boundaries, so the view must consult ``injector.plan`` per
-    decision. Out-of-scope calls consume no random draws, matching the
-    static null view's behavior.
-    """
-
-    __slots__ = ("_injector", "_server_id")
-
-    def __init__(self, injector: "ScenarioInjector", server_id: int) -> None:
-        self._injector = injector
-        self._server_id = server_id
-
-    def queue_stall_remaining(self, now: float) -> float:
-        if not self._injector.plan.applies_to(self._server_id):
-            return 0.0
-        return self._injector.queue_stall_remaining(now)
-
-    def worker_pause(self) -> float:
-        if not self._injector.plan.applies_to(self._server_id):
-            return 0.0
-        return self._injector.worker_pause()
-
-    def worker_crash(self) -> bool:
-        if not self._injector.plan.applies_to(self._server_id):
-            return False
-        return self._injector.worker_crash()
-
-    def app_error(self) -> bool:
-        if not self._injector.plan.applies_to(self._server_id):
-            return False
-        return self._injector.app_error()
-
-
-class ScenarioInjector(FaultInjector):
-    """Fault injector whose plan follows a scenario's timeline.
-
-    The inherited decision surface reads ``self.plan`` per call, so
-    swapping the plan at a boundary retargets every subsequent decision
-    without touching the per-layer random streams — a phase's draws are
-    the same ones the equivalent fixed plan would have made.
-    """
-
-    def __init__(
-        self,
-        scenario: Scenario,
-        seed: int = 0,
-        base: Optional[FaultPlan] = None,
-    ) -> None:
-        self.scenario = scenario
-        self.base = base
-        super().__init__(scenario.plan_at(0.0, base), seed=seed)
-        self._counts["phase_changes"] = 0
-
-    def advance_to(self, offset: float) -> None:
-        """Install the plan active at ``offset`` (a phase boundary)."""
-        plan = self.scenario.plan_at(offset, self.base)
-        with self._lock:
-            self.plan = plan
-            self._counts["phase_changes"] += 1
-
-    def for_server(self, server_id: int):
-        """Dynamic per-replica view (scope re-checked per decision)."""
-        return _ScenarioServerView(self, server_id)
 
 
 # -- built-in scenarios --------------------------------------------------

@@ -8,6 +8,7 @@ network-configuration and multithread-contention effects modelled
 explicitly.
 """
 
+from ..core.scheduler import Event, EventQueue
 from .calibration import (
     EXTENSION_PROFILES,
     PAPER_PROFILES,
@@ -22,7 +23,6 @@ from .dispatch import (
     simulate_random_dispatch,
 )
 from .engine import Engine
-from .events import Event, EventQueue
 from .latency_sim import SimConfig, SimResult, simulate_app, simulate_load
 from .network_model import NETWORK_MODELS, NetworkModel, network_model_for
 from .server_model import SimulatedServer

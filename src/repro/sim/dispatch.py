@@ -5,110 +5,30 @@ worker threads (Fig. 1). The alternative — statically partitioning
 arrivals across per-worker queues — is common in real servers
 (per-connection handling, RSS hashing) and much worse for tails: a
 random dispatch can pile requests behind one busy worker while others
-idle. This module provides the per-worker-queue server so the two
-designs can be compared under identical load.
+idle.
 
-The partitioned server's dispatch decision is pluggable: any policy
-from :mod:`repro.core.balancer` (round-robin, random, power-of-two,
-join-shortest-queue) can steer arrivals across the per-worker queues,
-quantifying how much smarter dispatch recovers of the shared queue's
-tail advantage.
+A per-worker-queue server *is* a topology: ``n_threads`` one-worker
+replicas behind a balancer, which is what :func:`simulate_dispatch`
+asks :func:`~repro.sim.latency_sim.simulate_load` to run. So the two
+designs are compared under identical load by the same run assembly,
+any policy from :mod:`repro.core.balancer` (round-robin, random,
+power-of-two, join-shortest-queue) can steer arrivals — quantifying
+how much smarter dispatch recovers of the shared queue's tail
+advantage — and every other :class:`SimConfig` field (faults, load
+profile, wire latency, tracing, resilience) means what it means
+anywhere else.
 """
 
 from __future__ import annotations
 
-import collections
-import random
-from typing import List, Optional, Sequence
+import dataclasses
+from typing import Sequence
 
-from ..core.balancer import LoadBalancer, make_balancer
-from ..core.collector import StatsCollector
-from ..core.request import Request
-from ..core.traffic import ArrivalSchedule, PoissonArrivals
+from ..stats import ScaledDistribution
 from .calibration import AppProfile
-from .engine import Engine
 from .latency_sim import SimConfig, SimResult, simulate_load
-from .network_model import network_model_for
 
 __all__ = ["simulate_dispatch", "simulate_random_dispatch", "compare_dispatch"]
-
-
-class _PartitionedServer:
-    """n workers, each with its own FIFO, under a dispatch policy.
-
-    ``balancer=None`` selects the legacy uniform-random dispatch: the
-    worker is drawn at submit time from the same stream that samples
-    service times, which keeps pre-existing random-dispatch runs
-    byte-identical. Depth-aware policies instead decide *at the arrival
-    instant*, when the per-worker depth vector reflects the simulated
-    present.
-    """
-
-    def __init__(
-        self,
-        engine: Engine,
-        service_model,
-        n_threads: int,
-        collector: StatsCollector,
-        rng: random.Random,
-        balancer: Optional[LoadBalancer] = None,
-    ) -> None:
-        if n_threads < 1:
-            raise ValueError("n_threads must be >= 1")
-        self._engine = engine
-        self._service_model = service_model
-        self._collector = collector
-        self._rng = rng
-        self._balancer = balancer
-        self._queues: List[collections.deque] = [
-            collections.deque() for _ in range(n_threads)
-        ]
-        self._busy = [False] * n_threads
-        self.busy_time = 0.0
-        self.dispatched = [0] * n_threads
-
-    def depths(self) -> List[int]:
-        """Queued plus in-service requests per worker."""
-        return [
-            len(queue) + (1 if busy else 0)
-            for queue, busy in zip(self._queues, self._busy)
-        ]
-
-    def submit(self, generated_at: float) -> None:
-        request = Request(payload=None, generated_at=generated_at)
-        request.sent_at = generated_at
-        if self._balancer is None:
-            worker = self._rng.randrange(len(self._queues))
-            self._engine.at(generated_at, self._on_arrival, request, worker)
-        else:
-            self._engine.at(generated_at, self._dispatch, request)
-
-    def _dispatch(self, request: Request) -> None:
-        self._on_arrival(request, self._balancer.pick(self.depths()))
-
-    def _on_arrival(self, request: Request, worker: int) -> None:
-        request.enqueued_at = self._engine.now
-        self.dispatched[worker] += 1
-        if self._busy[worker]:
-            self._queues[worker].append(request)
-        else:
-            self._start(request, worker)
-
-    def _start(self, request: Request, worker: int) -> None:
-        self._busy[worker] = True
-        request.service_start_at = self._engine.now
-        service = self._service_model.sample(self._rng)
-        self.busy_time += service
-        self._engine.after(service, self._finish, request, worker)
-
-    def _finish(self, request: Request, worker: int) -> None:
-        request.service_end_at = self._engine.now
-        request.response_received_at = self._engine.now
-        self._collector.add(request.finish())
-        if self._queues[worker]:
-            self._start(self._queues[worker].popleft(), worker)
-        else:
-            self._busy[worker] = False
 
 
 def simulate_dispatch(
@@ -116,51 +36,25 @@ def simulate_dispatch(
 ) -> SimResult:
     """Per-worker-queue server under the named dispatch policy.
 
-    ``policy`` is a :mod:`repro.core.balancer` name. ``"random"`` is
-    the legacy uniform dispatch and reproduces historical results for
-    a given seed exactly.
+    ``policy`` is a :mod:`repro.core.balancer` name; ``config.n_threads``
+    is the number of workers, each behind its own queue. The workers
+    still share one machine, so service times keep the contention
+    dilation of ``n_threads`` threads although every replica runs one.
     """
-    service_model = profile.service_model(
-        n_threads=config.n_threads,
-        ideal_memory=config.ideal_memory,
-        simulated_system=config.simulated_system,
-        added_occupancy=network_model_for(
-            config.configuration
-        ).server_occupancy,
+    workers = config.n_threads
+    contended = dataclasses.replace(
+        profile,
+        name=f"{profile.name}/{policy}-dispatch",
+        service=ScaledDistribution(
+            profile.service,
+            profile.contention.factor(
+                workers, ideal_memory=config.ideal_memory
+            ),
+        ),
     )
-    engine = Engine()
-    collector = StatsCollector(warmup_requests=config.warmup_requests)
-    balancer = (
-        None
-        if policy == "random"
-        else make_balancer(policy, seed=config.seed ^ 0xD15)
-    )
-    server = _PartitionedServer(
-        engine,
-        service_model,
-        config.n_threads,
-        collector,
-        random.Random(config.seed ^ 0xD15),
-        balancer=balancer,
-    )
-    schedule = ArrivalSchedule.generate(
-        PoissonArrivals(config.qps), config.total_requests, seed=config.seed
-    )
-    for t in schedule:
-        server.submit(t)
-    engine.run()
-    elapsed = engine.now
-    utilization = (
-        server.busy_time / (elapsed * config.n_threads) if elapsed else 0.0
-    )
-    return SimResult(
-        profile_name=f"{profile.name}/{policy}-dispatch",
-        config=config,
-        stats=collector.snapshot(),
-        offered_qps=config.qps,
-        utilization=utilization,
-        virtual_time=elapsed,
-        routed_counts=tuple(server.dispatched),
+    return simulate_load(
+        contended,
+        config.replace(n_servers=workers, n_threads=1, balancer=policy),
     )
 
 
@@ -178,11 +72,10 @@ def compare_dispatch(
 
     Always compares the shared queue against random dispatch; any
     additional balancer names in ``extra_policies`` (e.g. ``"jsq"``,
-    ``"power_of_two"``) are simulated on the partitioned server too.
+    ``"power_of_two"``) are simulated per-worker-queue too.
     """
-    shared = simulate_load(profile, config)
     results = {
-        "shared": shared,
+        "shared": simulate_load(profile, config),
         "random": simulate_random_dispatch(profile, config),
     }
     for policy in extra_policies:

@@ -1,9 +1,11 @@
 """Discrete-event simulation engine.
 
 A minimal execution-driven core in the spirit of the user-level
-simulators the paper targets (zsim, Graphite): a virtual clock and an
-event heap. Components schedule callbacks; :meth:`Engine.run` executes
-them in timestamp order, advancing the shared
+simulators the paper targets (zsim, Graphite): a virtual clock and the
+run's event heap. The heap is :class:`repro.core.scheduler.EventQueue`,
+the same class the wall-clock :class:`~repro.core.scheduler.Scheduler`
+drives from a timer thread; here :meth:`Engine.run` pops it in
+timestamp order, advancing the shared
 :class:`~repro.core.clock.VirtualClock` — which is exactly the clock
 the harness components read, so harness logic is unchanged between
 live and simulated runs.
@@ -14,7 +16,7 @@ from __future__ import annotations
 from typing import Any, Callable, Optional
 
 from ..core.clock import VirtualClock
-from .events import Event, EventQueue
+from ..core.scheduler import Event, EventQueue
 
 __all__ = ["Engine"]
 
@@ -37,18 +39,21 @@ class Engine:
 
     def at(self, time: float, fn: Callable, *args: Any) -> Event:
         """Schedule ``fn(*args)`` at absolute virtual time ``time``."""
-        if time < self.now - 1e-12:
-            raise ValueError(f"cannot schedule in the past ({time} < {self.now})")
-        return self._queue.push(max(time, self.now), fn, *args)
+        now = self.clock.now()
+        if time < now:
+            if time < now - 1e-12:
+                raise ValueError(f"cannot schedule in the past ({time} < {now})")
+            time = now
+        return self._queue.push(time, fn, *args)
 
     def after(self, delay: float, fn: Callable, *args: Any) -> Event:
         """Schedule ``fn(*args)`` after ``delay`` seconds of virtual time."""
         if delay < 0:
             raise ValueError("delay must be non-negative")
-        return self._queue.push(self.now + delay, fn, *args)
+        return self._queue.push(self.clock.now() + delay, fn, *args)
 
     def cancel(self, event: Event) -> None:
-        event.cancelled = True
+        self._queue.cancel(event)
 
     def run(self, until: Optional[float] = None, max_events: int = 50_000_000) -> int:
         """Process events until the queue drains (or ``until``).
@@ -63,9 +68,9 @@ class Engine:
             if until is not None and next_time > until:
                 self.clock.advance_to(until)
                 break
-            event = self._queue.pop()
-            self.clock.advance_to(event.time)
-            event.fn(*event.args)
+            time, _, fn, args = self._queue.pop()
+            self.clock.advance_to(time)
+            fn(*args)
             executed += 1
             self._executed += 1
             if executed > max_events:

@@ -6,6 +6,9 @@ drained by ``n`` worker threads — as discrete events: request arrival
 service completion, response receipt (after the outbound wire delay).
 Timestamps land in the same :class:`~repro.core.request.RequestRecord`
 chain live runs produce, so all downstream statistics code is shared.
+The server records nothing itself: every response goes to the
+``on_response`` it was built with — the simulated transport's
+completion path in a run, a two-line recorder in a unit test.
 
 The model mirrors the live server's fault-injection points: with a
 :class:`repro.faults.FaultInjector`, queue stalls freeze dispatch,
@@ -21,7 +24,6 @@ import itertools
 import random
 from typing import Callable, Optional, Sequence
 
-from ..core.collector import StatsCollector
 from ..core.queueing import FifoBuffer, QueueSnapshot
 from ..core.request import Request
 from ..faults import INJECTED_APP_ERROR
@@ -46,21 +48,19 @@ class SimulatedServer:
         Wire-latency model of the active harness configuration.
     n_threads:
         Number of worker "threads" (parallel servers).
-    collector:
-        Destination for completed request records.
     rng:
         Random stream for service-time draws.
+    on_response:
+        Receives every response (shed and errored ones included) at the
+        instant it reaches the client. Whoever passes it owns recording:
+        the simulated transport installs its completion path here, which
+        owns lifecycle tracing and statistics exactly as it does live.
     injector:
         Optional fault injector (queue stalls, worker pauses/crashes,
         application errors).
     queue_capacity:
         Optional bound on waiting requests; arrivals beyond it are
         shed.
-    on_response:
-        Optional hook receiving every response (including shed and
-        errored ones) in place of default recording — the simulated
-        transport installs its completion path here, which then owns
-        lifecycle tracing and statistics exactly as it does live.
     server_id:
         Index of this instance in a multi-server topology; stamped on
         every request it serves so per-server statistics work.
@@ -68,8 +68,8 @@ class SimulatedServer:
         Optional :class:`repro.obs.Tracer`. The simulated server emits
         the *same* event schema as the live server — ``fault_*`` and
         ``batch_*`` markers as they happen — so live and virtual-time
-        traces diff directly. Lifecycle spans are the transport's to
-        record; a bare server (no ``on_response``) records them itself.
+        traces diff directly. Lifecycle spans are recorded by whoever
+        receives the response.
     gate:
         Optional :class:`repro.control.AdmissionGate` consulted on
         every arrival — the *same* gate object type (and therefore the
@@ -98,11 +98,10 @@ class SimulatedServer:
         service_model: ServiceTimeModel,
         network: NetworkModel,
         n_threads: int,
-        collector: StatsCollector,
         rng: random.Random,
+        on_response: Callable[[Request], None],
         injector=None,
         queue_capacity: Optional[int] = None,
-        on_response: Optional[Callable[[Request], None]] = None,
         server_id: int = 0,
         tracer=None,
         gate=None,
@@ -119,7 +118,6 @@ class SimulatedServer:
         self._service_model = service_model
         self._network = network
         self._n_threads = n_threads
-        self._collector = collector
         self._rng = rng
         self._injector = injector
         self._capacity = queue_capacity
@@ -402,22 +400,7 @@ class SimulatedServer:
 
     def _on_response(self, request: Request) -> None:
         request.response_received_at = self._engine.now
-        if self._on_response_cb is not None:
-            self._on_response_cb(request)
-            return
-        # Bare server (no transport): record the response here.
-        if self._tracer is not None:
-            if request.shed:
-                outcome = "shed"
-            elif request.error is not None:
-                outcome = "error"
-            elif request.discard:
-                outcome = "discard"
-            else:
-                outcome = None
-            self._tracer.record_request(request, outcome=outcome)
-        if request.error is None and not request.shed and not request.discard:
-            self._collector.add(request.finish())
+        self._on_response_cb(request)
 
     # -- derived metrics --------------------------------------------------------
     @property

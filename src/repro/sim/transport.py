@@ -80,15 +80,14 @@ class SimulatedTransport(Transport):
             self._app,
             self._network,
             self._n_threads,
-            self._collector,
             random.Random((self._seed ^ 0x5EED) + 1_000_003 * server_id),
+            self._complete,
             injector=(
                 self._injector.for_server(server_id)
                 if self._injector is not None
                 else None
             ),
             queue_capacity=self._queue_capacity,
-            on_response=self._complete,
             server_id=server_id,
             gate=control.gate_for(server_id) if control is not None else None,
             buffer=control.make_buffer() if control is not None else None,

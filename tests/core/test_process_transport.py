@@ -67,10 +67,7 @@ class TestExecutionConfig:
         with pytest.raises(ValueError, match="start_method"):
             ExecutionConfig(start_method="forkserver")
 
-    @pytest.mark.parametrize("field, value", [
-        ("ipc_flush_interval", 0.0),
-        ("drain_timeout", -1.0),
-    ])
+    @pytest.mark.parametrize("field, value", [("drain_timeout", -1.0)])
     def test_rejects_nonpositive_timings(self, field, value):
         with pytest.raises(ValueError):
             ExecutionConfig(**{field: value})

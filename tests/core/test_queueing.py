@@ -142,7 +142,6 @@ class TestRequestQueue:
         """Live queue and simulated server expose the same snapshot."""
         import random
 
-        from repro.core.collector import StatsCollector
         from repro.sim.engine import Engine
         from repro.sim.network_model import network_model_for
         from repro.sim.server_model import SimulatedServer
@@ -155,8 +154,8 @@ class TestRequestQueue:
             ServiceTimeModel(Deterministic(0.05)),
             network_model_for("integrated"),
             n_threads=1,
-            collector=StatsCollector(),
             rng=random.Random(0),
+            on_response=lambda request: None,
         )
         for i in range(3):
             server.submit(generated_at=i * 0.001)
@@ -211,7 +210,6 @@ class TestRequestQueue:
         classes rule when wired to a PriorityBuffer."""
         import random
 
-        from repro.core.collector import StatsCollector
         from repro.sim.engine import Engine
         from repro.sim.network_model import network_model_for
         from repro.sim.server_model import SimulatedServer
@@ -224,8 +222,8 @@ class TestRequestQueue:
             ServiceTimeModel(Deterministic(0.05)),
             network_model_for("integrated"),
             n_threads=1,
-            collector=StatsCollector(),
             rng=random.Random(0),
+            on_response=lambda request: None,
             buffer=PriorityBuffer(mode="strict"),
         )
 

@@ -253,7 +253,6 @@ class TestInjectedErrorText:
     def sim_texts(self, batching):
         import random
 
-        from repro.core import StatsCollector
         from repro.sim import Engine, ServiceTimeModel, SimulatedServer
         from repro.sim.network_model import NETWORK_MODELS
         from repro.stats import Deterministic
@@ -262,9 +261,8 @@ class TestInjectedErrorText:
         done = []
         server = SimulatedServer(
             engine, ServiceTimeModel(Deterministic(0.001)),
-            NETWORK_MODELS["integrated"], 1, StatsCollector(),
-            random.Random(0), injector=FaultInjector(self.PLAN, seed=1),
-            on_response=done.append, batching=batching,
+            NETWORK_MODELS["integrated"], 1, random.Random(0), done.append,
+            injector=FaultInjector(self.PLAN, seed=1), batching=batching,
         )
         for i in range(40):
             server.submit(i * 0.0005)

@@ -10,10 +10,11 @@ the run's scheduler, under both clocks, is in
 import pytest
 
 from repro.faults import (
+    FaultInjector,
     FaultPhase,
     FaultPlan,
     Scenario,
-    ScenarioInjector,
+    StallWindow,
     crash_recover,
     error_burst,
     retry_storm,
@@ -114,7 +115,7 @@ class TestScenarioInjector:
         scenario = error_burst(
             start=0.0, duration=1.0, error_rate=1.0, server_ids=(0,)
         )
-        injector = ScenarioInjector(scenario, seed=3)
+        injector = FaultInjector(None, seed=3, scenario=scenario)
         injector.start_run(0.0)
         view0, view1 = injector.for_server(0), injector.for_server(1)
         assert view0.app_error()
@@ -136,7 +137,7 @@ class TestScenarioInjector:
                                                server_ids=(1,))),
             ),
         )
-        injector = ScenarioInjector(scenario, seed=3)
+        injector = FaultInjector(None, seed=3, scenario=scenario)
         injector.start_run(0.0)
         view0, view1 = injector.for_server(0), injector.for_server(1)
         assert view0.app_error() and not view1.app_error()
@@ -146,7 +147,7 @@ class TestScenarioInjector:
     def test_same_seed_same_decisions(self):
         scenario = error_burst(start=0.0, duration=1.0, error_rate=0.3)
         def draws(seed):
-            injector = ScenarioInjector(scenario, seed=seed)
+            injector = FaultInjector(None, seed=seed, scenario=scenario)
             injector.start_run(0.0)
             view = injector.for_server(0)
             return [view.app_error() for _ in range(200)]
@@ -155,8 +156,39 @@ class TestScenarioInjector:
 
     def test_base_plan_outside_all_phases(self):
         scenario = error_burst(start=5.0, duration=1.0, error_rate=1.0)
-        injector = ScenarioInjector(
-            scenario, seed=3, base=FaultPlan(error_rate=1.0)
+        injector = FaultInjector(
+            FaultPlan(error_rate=1.0), seed=3, scenario=scenario
         )
         injector.start_run(0.0)
         assert injector.for_server(0).app_error()  # base active at t=0
+
+    def test_static_scoped_plan_draws_nothing_out_of_scope(self):
+        # No scenario: the targeted replica is handed the injector
+        # itself, the other a view that answers "no fault" without a
+        # draw — so server 0 decides exactly as if it were alone.
+        plan = FaultPlan(
+            error_rate=0.4, worker_pause_rate=0.4, worker_pause=0.01,
+            worker_crash_rate=0.1, queue_stalls=(StallWindow(0.0, 1.0),),
+            server_ids=(0,),
+        )
+
+        def decide(view):
+            return (
+                view.app_error(), view.worker_pause(), view.worker_crash(),
+                view.queue_stall_remaining(0.5),
+            )
+
+        alone = FaultInjector(plan, seed=7).for_server(0)
+        expected = [decide(alone) for _ in range(200)]
+        assert len(set(expected)) > 4  # the plan does fire
+
+        shared = FaultInjector(plan, seed=7)
+        assert shared.boundaries() == ()
+        in_scope, out_of_scope = shared.for_server(0), shared.for_server(1)
+        assert in_scope is shared
+        decided = []
+        for _ in range(200):
+            assert decide(out_of_scope) == (False, 0.0, False, 0.0)
+            decided.append(decide(in_scope))
+        assert decided == expected
+        assert "phase_changes" not in shared.counts()

@@ -30,15 +30,6 @@ def closed_loop_latencies(service_mean, n_requests, think_time=0.0):
     """
     engine = Engine()
     collector = StatsCollector()
-    server = SimulatedServer(
-        engine,
-        ServiceTimeModel(Exponential.from_mean(service_mean)),
-        NETWORK_MODELS["integrated"],
-        1,
-        collector,
-        random.Random(0),
-    )
-
     state = {"sent": 0}
 
     def send_next():
@@ -47,14 +38,19 @@ def closed_loop_latencies(service_mean, n_requests, think_time=0.0):
         state["sent"] += 1
         server.submit(engine.now)
 
-    # Piggyback on the server's response hook to drive the loop.
-    original = server._on_response
-
+    # The response both is recorded and drives the loop.
     def on_response(request):
-        original(request)
+        collector.add(request.finish())
         engine.after(think_time, send_next)
 
-    server._on_response = on_response
+    server = SimulatedServer(
+        engine,
+        ServiceTimeModel(Exponential.from_mean(service_mean)),
+        NETWORK_MODELS["integrated"],
+        1,
+        random.Random(0),
+        on_response,
+    )
     send_next()
     engine.run()
     return collector.snapshot()
@@ -121,7 +117,8 @@ class TestWarmup:
             collector = StatsCollector(warmup_requests=warmup)
             server = SimulatedServer(
                 engine, ColdStartModel(), NETWORK_MODELS["integrated"],
-                1, collector, random.Random(0),
+                1, random.Random(0),
+                lambda request: collector.add(request.finish()),
             )
             for i in range(2000):
                 server.submit(i * 0.05)

@@ -79,7 +79,8 @@ class TestBurstyArrivals:
             collector = StatsCollector(warmup_requests=2000)
             server = SimulatedServer(
                 engine, ServiceTimeModel(service),
-                NETWORK_MODELS["integrated"], 1, collector, random.Random(1),
+                NETWORK_MODELS["integrated"], 1, random.Random(1),
+                lambda request: collector.add(request.finish()),
             )
             schedule = ArrivalSchedule.generate(process, 22_000, seed=4)
             for t in schedule:

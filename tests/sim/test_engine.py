@@ -2,7 +2,8 @@
 
 import pytest
 
-from repro.sim import Engine, EventQueue
+from repro.core import Scheduler, WallClock
+from repro.sim import Engine, Event, EventQueue
 
 
 class TestEventQueue:
@@ -32,7 +33,7 @@ class TestEventQueue:
         queue = EventQueue()
         fired = []
         event = queue.push(1.0, fired.append, "x")
-        event.cancelled = True
+        queue.cancel(event)
         assert queue.pop() is None
         assert not fired
 
@@ -40,8 +41,72 @@ class TestEventQueue:
         queue = EventQueue()
         queue.push(1.0, lambda: None)
         drop = queue.push(2.0, lambda: None)
-        drop.cancelled = True
+        queue.cancel(drop)
+        queue.cancel(drop)  # idempotent
         assert len(queue) == 1
+
+    def test_cancelled_leader_is_skipped_and_not_counted(self):
+        queue = EventQueue()
+        leader = queue.push(1.0, lambda: None)
+        follower = queue.push(2.0, lambda: None)
+        queue.cancel(leader)
+        assert len(queue) == 1 and queue
+        assert queue.peek_time() == 2.0
+        assert queue.pop() is follower
+        assert len(queue) == 0 and not queue
+        assert queue.pop() is None
+
+    def test_cancelling_an_event_that_left_the_heap_changes_nothing(self):
+        # A resolved call cancels all its timers, fired ones included.
+        queue = EventQueue()
+        fired = queue.push(1.0, lambda: None)
+        same_instant = queue.push(1.0, lambda: None)
+        assert queue.pop() is fired
+        queue.cancel(fired)
+        assert len(queue) == 1
+        assert queue.pop() is same_instant
+
+    def test_no_event_is_pushed_ahead_of_one_that_fired(self):
+        queue = EventQueue()
+        queue.push(5.0, lambda: None)
+        queue.pop()
+        overdue = queue.push(1.0, lambda: None)
+        assert overdue.time == 5.0
+        queue.cancel(overdue)
+        assert queue.pop() is None
+
+    def test_a_dropped_future_timer_does_not_delay_earlier_pushes(self):
+        # Pruning a cancelled leader due at 9.0 is not the clock
+        # reaching 9.0: an event pushed for 2.0 afterwards is due at 2.0.
+        queue = EventQueue()
+        dead = queue.push(9.0, lambda: None)
+        queue.cancel(dead)
+        assert queue.peek_time() is None
+        early = queue.push(2.0, lambda: None)
+        assert early.time == 2.0
+        queue.cancel(early)
+        assert len(queue) == 0 and queue.pop() is None
+
+    def test_events_order_without_a_python_comparison(self):
+        # The entry is the tuple heapq compares: no __lt__ of our own.
+        assert Event.__lt__ is tuple.__lt__
+        event = EventQueue().push(1.0, print, "x")
+        assert event == (1.0, 0, print, ("x",))
+        assert (event.time, event.seq, event.fn, event.args) == tuple(event)
+
+    def test_the_scheduler_drives_the_same_queue_class(self):
+        scheduler = Scheduler(WallClock())
+        try:
+            assert type(scheduler._queue) is type(Engine()._queue) is EventQueue
+            keep = scheduler.after(30.0, lambda: None)
+            drop = scheduler.after(30.0, lambda: None)
+            assert scheduler.pending() == 2
+            scheduler.cancel(drop)
+            assert scheduler.pending() == 1
+            scheduler.cancel(keep)
+            assert scheduler.pending() == 0
+        finally:
+            scheduler.stop()
 
     def test_peek_time(self):
         queue = EventQueue()

@@ -18,8 +18,8 @@ def run_server(service, arrivals, n_threads=1, network="integrated"):
         ServiceTimeModel(service),
         NETWORK_MODELS[network],
         n_threads,
-        collector,
         random.Random(0),
+        lambda request: collector.add(request.finish()),
     )
     for t in arrivals:
         server.submit(t)

@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 
 from repro.batching import BatchPolicy
 from repro.cache import build_cache
-from repro.core import CacheConfig, StatsCollector
+from repro.core import CacheConfig
 from repro.faults import FaultInjector, FaultPlan, StallWindow
 from repro.obs.trace import Tracer
 from repro.sim import Engine, ServiceTimeModel, SimulatedServer
@@ -76,11 +76,10 @@ def test_stage_invariants(
         ServiceTimeModel(Exponential.from_mean(MEAN_SERVICE)),
         NETWORK_MODELS["loopback"],
         n_threads,
-        StatsCollector(),
         random.Random(seed),
+        on_response,
         injector=None if plan is None else FaultInjector(plan, seed),
         queue_capacity=queue_capacity,
-        on_response=on_response,
         tracer=tracer,
         batching=batching,
         cache=(

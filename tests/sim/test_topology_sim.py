@@ -123,3 +123,59 @@ class TestDispatchPolicies:
         result = simulate_dispatch(profile, config, policy="round_robin")
         assert sum(result.routed_counts) == config.total_requests
         assert result.routed_counts == (275, 275, 275, 275)
+
+    # A dispatch study is a SimConfig like any other: every field means
+    # what it means to simulate_load.
+    CONFIG = SimConfig(
+        qps=2000, n_threads=4, warmup_requests=100, measure_requests=1000,
+        seed=4,
+    )
+
+    def test_dispatch_honours_the_fault_plan(self):
+        result = simulate_dispatch(
+            paper_profile("xapian"),
+            self.CONFIG.replace(faults=FaultPlan(error_rate=0.2)),
+            policy="jsq",
+        )
+        errors = result.fault_counts["app_errors"]
+        assert 150 < errors < 300
+        assert result.outcomes["errors"] == errors
+        assert result.outcomes["succeeded"] == 1100 - errors
+
+    def test_dispatch_honours_the_load_profile(self):
+        # 0.1 s at 1000 qps then 0.1 s at 3000: ~400 arrivals, not the
+        # 1100 the request counts ask for.
+        result = simulate_dispatch(
+            paper_profile("xapian"),
+            self.CONFIG.replace(
+                load_profile=((0.1, 1000.0), (0.1, 3000.0)),
+                deterministic_arrivals=True,
+            ),
+            policy="round_robin",
+        )
+        assert 395 <= result.outcomes["offered"] <= 400
+        assert sum(result.routed_counts) == result.outcomes["offered"]
+        assert result.virtual_time < 0.25
+
+    def test_dispatch_honours_the_wire(self):
+        from repro.sim.network_model import network_model_for
+
+        profile = paper_profile("xapian")
+        integrated = simulate_dispatch(profile, self.CONFIG, policy="jsq")
+        networked = simulate_dispatch(
+            profile, self.CONFIG.replace(configuration="networked"),
+            policy="jsq",
+        )
+        wire = 2 * network_model_for("networked").wire_latency_each_way
+        assert wire > 0
+        assert min(networked.stats.samples("sojourn")) >= wire
+        assert networked.sojourn.mean > integrated.sojourn.mean + 0.9 * wire
+
+    def test_dispatch_reports_each_worker(self):
+        result = simulate_dispatch(
+            paper_profile("xapian"), self.CONFIG, policy="power_of_two"
+        )
+        per_worker = result.per_server()
+        assert sorted(per_worker) == [0, 1, 2, 3]
+        assert sum(s.count for s in per_worker.values()) == result.stats.count
+        assert result.alive_workers == (1, 1, 1, 1)
