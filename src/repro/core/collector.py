@@ -544,13 +544,6 @@ class StatsCollector:
         with self._lock:
             return dict(self._outcomes)
 
-    @property
-    def measured_count(self) -> int:
-        with self._lock:
-            if self._records is not None:
-                return len(self._records)
-            return self._histograms["sojourn"].total_count
-
     def snapshot(self) -> CollectedStats:
         """Freeze current contents into an immutable view."""
         with self._lock:

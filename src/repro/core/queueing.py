@@ -346,11 +346,6 @@ class RequestQueue:
             self._not_empty.notify_all()
             return dropped
 
-    @property
-    def closed(self) -> bool:
-        with self._lock:
-            return self._closed
-
     def __len__(self) -> int:
         with self._lock:
             return len(self._buffer)
@@ -377,21 +372,6 @@ class RequestQueue:
     def total_shed(self) -> int:
         with self._lock:
             return self._total_shed
-
-    def sojourn_seconds(self, now: Optional[float] = None) -> float:
-        """How long the oldest waiting request has queued (0 if empty).
-
-        This is the control plane's CoDel signal: persistent head-of-
-        line sojourn above target means the queue holds standing load
-        no amount of buffering will clear.
-        """
-        if now is None:
-            now = self._clock.now()
-        with self._lock:
-            head = self._buffer.head_enqueued_at()
-        if head is None:
-            return 0.0
-        return max(0.0, now - head)
 
     def snapshot(self, now: Optional[float] = None) -> QueueSnapshot:
         """One consistent :class:`QueueSnapshot` of the queue's state."""

@@ -3,8 +3,12 @@
 The extension layer the paper motivates: TailBench exists so that
 techniques like fast DVFS [Rubik, Adrenaline] and deep idle states
 [PowerNap] can be evaluated against tail latency. This package
-provides those mechanisms in the virtual-time simulator, with a
-relative power model, so energy-vs-tail trade-offs are measurable.
+provides those mechanisms as a stage of the simulator's one server
+model, with a relative power model, so energy-vs-tail trade-offs are
+measurable: :class:`PowerStage` is what ``simulate_load(profile,
+config, power=stage)`` runs every service window under — any topology,
+fault plan, batching policy or load profile included — and
+:func:`simulate_energy` is that call for one policy at one load.
 """
 
 from .policies import (
@@ -16,7 +20,7 @@ from .policies import (
     StaticFrequency,
 )
 from .power import EnergyAccount, PowerModel
-from .server import EnergyResult, simulate_energy
+from .server import EnergyResult, PowerStage, simulate_energy
 
 __all__ = [
     "DeepSleep",
@@ -28,5 +32,6 @@ __all__ = [
     "EnergyAccount",
     "PowerModel",
     "EnergyResult",
+    "PowerStage",
     "simulate_energy",
 ]

@@ -1,29 +1,34 @@
-"""Energy-aware virtual-time server.
+"""Energy as a stage of the simulated server.
 
 Extends the latency simulation with the two energy mechanisms the
 paper's related work studies: per-request DVFS (frequency chosen at
 dispatch; only the compute-bound share of service time scales with
 clock) and deep idle states (idle workers sleep after a threshold; the
-request that wakes one pays the transition latency). Produces both the
-usual latency statistics and an energy account, so policies can be
-judged on the actual trade: joules saved vs tail latency spent.
+request that wakes one pays the transition latency). There is no
+energy server: a :class:`PowerStage` is the service-stage model
+:class:`~repro.sim.server_model.SimulatedServer` consults when a window
+opens and when it closes, so an energy run is
+:func:`~repro.sim.latency_sim.simulate_load` with ``power=stage`` and
+composes with everything a :class:`~repro.sim.latency_sim.SimConfig`
+can say — topology, faults, batching, tracing, load profiles. It
+produces the usual latency statistics and an energy account, so
+policies can be judged on the actual trade: joules saved vs tail
+latency spent.
 """
 
 from __future__ import annotations
 
-import collections
-import random
 from dataclasses import dataclass
+from typing import List
 
-from ..core.collector import CollectedStats, StatsCollector
-from ..core.request import Request
-from ..core.traffic import ArrivalSchedule, PoissonArrivals
-from ..sim.engine import Engine
+from ..core.collector import CollectedStats
+from ..sim.calibration import AppProfile
+from ..sim.latency_sim import SimConfig, simulate_load
 from ..stats import Distribution, LatencySummary
 from .policies import FrequencyPolicy, NoSleep, SleepPolicy, StaticFrequency
 from .power import EnergyAccount, PowerModel
 
-__all__ = ["EnergyResult", "simulate_energy"]
+__all__ = ["EnergyResult", "PowerStage", "simulate_energy"]
 
 
 @dataclass(frozen=True)
@@ -50,48 +55,47 @@ class EnergyResult:
         return self.energy.average_power
 
 
-class _Worker:
-    __slots__ = ("idle_since",)
+class PowerStage:
+    """DVFS and sleep states for every worker of a run, one account.
 
-    def __init__(self, now: float) -> None:
-        self.idle_since = now  # None while busy
-
-
-class _EnergyServer:
-    """Single-queue multi-worker server with DVFS and sleep states."""
+    Pass it as ``simulate_load(..., power=stage)``: each replica asks
+    :meth:`for_server` for its own worker pool, all pools book to
+    :attr:`account`, and :meth:`close` — called by ``simulate_load``
+    when the run ends — books the idle workers' final intervals, so
+    ``account.total_time`` is the run's worker-seconds.
+    """
 
     def __init__(
         self,
-        engine: Engine,
-        service: Distribution,
-        n_threads: int,
-        frequency_policy: FrequencyPolicy,
-        sleep_policy: SleepPolicy,
-        power_model: PowerModel,
-        compute_fraction: float,
-        collector: StatsCollector,
-        rng: random.Random,
+        frequency_policy: FrequencyPolicy = StaticFrequency(1.0),
+        sleep_policy: SleepPolicy = NoSleep(),
+        power_model: PowerModel = PowerModel(),
+        compute_fraction: float = 0.7,
     ) -> None:
-        if n_threads < 1:
-            raise ValueError("n_threads must be >= 1")
         if not 0.0 <= compute_fraction <= 1.0:
             raise ValueError("compute_fraction must be in [0, 1]")
-        self._engine = engine
-        self._service = service
         self._frequency_policy = frequency_policy
         self._sleep_policy = sleep_policy
         self._compute_fraction = compute_fraction
-        self._collector = collector
-        self._rng = rng
-        self._queue: collections.deque = collections.deque()
-        self._idle_workers = [_Worker(engine.now) for _ in range(n_threads)]
-        self._busy = 0
         self.account = EnergyAccount(power_model)
+        self._pools: List[_WorkerPool] = []
 
-    # -- accounting helpers ---------------------------------------------
-    def _settle_idle(self, worker: _Worker, now: float) -> bool:
-        """Book the worker's idle interval; returns True if it slept."""
-        interval = now - worker.idle_since
+    def for_server(self, n_threads: int, now: float) -> "_WorkerPool":
+        """The pool of a replica that joins the run at ``now``."""
+        pool = _WorkerPool(self, n_threads, now)
+        self._pools.append(pool)
+        return pool
+
+    def close(self, now: float) -> None:
+        """Book every idle worker's interval up to the end of the run."""
+        for pool in self._pools:
+            for since in pool.idle_since:
+                self._settle(since, now)
+            pool.idle_since = [now] * len(pool.idle_since)
+
+    def _settle(self, idle_since: float, now: float) -> bool:
+        """Book one idle interval; returns True if the worker slept."""
+        interval = now - idle_since
         threshold = self._sleep_policy.entry_threshold
         if interval > threshold:
             self.account.add_idle(threshold)
@@ -100,52 +104,40 @@ class _EnergyServer:
         self.account.add_idle(interval)
         return False
 
-    # -- events ------------------------------------------------------------
-    def submit(self, generated_at: float) -> None:
-        request = Request(payload=None, generated_at=generated_at)
-        request.sent_at = generated_at
-        self._engine.at(generated_at, self._on_arrival, request)
 
-    def _on_arrival(self, request: Request) -> None:
-        request.enqueued_at = self._engine.now
-        if self._idle_workers:
-            self._dispatch(request, self._idle_workers.pop())
-        else:
-            self._queue.append(request)
+class _WorkerPool:
+    """One replica's workers: a stack of idle-since instants."""
 
-    def _dispatch(self, request: Request, worker: _Worker) -> None:
-        now = self._engine.now
-        was_asleep = self._settle_idle(worker, now)
-        self._busy += 1
-        wakeup = self._sleep_policy.wakeup_latency if was_asleep else 0.0
-        waited = now - request.enqueued_at
-        frequency = self._frequency_policy.frequency(len(self._queue), waited)
-        base = self._service.sample(self._rng)
-        scaled = base * (
-            self._compute_fraction / frequency + (1.0 - self._compute_fraction)
-        )
-        # The wakeup transition delays service start; transition power
-        # is charged as active time at the chosen frequency.
-        request.service_start_at = now + wakeup
-        self.account.add_active(wakeup + scaled, frequency)
-        self._engine.after(wakeup + scaled, self._on_completion, request, worker)
+    __slots__ = ("_stage", "idle_since")
 
-    def _on_completion(self, request: Request, worker: _Worker) -> None:
-        now = self._engine.now
-        request.service_end_at = now
-        request.response_received_at = now
-        self._collector.add(request.finish())
-        self._busy -= 1
-        if self._queue:
-            self._dispatch_with_busy_worker(self._queue.popleft(), worker)
-        else:
-            worker.idle_since = now
-            self._idle_workers.append(worker)
+    def __init__(self, stage: PowerStage, n_threads: int, now: float) -> None:
+        self._stage = stage
+        self.idle_since = [now] * n_threads
 
-    def _dispatch_with_busy_worker(self, request: Request, worker: _Worker) -> None:
-        """Dispatch without booking idle time (back-to-back hand-off)."""
-        worker.idle_since = self._engine.now  # zero-length idle interval
-        self._dispatch(request, worker)
+    def on_start(
+        self, now: float, queue_depth: int, waited: float, window: float
+    ) -> float:
+        """A worker takes a service window; returns its real length.
+
+        Only the compute-bound share scales with the clock. A wakeup
+        sits inside the window — where a ``worker_pause`` already puts
+        a stall — and is charged as active time at the chosen
+        frequency.
+        """
+        stage = self._stage
+        slept = stage._settle(self.idle_since.pop(), now)
+        frequency = stage._frequency_policy.frequency(queue_depth, waited)
+        share = stage._compute_fraction
+        window *= share / frequency + (1.0 - share)
+        if slept:
+            window += stage._sleep_policy.wakeup_latency
+        stage.account.add_active(window, frequency)
+        return window
+
+    def on_end(self, now: float) -> None:
+        """The window closed: the worker idles from ``now`` (a
+        back-to-back hand-off pops it again with a zero interval)."""
+        self.idle_since.append(now)
 
 
 def simulate_energy(
@@ -166,35 +158,23 @@ def simulate_energy(
     account covers the whole run (steady-state energy converges fast
     and the bias is second-order).
     """
-    if qps <= 0:
-        raise ValueError("qps must be positive")
-    engine = Engine()
-    collector = StatsCollector(warmup_requests=warmup_requests)
-    server = _EnergyServer(
-        engine,
-        service,
-        n_threads,
-        frequency_policy,
-        sleep_policy,
-        power_model,
-        compute_fraction,
-        collector,
-        random.Random(seed ^ 0xE9E12),
+    stage = PowerStage(
+        frequency_policy, sleep_policy, power_model, compute_fraction
     )
-    schedule = ArrivalSchedule.generate(
-        PoissonArrivals(qps), warmup_requests + measure_requests, seed=seed
+    result = simulate_load(
+        AppProfile("energy", service),
+        SimConfig(
+            qps=qps,
+            n_threads=n_threads,
+            warmup_requests=warmup_requests,
+            measure_requests=measure_requests,
+            seed=seed,
+        ),
+        power=stage,
     )
-    for t in schedule:
-        server.submit(t)
-    engine.run()
-    # Close out each idle worker's final interval so total_time is
-    # consistent with the virtual span.
-    for worker in server._idle_workers:
-        server._settle_idle(worker, engine.now)
-        worker.idle_since = engine.now
     return EnergyResult(
-        stats=collector.snapshot(),
-        energy=server.account,
+        stats=result.stats,
+        energy=stage.account,
         offered_qps=qps,
-        virtual_time=engine.now,
+        virtual_time=result.virtual_time,
     )

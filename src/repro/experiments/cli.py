@@ -5,6 +5,9 @@ Regenerates any of the paper's tables/figures from the terminal::
     tailbench table1
     tailbench fig5 --fast
     tailbench all
+
+``tailbench trace <app>`` and ``tailbench tail <app>`` inspect one
+workload instead; both live in :mod:`.inspect_cli`.
 """
 
 from __future__ import annotations
@@ -33,6 +36,7 @@ from .fig_fanout import render_fig_fanout, run_fig_fanout
 from .fig_live import render_fig_live, run_fig_live
 from .fig_resilience import render_fig_resilience, run_fig_resilience
 from .fig_topology import render_fig_topology, run_fig_topology
+from .inspect_cli import tail_main, trace_main
 from .table1 import render_table1, run_table1
 
 __all__ = ["main", "EXPERIMENTS", "EXTENSIONS"]
@@ -80,6 +84,9 @@ EXTENSIONS: Dict[str, Tuple[Callable, Callable]] = {
     "fig-live": (run_fig_live, render_fig_live),
 }
 
+#: One-workload inspection commands (see :mod:`.inspect_cli`).
+_INSPECT: Dict[str, Callable] = {"trace": trace_main, "tail": tail_main}
+
 _FAST_KWARGS = {
     "table1": {"measure_requests": 4000, "n_instructions": 100_000},
     "fig2": {"n_samples": 4000},
@@ -117,17 +124,10 @@ def run_experiment(name: str, fast: bool = False, seed: int = 0) -> str:
 
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
-    if argv and argv[0] == "trace":
-        # ``tailbench trace <app> ...`` has its own option surface;
-        # delegate before the experiment parser rejects it.
-        from .trace_cli import main as trace_main
-
-        return trace_main(argv[1:])
-    if argv and argv[0] == "tail":
-        # ``tailbench tail <app> ...`` — tail attribution, same idea.
-        from .tail_cli import main as tail_main
-
-        return tail_main(argv[1:])
+    if argv and argv[0] in _INSPECT:
+        # ``tailbench trace|tail <app> ...`` have their own option
+        # surface; delegate before the experiment parser rejects them.
+        return _INSPECT[argv[0]](argv[1:])
     parser = argparse.ArgumentParser(
         prog="tailbench",
         description="Regenerate TailBench (IISWC 2016) tables and figures"

@@ -27,10 +27,6 @@ class HealthConfig:
     ----------
     enabled:
         Master switch. Off (the default) constructs nothing.
-    ewma_alpha:
-        Smoothing factor of the per-replica EWMAs (attempt latency and
-        failure rate). Higher reacts faster; 0.2 weights the last ~10
-        attempts.
     ejection:
         Enable outlier ejection (skip unhealthy replicas at routing
         time). Requires ``enabled``.
@@ -78,7 +74,6 @@ class HealthConfig:
     """
 
     enabled: bool = False
-    ewma_alpha: float = 0.2
     ejection: bool = True
     min_samples: int = 10
     failure_rate_threshold: float = 0.5
@@ -95,8 +90,6 @@ class HealthConfig:
     retry_budget_cap: float = 100.0
 
     def __post_init__(self) -> None:
-        if not 0.0 < self.ewma_alpha <= 1.0:
-            raise ValueError("ewma_alpha must be in (0, 1]")
         if self.min_samples < 1:
             raise ValueError("min_samples must be >= 1")
         if not 0.0 < self.failure_rate_threshold <= 1.0:

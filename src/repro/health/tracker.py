@@ -36,6 +36,10 @@ from .config import HealthConfig
 
 __all__ = ["HealthManager", "HealthView", "ReplicaHealthView"]
 
+#: Smoothing factor of the per-replica EWMAs (attempt latency and
+#: failure rate): 0.2 weights the last ~10 attempts.
+_EWMA_ALPHA = 0.2
+
 
 class _ReplicaState:
     """Mutable health record of one replica (lock-guarded by the manager)."""
@@ -227,7 +231,7 @@ class HealthManager:
         with self._lock:
             state = self._state_locked(server_id)
             state.samples += 1
-            alpha = config.ewma_alpha
+            alpha = _EWMA_ALPHA
             fail = 0.0 if ok else 1.0
             if state.samples == 1:
                 state.failure_ewma = fail

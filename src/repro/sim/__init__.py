@@ -17,11 +17,7 @@ from .calibration import (
 )
 from .colocation import BatchColocation, max_safe_batch_share, simulate_colocated
 from .contention import NO_CONTENTION, ContentionModel
-from .dispatch import (
-    compare_dispatch,
-    simulate_dispatch,
-    simulate_random_dispatch,
-)
+from .dispatch import compare_dispatch, simulate_dispatch
 from .engine import Engine
 from .latency_sim import SimConfig, SimResult, simulate_app, simulate_load
 from .network_model import NETWORK_MODELS, NetworkModel, network_model_for
@@ -41,7 +37,6 @@ __all__ = [
     "ContentionModel",
     "compare_dispatch",
     "simulate_dispatch",
-    "simulate_random_dispatch",
     "Engine",
     "Event",
     "EventQueue",

@@ -16,7 +16,8 @@ power-of-two, join-shortest-queue) can steer arrivals — quantifying
 how much smarter dispatch recovers of the shared queue's tail
 advantage — and every other :class:`SimConfig` field (faults, load
 profile, wire latency, tracing, resilience) means what it means
-anywhere else.
+anywhere else. Random dispatch is ``policy="random"``, the default;
+there is no separate entry point for it.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ from ..stats import ScaledDistribution
 from .calibration import AppProfile
 from .latency_sim import SimConfig, SimResult, simulate_load
 
-__all__ = ["simulate_dispatch", "simulate_random_dispatch", "compare_dispatch"]
+__all__ = ["simulate_dispatch", "compare_dispatch"]
 
 
 def simulate_dispatch(
@@ -58,11 +59,6 @@ def simulate_dispatch(
     )
 
 
-def simulate_random_dispatch(profile: AppProfile, config: SimConfig) -> SimResult:
-    """Like :func:`simulate_load` but with per-worker random dispatch."""
-    return simulate_dispatch(profile, config, policy="random")
-
-
 def compare_dispatch(
     profile: AppProfile,
     config: SimConfig,
@@ -76,7 +72,7 @@ def compare_dispatch(
     """
     results = {
         "shared": simulate_load(profile, config),
-        "random": simulate_random_dispatch(profile, config),
+        "random": simulate_dispatch(profile, config, policy="random"),
     }
     for policy in extra_policies:
         results[policy] = simulate_dispatch(profile, config, policy=policy)

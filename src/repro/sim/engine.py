@@ -27,15 +27,10 @@ class Engine:
     def __init__(self, start_time: float = 0.0) -> None:
         self.clock = VirtualClock(start_time)
         self._queue = EventQueue()
-        self._executed = 0
 
     @property
     def now(self) -> float:
         return self.clock.now()
-
-    @property
-    def executed_events(self) -> int:
-        return self._executed
 
     def at(self, time: float, fn: Callable, *args: Any) -> Event:
         """Schedule ``fn(*args)`` at absolute virtual time ``time``."""
@@ -72,7 +67,6 @@ class Engine:
             self.clock.advance_to(time)
             fn(*args)
             executed += 1
-            self._executed += 1
             if executed > max_events:
                 raise RuntimeError("event budget exhausted (runaway simulation?)")
         return executed

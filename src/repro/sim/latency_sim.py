@@ -86,8 +86,15 @@ class SimResult(RunResult):
         return "\n".join(lines + self._describe_tail())
 
 
-def simulate_load(profile: AppProfile, config: SimConfig) -> SimResult:
-    """Run one open-loop load test in virtual time."""
+def simulate_load(
+    profile: AppProfile, config: SimConfig, power=None
+) -> SimResult:
+    """Run one open-loop load test in virtual time.
+
+    ``power`` is an optional :class:`repro.energy.PowerStage`: every
+    replica's service stage then runs under its DVFS / sleep policies
+    and its energy account covers the run when this returns.
+    """
     network = network_model_for(config.configuration)
     service_model = profile.service_model(
         n_threads=config.n_threads,
@@ -101,6 +108,7 @@ def simulate_load(profile: AppProfile, config: SimConfig) -> SimResult:
     transport = SimulatedTransport(
         engine, network, seed=config.seed,
         batch_marginal_cost=config.batching.sim_marginal_cost,
+        power=power,
     )
     # The engine is the run's scheduler: virtual time advances only
     # through its heap.
@@ -115,6 +123,8 @@ def simulate_load(profile: AppProfile, config: SimConfig) -> SimResult:
     engine.run()
     elapsed = engine.now
     parts.stop()
+    if power is not None:
+        power.close(elapsed)
     shared = parts.finish(run_start=0.0, run_end=elapsed, **parts.topology())
     total_busy = sum(
         instance.server.busy_time for instance in transport.instances

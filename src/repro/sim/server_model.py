@@ -15,7 +15,10 @@ The model mirrors the live server's fault-injection points: with a
 worker pauses inflate service time, worker crashes permanently reduce
 capacity, and the application layer errors at the plan's rate. With a
 ``queue_capacity``, arrivals beyond the bound are shed and answered
-with a shed response (admission control).
+with a shed response (admission control). With a ``power`` stage
+(:mod:`repro.energy`), each service window is rescaled by the frequency
+chosen for it and pays the wakeup of a worker that slept — energy is a
+stage of this server, not another server.
 """
 
 from __future__ import annotations
@@ -90,6 +93,13 @@ class SimulatedServer:
         member keeps the service RNG stream aligned with unbatched
         runs, and the marginal fraction models the amortization a
         vectorized ``handle_batch`` achieves live (1.0 = no benefit).
+    power:
+        Optional service-stage power model — one replica's pool from
+        :meth:`repro.energy.PowerStage.for_server` — consulted twice
+        per window: ``on_start(now, queue_depth, waited, window)``
+        returns the window rescaled by the frequency it picked (plus
+        the wakeup when the worker had slept), and ``on_end(now)``
+        marks the worker idle again. None costs one test at each.
     """
 
     def __init__(
@@ -109,6 +119,7 @@ class SimulatedServer:
         batching=None,
         batch_marginal_cost: float = 0.35,
         cache=None,
+        power=None,
     ) -> None:
         if n_threads < 1:
             raise ValueError("n_threads must be >= 1")
@@ -132,6 +143,7 @@ class SimulatedServer:
         # fleet. Consulted at service start for requests that carry a
         # synthetic key (payload is not None); None costs one test.
         self._cache = cache
+        self._power = power
         self._batch_seq = itertools.count()
         # Earliest pending batch-deadline event (None when none is
         # scheduled): lets dispatch avoid stacking redundant wakeups.
@@ -353,6 +365,10 @@ class SimulatedServer:
         if first is not None:
             window += first + self._batch_marginal * others
         window += pause
+        if self._power is not None:
+            window = self._power.on_start(
+                now, len(self._queue), now - members[0].enqueued_at, window
+            )
         self.busy_time += window
         self._engine.after(window, self._on_completion, seq, members)
 
@@ -389,6 +405,8 @@ class SimulatedServer:
         for request in members:
             request.service_end_at = now
             self._schedule_response(request, now)
+        if self._power is not None:
+            self._power.on_end(now)
         self._dispatch()
 
     def _schedule_response(self, request: Request, now: float) -> None:

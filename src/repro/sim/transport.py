@@ -66,15 +66,18 @@ class SimulatedTransport(Transport):
         network: NetworkModel,
         seed: int = 0,
         batch_marginal_cost: float = 0.35,
+        power=None,
     ) -> None:
         super().__init__(engine.clock)
         self._engine = engine
         self._network = network
         self._seed = seed
         self._batch_marginal_cost = batch_marginal_cost
+        self._power = power
 
     def _build_instance(self, server_id: int) -> ServerInstance:
         control = self._control
+        now = self._clock.now()
         server = SimulatedServer(
             self._engine,
             self._app,
@@ -94,9 +97,16 @@ class SimulatedTransport(Transport):
             batching=self._batching,
             batch_marginal_cost=self._batch_marginal_cost,
             cache=self._cache,
+            # Each replica — a runtime scale-up included — gets its own
+            # worker pool over the run's one energy account.
+            power=(
+                self._power.for_server(self._n_threads, now)
+                if self._power is not None
+                else None
+            ),
         )
         instance = ServerInstance(server_id, _QueueView(server), server)
-        instance.started_at = self._clock.now()
+        instance.started_at = now
         return instance
 
     def _submit_after(self, request: Request, delay: float) -> None:

@@ -107,13 +107,13 @@ class TestRequestQueue:
     def test_sojourn_seconds_tracks_head_age(self):
         clock = VirtualClock(10.0)
         queue = RequestQueue(clock)
-        assert queue.sojourn_seconds() == 0.0  # empty
+        assert queue.snapshot().head_sojourn == 0.0  # empty
         queue.put(make_request())
         clock.advance(0.25)
         queue.put(make_request())  # younger request: head age unchanged
-        assert queue.sojourn_seconds() == pytest.approx(0.25)
+        assert queue.snapshot().head_sojourn == pytest.approx(0.25)
         queue.get()
-        assert queue.sojourn_seconds() == pytest.approx(0.0)
+        assert queue.snapshot().head_sojourn == pytest.approx(0.0)
 
     def test_snapshot_is_consistent_view(self):
         clock = VirtualClock(5.0)

@@ -39,8 +39,8 @@ class TestConfig:
             HealthManager(NO_HEALTH)
 
     def test_validation(self):
-        with pytest.raises(ValueError):
-            HealthConfig(ewma_alpha=0.0)
+        with pytest.raises(TypeError):  # a constant of the tracker, not a knob
+            HealthConfig(ewma_alpha=0.5)
         with pytest.raises(ValueError):
             HealthConfig(failure_rate_threshold=1.5)
         with pytest.raises(ValueError):

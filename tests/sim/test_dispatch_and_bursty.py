@@ -9,8 +9,8 @@ from repro.sim import (
     SimConfig,
     compare_dispatch,
     paper_profile,
+    simulate_dispatch,
     simulate_load,
-    simulate_random_dispatch,
 )
 from repro.stats import Exponential
 
@@ -128,15 +128,17 @@ class TestDispatchPolicies:
             measure_requests=10_000,
         )
         shared = simulate_load(profile, config)
-        partitioned = simulate_random_dispatch(profile, config)
+        partitioned = simulate_dispatch(profile, config, policy="random")
         assert partitioned.sojourn.mean == pytest.approx(
             shared.sojourn.mean, rel=0.15
         )
 
     def test_records_valid(self):
         profile = paper_profile("silo")
-        result = simulate_random_dispatch(
-            profile, SimConfig(qps=5000, n_threads=2, measure_requests=2000)
+        result = simulate_dispatch(
+            profile,
+            SimConfig(qps=5000, n_threads=2, measure_requests=2000),
+            policy="random",
         )
         for record in result.stats.records:
             assert record.sojourn_time >= record.service_time >= 0

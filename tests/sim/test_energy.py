@@ -2,16 +2,21 @@
 
 import pytest
 
+from repro.batching import BatchingConfig
+from repro.core import ObservabilityConfig
 from repro.energy import (
     DeepSleep,
     EnergyAccount,
     NoSleep,
     PowerModel,
+    PowerStage,
     QueueBoost,
     StaticFrequency,
     simulate_energy,
 )
-from repro.stats import Exponential
+from repro.faults import FaultPlan
+from repro.sim import AppProfile, SimConfig, simulate_load
+from repro.stats import Deterministic, Exponential
 
 
 class TestPowerModel:
@@ -154,3 +159,82 @@ class TestSimulateEnergy:
             self.run(n_threads=0)
         with pytest.raises(ValueError):
             self.run(compute_fraction=1.5)
+
+class TestPowerStage:
+    """An energy run is ``simulate_load`` with a power stage."""
+
+    PROFILE = AppProfile("energy", Exponential.from_mean(200e-6))
+
+    @staticmethod
+    def worker_seconds(config, result):
+        return config.n_servers * config.n_threads * result.virtual_time
+
+    def test_hand_checked_wakeup_and_scaling(self):
+        # One worker, arrivals every 10 ms, 200 us of all-compute work
+        # at half clock = 400 us, and every arrival finds the worker
+        # 100 us idle then asleep: + 300 us wakeup = 700 us, ten times.
+        stage = PowerStage(
+            StaticFrequency(0.5), DeepSleep(100e-6, 300e-6),
+            compute_fraction=1.0,
+        )
+        result = simulate_load(
+            AppProfile("constant", Deterministic(200e-6)),
+            SimConfig(
+                qps=100.0, warmup_requests=0, measure_requests=10,
+                deterministic_arrivals=True,
+            ),
+            power=stage,
+        )
+        assert result.stats.samples("sojourn") == pytest.approx([700e-6] * 10)
+        account = stage.account
+        assert result.virtual_time == pytest.approx(0.1007)
+        assert account.busy_time == pytest.approx(7e-3)
+        assert account.idle_time == pytest.approx(1e-3)
+        assert account.total_time == pytest.approx(result.virtual_time)
+
+    def test_worker_time_conserved_under_topology_faults_and_tracing(self):
+        config = SimConfig(
+            qps=0.6 * 4 / 200e-6, n_servers=2, n_threads=2, balancer="jsq",
+            warmup_requests=100, measure_requests=2000,
+            faults=FaultPlan(worker_pause_rate=0.05, worker_pause=1e-3),
+            observability=ObservabilityConfig(tracing=True),
+        )
+        stage = PowerStage(QueueBoost(low=0.6, high=1.0), DeepSleep())
+        result = simulate_load(self.PROFILE, config, power=stage)
+        assert result.fault_counts["pauses"] > 0
+        assert result.obs.events
+        assert stage.account.sleep_time > 0
+        assert stage.account.total_time == pytest.approx(
+            self.worker_seconds(config, result), rel=1e-9
+        )
+
+    def test_worker_time_conserved_under_crashes_and_batching(self):
+        config = SimConfig(
+            qps=0.5 * 6 / 200e-6, n_servers=2, n_threads=3,
+            balancer="power_of_two", warmup_requests=100,
+            measure_requests=2000,
+            faults=FaultPlan(worker_crash_rate=0.001),
+            batching=BatchingConfig(
+                enabled=True, max_batch_size=4, max_batch_delay=100e-6
+            ),
+        )
+        stage = PowerStage(StaticFrequency(0.8), DeepSleep())
+        result = simulate_load(self.PROFILE, config, power=stage)
+        assert 0 < result.fault_counts["crashes"]
+        assert sum(result.alive_workers) > 0
+        # A crashed worker idles (then sleeps) for the rest of the run.
+        assert stage.account.total_time == pytest.approx(
+            self.worker_seconds(config, result), rel=1e-9
+        )
+
+    def test_no_power_stage_is_the_default_run(self):
+        config = SimConfig(
+            qps=0.7 / 200e-6, warmup_requests=100, measure_requests=1500
+        )
+        default = simulate_load(self.PROFILE, config)
+        spelled = simulate_load(self.PROFILE, config, power=None)
+        assert default.stats.samples("sojourn") == (
+            spelled.stats.samples("sojourn")
+        )
+        assert default.virtual_time == spelled.virtual_time
+        assert default.utilization == spelled.utilization

@@ -187,5 +187,4 @@ class TestEngine:
         engine = Engine()
         for i in range(5):
             engine.at(float(i), lambda: None)
-        engine.run()
-        assert engine.executed_events == 5
+        assert engine.run() == 5
