@@ -23,9 +23,7 @@ from repro.sim.network_model import NETWORK_MODELS
 from repro.stats import Exponential, HdrHistogram, percentile
 
 
-def test_ablation_closed_loop_underestimates_tail(
-    benchmark, save_result, save_baseline
-):
+def test_ablation_closed_loop_underestimates_tail(benchmark, save_result):
     """Coordinated omission: closed-loop load testing vs open-loop."""
     service_mean = 1e-3
     profile = AppProfile(name="ab", service=Exponential.from_mean(service_mean))
@@ -71,16 +69,9 @@ def test_ablation_closed_loop_underestimates_tail(
     # Prior work reports orders-of-magnitude errors; at 80% load the
     # factor must be large.
     assert error > 3.0
-    save_baseline("ablation_closed_loop", {
-        "open_p99_s": open_p99,
-        "closed_p99_s": closed_p99,
-        "underestimate_factor": error,
-    })
 
 
-def test_ablation_deterministic_arrivals_hide_queueing(
-    benchmark, save_result, save_baseline
-):
+def test_ablation_deterministic_arrivals_hide_queueing(benchmark, save_result):
     """Poisson vs fixed interarrivals: burstiness drives tails."""
 
     def run_both():
@@ -103,14 +94,9 @@ def test_ablation_deterministic_arrivals_hide_queueing(
     print("\n" + text)
     save_result("ablation_arrivals", text)
     assert poisson_p99 > 1.3 * uniform_p99
-    save_baseline("ablation_arrivals", {
-        "poisson_p99_s": poisson_p99,
-        "deterministic_p99_s": uniform_p99,
-        "tail_ratio": poisson_p99 / uniform_p99,
-    })
 
 
-def test_ablation_hdr_precision(benchmark, save_result, save_baseline):
+def test_ablation_hdr_precision(benchmark, save_result):
     """HDR histogram vs exact samples: error stays within the 1% claim."""
 
     def run():
@@ -136,14 +122,9 @@ def test_ablation_hdr_precision(benchmark, save_result, save_baseline):
     # Bucket midpoint reporting: worst-case half-bucket error ~4.5%,
     # typical well under the 1%-of-value bucket resolution.
     assert all(err < 0.05 for err in errors.values())
-    save_baseline("ablation_hdr", {
-        f"p{pct:g}_rel_error": err for pct, err in errors.items()
-    })
 
 
-def test_ablation_skipping_warmup_biases_tail(
-    benchmark, save_result, save_baseline
-):
+def test_ablation_skipping_warmup_biases_tail(benchmark, save_result):
     """Cold-start contamination without the warmup discard."""
     profile = AppProfile(name="warm", service=Exponential.from_mean(1e-3))
 
@@ -171,13 +152,9 @@ def test_ablation_skipping_warmup_biases_tail(
     print("\n" + text)
     save_result("ablation_warmup", text)
     assert biased_p95 < clean_p95
-    save_baseline("ablation_warmup", {
-        "unwarmed_p95_s": biased_p95,
-        "warmed_p95_s": clean_p95,
-    })
 
 
-def test_ablation_drrip_vs_lru_on_scans(benchmark, save_result, save_baseline):
+def test_ablation_drrip_vs_lru_on_scans(benchmark, save_result):
     """DRRIP's scan resistance vs plain LRU in the L3."""
     from repro.archsim import DrripPolicy, LruPolicy, SetAssociativeCache
 
@@ -209,13 +186,9 @@ def test_ablation_drrip_vs_lru_on_scans(benchmark, save_result, save_baseline):
     print("\n" + text)
     save_result("ablation_drrip", text)
     assert drrip_hit > lru_hit
-    save_baseline("ablation_drrip", {
-        "lru_hot_hit_rate": lru_hit,
-        "drrip_hot_hit_rate": drrip_hit,
-    })
 
 
-def test_ablation_interrupt_steering(benchmark, save_result, save_baseline):
+def test_ablation_interrupt_steering(benchmark, save_result):
     """What if NIC interrupts ran on application cores? (Sec. VI-A)
 
     The paper steers interrupts away from app cores; our networked
@@ -244,13 +217,9 @@ def test_ablation_interrupt_steering(benchmark, save_result, save_baseline):
     print("\n" + text)
     save_result("ablation_interrupts", text)
     assert drop_unsteered > drop_steered * 1.4
-    save_baseline("ablation_interrupts", {
-        "steered_drop": drop_steered,
-        "unsteered_drop": drop_unsteered,
-    })
 
 
-def test_ablation_cpi_memory_boundness(benchmark, save_result, save_baseline):
+def test_ablation_cpi_memory_boundness(benchmark, save_result):
     """Trace-grounded cross-check of the Fig. 8 case study.
 
     The CPI timing model over the synthetic traces independently ranks
@@ -274,10 +243,6 @@ def test_ablation_cpi_memory_boundness(benchmark, save_result, save_baseline):
     )
     print("\n" + text)
     save_result("ablation_cpi", text)
-    save_baseline("ablation_cpi", {
-        f"{name}_memory_boundness": e.memory_boundness
-        for name, e in estimates.items()
-    })
     assert estimates["moses"].memory_boundness > 0.7
     assert estimates["silo"].memory_boundness < 0.5
     assert (
@@ -286,7 +251,7 @@ def test_ablation_cpi_memory_boundness(benchmark, save_result, save_baseline):
     )
 
 
-def test_ablation_energy_policies(benchmark, save_result, save_baseline):
+def test_ablation_energy_policies(benchmark, save_result):
     """Extension study: power-management policies vs. tail latency.
 
     The canonical shape: reactive DVFS dominates static-low on latency
@@ -326,13 +291,6 @@ def test_ablation_energy_policies(benchmark, save_result, save_baseline):
     )
     print("\n" + text)
     save_result("ablation_energy", text)
-    save_baseline("ablation_energy", {
-        f"{label}_{metric}": value
-        for label, r in results.items()
-        for metric, value in (
-            ("p95_s", r.sojourn.p95), ("avg_power", r.average_power)
-        )
-    })
     assert results["low"].average_power < results["max"].average_power
     assert results["boost"].sojourn.p95 < results["low"].sojourn.p95
     assert results["boost"].average_power < results["max"].average_power
@@ -340,9 +298,7 @@ def test_ablation_energy_policies(benchmark, save_result, save_baseline):
     assert results["sleep"].sojourn.p95 > results["max"].sojourn.p95
 
 
-def test_ablation_shared_vs_partitioned_queue(
-    benchmark, save_result, save_baseline
-):
+def test_ablation_shared_vs_partitioned_queue(benchmark, save_result):
     """Why the harness uses one shared request queue (Fig. 1).
 
     Random per-worker dispatch strands requests behind busy workers
@@ -371,13 +327,9 @@ def test_ablation_shared_vs_partitioned_queue(
     print("\n" + text)
     save_result("ablation_dispatch", text)
     assert shared.sojourn.p95 < 0.6 * partitioned.sojourn.p95
-    save_baseline("ablation_dispatch", {
-        "shared_p95_s": shared.sojourn.p95,
-        "random_p95_s": partitioned.sojourn.p95,
-    })
 
 
-def test_ablation_bursty_traffic(benchmark, save_result, save_baseline):
+def test_ablation_bursty_traffic(benchmark, save_result):
     """Tails under MMPP burst traffic vs Poisson at equal offered load."""
     import random as _random
 
@@ -419,8 +371,3 @@ def test_ablation_bursty_traffic(benchmark, save_result, save_baseline):
     print("\n" + text)
     save_result("ablation_bursty", text)
     assert bursty.p99 > 1.5 * poisson.p99
-    save_baseline("ablation_bursty", {
-        "poisson_p99_s": poisson.p99,
-        "bursty_p99_s": bursty.p99,
-        "inflation": bursty.p99 / poisson.p99,
-    })

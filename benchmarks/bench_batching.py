@@ -42,7 +42,7 @@ def _runs(batching, seeds):
     return results
 
 
-def test_batching_gain(benchmark, save_result, save_baseline):
+def test_batching_gain(benchmark, save_result):
     """Median achieved-throughput ratio, batching on vs off."""
     seeds = list(range(REPEATS))
     off = _runs(BatchingConfig(), seeds)
@@ -75,9 +75,3 @@ def test_batching_gain(benchmark, save_result, save_baseline):
     # The acceptance bar: vectorized batching is a >=1.3x capacity win
     # at the chosen operating point (observed ~1.6x; margin for CI).
     assert ratio >= 1.3
-    save_baseline("batching_gain", {
-        "throughput_ratio": ratio,
-        "occupancy": occupancy,
-        "off_qps": off_qps,
-        "on_qps": on_qps,
-    })

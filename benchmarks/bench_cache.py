@@ -1,10 +1,10 @@
 """Caching tier: Zipf hit rates, cold-restart spike, policy op cost.
 
-The deterministic half runs the virtual-time simulator — hit rates and
-the cold-restart spike depend only on seeded RNG streams, so they
-anchor the CI baseline (``BENCH_cache.json``) byte-for-byte across
-machines. The wall-clock half times raw policy lookup/store ops via
-pytest-benchmark; it lands in the rendered report, not the baseline.
+The deterministic half runs the virtual-time simulator — hit rates
+depend only on seeded RNG streams, so they are pinned exactly
+(``PINNED_HIT_RATES``) and reproduce across machines. The wall-clock
+half times raw policy lookup/store ops via pytest-benchmark and is
+not judged.
 
 Run:  pytest benchmarks/bench_cache.py --benchmark-only
 The rendered table lands in benchmarks/results/cache_hit_rates.txt.
@@ -12,6 +12,8 @@ The rendered table lands in benchmarks/results/cache_hit_rates.txt.
 
 import dataclasses
 import random
+
+import pytest
 
 from repro.cache import make_policy, predicted_hit_rate
 from repro.cache.policies import HIT
@@ -24,13 +26,26 @@ KEYSPACE = 512
 THETA = 0.9
 MEASURE_REQUESTS = 5000
 
+#: (policy, capacity fraction) -> simulated hit rate at the constants
+#: above and seed 0. A change here is a change to the cache, the Zipf
+#: key stream or the simulator's seeding, never noise.
+PINNED_HIT_RATES = {
+    ("lru", 0.05): 0.3216363636363636,
+    ("lfu", 0.05): 0.4712727272727273,
+    ("tinylfu", 0.05): 0.4092727272727273,
+    ("lru", 0.20): 0.5950909090909091,
+    ("lfu", 0.20): 0.6721818181818182,
+    ("tinylfu", 0.20): 0.6472727272727272,
+}
+PINNED_PREDICTED_C20 = 0.699496311398202
+
 
 def _hit_rate(counts):
     looked = counts["hits"] + counts["misses"]
     return counts["hits"] / looked if looked else 0.0
 
 
-def test_cache_hit_rates(benchmark, save_result, save_baseline):
+def test_cache_hit_rates(benchmark, save_result):
     """Measured sim hit rates vs the closed form, plus policy op cost."""
     profile = paper_profile("xapian")
     base = SimConfig(
@@ -97,15 +112,7 @@ def test_cache_hit_rates(benchmark, save_result, save_baseline):
         for policy_name in ("lru", "lfu", "tinylfu"):
             assert rates[(policy_name, fraction)] <= bound + 0.02
 
-    save_baseline("cache", {
-        "lru_hit_rate_c5": rates[("lru", 0.05)],
-        "lfu_hit_rate_c5": rates[("lfu", 0.05)],
-        "tinylfu_hit_rate_c5": rates[("tinylfu", 0.05)],
-        "lru_hit_rate_c20": rates[("lru", 0.20)],
-        "lfu_hit_rate_c20": rates[("lfu", 0.20)],
-        "tinylfu_hit_rate_c20": rates[("tinylfu", 0.20)],
-        "predicted_c20": predicted_hit_rate(
-            KEYSPACE, THETA, int(KEYSPACE * 0.20)
-        ),
-        "measure_requests": MEASURE_REQUESTS,
-    })
+    assert rates == pytest.approx(PINNED_HIT_RATES, abs=1e-9)
+    assert predicted_hit_rate(
+        KEYSPACE, THETA, int(KEYSPACE * 0.20)
+    ) == pytest.approx(PINNED_PREDICTED_C20, abs=1e-9)

@@ -82,7 +82,7 @@ def _runs(control, seeds, app):
     return results
 
 
-def test_control_overhead(benchmark, save_result, save_baseline):
+def test_control_overhead(benchmark, save_result):
     """Median p50/p99 delta, control plane enabled vs disabled."""
     app = ConstantApp()
     seeds = list(range(REPEATS))
@@ -125,8 +125,3 @@ def test_control_overhead(benchmark, save_result, save_baseline):
     # The enabled path costs a few us per request (classify + gate +
     # window append); bound the stable p50 with CI-container headroom.
     assert deltas["p50"] < 15.0
-    save_baseline("control_overhead", {
-        "p50_delta_pct": deltas["p50"],
-        "p99_delta_pct": deltas["p99"],
-        "ticks": counts["ticks"],
-    })

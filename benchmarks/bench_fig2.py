@@ -9,7 +9,7 @@ from repro.experiments.fig2 import render_fig2, run_fig2
 N_SAMPLES = 20_000
 
 
-def test_fig2(benchmark, save_result, save_baseline):
+def test_fig2(benchmark, save_result):
     cdfs = benchmark.pedantic(
         run_fig2, kwargs={"n_samples": N_SAMPLES}, rounds=1, iterations=1
     )
@@ -36,10 +36,3 @@ def test_fig2(benchmark, save_result, save_baseline):
     assert 0.0002 < q["xapian"][0.95] < 0.006
     assert 0.0005 < q["moses"][0.95] < 0.008
     benchmark.extra_info["apps"] = len(cdfs)
-    save_baseline("fig2", {
-        "apps": len(cdfs),
-        "masstree_p95_over_p5": q["masstree"][0.95] / q["masstree"][0.05],
-        "xapian_p95_over_p5": q["xapian"][0.95] / q["xapian"][0.05],
-        "sphinx_p50_s": q["sphinx"][0.5],
-        "silo_p50_s": q["silo"][0.5],
-    })

@@ -13,7 +13,7 @@ from repro.sim import network_model_for, paper_profile
 MEASURE_REQUESTS = 6000
 
 
-def test_fig3(benchmark, save_result, save_baseline):
+def test_fig3(benchmark, save_result):
     curves = benchmark.pedantic(
         run_fig3,
         kwargs={"measure_requests": MEASURE_REQUESTS},
@@ -41,8 +41,3 @@ def test_fig3(benchmark, save_result, save_baseline):
         capacity = 1.0 / (paper_profile(name).service.mean + occupancy)
         assert curve.qps[-1] == pytest.approx(0.95 * capacity, rel=1e-6), name
     benchmark.extra_info["apps"] = len(curves)
-    metrics = {"apps": len(curves)}
-    for name, curve in curves.items():
-        metrics[f"{name}_sat_qps"] = curve.qps[-1]
-        metrics[f"{name}_p99_low_load_s"] = curve.p99[0]
-    save_baseline("fig3", metrics)

@@ -11,7 +11,7 @@ from repro.experiments.fig4 import render_fig4, run_fig4
 MEASURE_REQUESTS = 5000
 
 
-def test_fig4(benchmark, save_result, save_baseline):
+def test_fig4(benchmark, save_result):
     results = benchmark.pedantic(
         run_fig4,
         kwargs={"measure_requests": MEASURE_REQUESTS},
@@ -38,15 +38,3 @@ def test_fig4(benchmark, save_result, save_baseline):
     assert per_thread_sat("moses", 2) > 0.8 * per_thread_sat("moses", 1)
     assert per_thread_sat("moses", 4) < 0.75 * per_thread_sat("moses", 1)
     benchmark.extra_info["apps"] = len(results)
-    save_baseline("fig4", {
-        "apps": len(results),
-        "masstree_scaling_4t": (
-            per_thread_sat("masstree", 4) / per_thread_sat("masstree", 1)
-        ),
-        "silo_scaling_4t": (
-            per_thread_sat("silo", 4) / per_thread_sat("silo", 1)
-        ),
-        "moses_scaling_4t": (
-            per_thread_sat("moses", 4) / per_thread_sat("moses", 1)
-        ),
-    })

@@ -19,7 +19,7 @@ PAPER_SIM_ERROR = {
 }
 
 
-def test_fig5(benchmark, save_result, save_baseline):
+def test_fig5(benchmark, save_result):
     results = benchmark.pedantic(
         run_fig5,
         kwargs={"measure_requests": MEASURE_REQUESTS},
@@ -60,11 +60,3 @@ def test_fig5(benchmark, save_result, save_baseline):
         drop = results[name].saturation_drop("simulation")
         assert drop == pytest.approx(-gap, abs=0.05), name
     benchmark.extra_info["apps"] = len(results)
-    save_baseline("fig5", {
-        "apps": len(results),
-        "silo_networked_drop": results["silo"].saturation_drop("networked"),
-        "specjbb_networked_drop": (
-            results["specjbb"].saturation_drop("networked")
-        ),
-        "xapian_sim_drop": results["xapian"].saturation_drop("simulation"),
-    })

@@ -12,7 +12,7 @@ from repro.experiments.fig6 import render_fig6, run_fig6
 MEASURE_REQUESTS = 5000
 
 
-def test_fig6(benchmark, save_result, save_baseline):
+def test_fig6(benchmark, save_result):
     results = benchmark.pedantic(
         run_fig6,
         kwargs={"measure_requests": MEASURE_REQUESTS},
@@ -49,8 +49,3 @@ def test_fig6(benchmark, save_result, save_baseline):
     )
     assert equal_qps_gap > 2 * worst_equal_load_gap
     benchmark.extra_info["apps"] = len(results)
-    save_baseline("fig6", {
-        "apps": len(results),
-        "worst_equal_load_spread": worst_equal_load_gap,
-        "equal_qps_gap": equal_qps_gap,
-    })

@@ -10,7 +10,7 @@ from repro.experiments.fig7 import render_fig7, run_fig7
 MEASURE_REQUESTS = 4000
 
 
-def test_fig7(benchmark, save_result, save_baseline):
+def test_fig7(benchmark, save_result):
     results = benchmark.pedantic(
         run_fig7,
         kwargs={"measure_requests": MEASURE_REQUESTS},
@@ -40,12 +40,3 @@ def test_fig7(benchmark, save_result, save_baseline):
             spread = (max(values) - min(values)) / min(values)
             assert spread < tolerance, (name, i)
     benchmark.extra_info["apps"] = len(results)
-    save_baseline("fig7", {
-        "apps": len(results),
-        "specjbb_networked_drop": (
-            results["specjbb"].saturation_drop("networked")
-        ),
-        "specjbb_loopback_drop": (
-            results["specjbb"].saturation_drop("loopback")
-        ),
-    })

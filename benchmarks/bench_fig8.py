@@ -11,7 +11,7 @@ from repro.experiments.fig8 import render_fig8, run_fig8
 MEASURE_REQUESTS = 12_000
 
 
-def test_fig8(benchmark, save_result, save_baseline):
+def test_fig8(benchmark, save_result):
     results = benchmark.pedantic(
         run_fig8,
         kwargs={"measure_requests": MEASURE_REQUESTS},
@@ -41,9 +41,3 @@ def test_fig8(benchmark, save_result, save_baseline):
     for result in results.values():
         assert 0.5 < result.series["M/G/1"][0] < 2.0
     benchmark.extra_info["apps"] = len(results)
-    save_baseline("fig8", {
-        "apps": len(results),
-        "moses_ideal_tracks_mgn_4t": bool(results["moses"].ideal_tracks_mgn(4)),
-        "silo_ideal_tracks_mgn_4t": bool(results["silo"].ideal_tracks_mgn(4)),
-        "moses_mg1_low_load": results["moses"].series["M/G/1"][0],
-    })

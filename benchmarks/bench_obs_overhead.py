@@ -64,7 +64,7 @@ def _runs(observability, seeds, app):
     return results
 
 
-def test_obs_overhead(benchmark, save_result, save_baseline):
+def test_obs_overhead(benchmark, save_result):
     """Median p50/p99 deltas: tracing vs off, SLO engine vs tracing."""
     from repro.core.config import SloConfig
 
@@ -116,10 +116,3 @@ def test_obs_overhead(benchmark, save_result, save_baseline):
     # request), with the same noise headroom.
     assert deltas["tracing_p50"] < 15.0
     assert deltas["slo_p50"] < 12.0
-    save_baseline("obs_overhead", {
-        "p50_delta_pct": deltas["tracing_p50"],
-        "p99_delta_pct": deltas["tracing_p99"],
-        "slo_p50_delta_pct": deltas["slo_p50"],
-        "slo_p99_delta_pct": deltas["slo_p99"],
-        "events_per_run": len(on[0].obs.events),
-    })

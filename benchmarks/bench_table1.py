@@ -16,7 +16,7 @@ MEASURE_REQUESTS = 8000
 N_INSTRUCTIONS = 200_000
 
 
-def test_table1(benchmark, save_result, save_baseline):
+def test_table1(benchmark, save_result):
     rows = benchmark.pedantic(
         run_table1,
         kwargs={
@@ -49,11 +49,3 @@ def test_table1(benchmark, save_result, save_baseline):
     assert by_name["img-dnn"].branch_mpki < 1.0
 
     benchmark.extra_info["apps"] = len(rows)
-    save_baseline("table1", {
-        "apps": len(rows),
-        "masstree_p95_load_0.5_ms": by_name["masstree"].p95_by_load[0.5],
-        "shore_l1i_mpki": by_name["shore"].l1i_mpki,
-        "masstree_l1i_mpki": by_name["masstree"].l1i_mpki,
-        "moses_l3_mpki": by_name["moses"].l3_mpki,
-        "xapian_l3_mpki": by_name["xapian"].l3_mpki,
-    })

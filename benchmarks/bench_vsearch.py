@@ -8,15 +8,16 @@ recall directly against brute force and tail latency through the real
 harness at a per-point calibrated moderate load.
 
 Recall is fully deterministic (seeded corpus, seeded k-means), so it
-anchors the CI baseline; wall-clock latency figures land in the
-rendered report but stay out of the baseline to keep the regression
-gate machine-portable.
+is pinned exactly (``PINNED_RECALL``); wall-clock latency figures land
+in the rendered report and are judged only for shape.
 
 Run:  pytest benchmarks/bench_vsearch.py --benchmark-only
 The rendered table lands in benchmarks/results/vsearch_frontier.txt.
 """
 
 import time
+
+import pytest
 
 from repro.apps.vsearch import VsearchApp
 from repro.core import HarnessConfig, run_harness
@@ -25,6 +26,9 @@ from repro.stats import quantile
 NPROBES = (1, 2, 4, 8)
 LOAD = 0.4
 MEASURE_REQUESTS = 1500
+
+#: nprobe -> recall@10 over 128 sampled queries of the seed-0 corpus.
+PINNED_RECALL = {1: 0.94296875, 2: 0.9734375, 4: 0.99453125, 8: 1.0}
 
 
 def _mean_service(app, nprobe, n=96):
@@ -39,7 +43,7 @@ def _mean_service(app, nprobe, n=96):
     return (time.perf_counter() - start) / n
 
 
-def test_vsearch_frontier(benchmark, save_result, save_baseline):
+def test_vsearch_frontier(benchmark, save_result):
     """Recall@10 vs p99 across the nprobe sweep."""
     app = VsearchApp(n_vectors=4096, n_lists=32, n_queries=256, seed=0)
     app.setup()
@@ -92,13 +96,6 @@ def test_vsearch_frontier(benchmark, save_result, save_baseline):
     )
     assert recalls[1] > 0.5
     assert recalls[8] > 0.95
+    assert recalls == pytest.approx(PINNED_RECALL, abs=1e-9)
     # Work grows with nprobe: the widest probe costs measurably more.
     assert rows[-1][2] > rows[0][2]
-
-    save_baseline("vsearch", {
-        "recall_nprobe_1": recalls[1],
-        "recall_nprobe_2": recalls[2],
-        "recall_nprobe_4": recalls[4],
-        "recall_nprobe_8": recalls[8],
-        "measure_requests": MEASURE_REQUESTS,
-    })

@@ -2,26 +2,18 @@
 
 Every table/figure benchmark writes its rendered output under
 ``benchmarks/results/`` so regenerated artifacts are inspectable after
-a ``pytest benchmarks/ --benchmark-only`` run, plus a machine-stamped
-``BENCH_<name>.json`` metric baseline (see
-:mod:`repro.experiments.baseline`) that CI validates.
+a ``pytest benchmarks/ --benchmark-only`` run. A bench's verdict is
+its own asserts; the harness's own cost is ``benchmarks/hotpath``'s.
+
+``pytest benchmarks/hotpath`` loads this file too, so it imports
+nothing from ``repro``.
 """
 
-import os
 import pathlib
 
 import pytest
 
-from repro.experiments.baseline import write_baseline
-
-#: Where rendered outputs and BENCH_*.json baselines land. CI's
-#: regression gate points this somewhere fresh (REPRO_RESULTS_DIR) and
-#: compares the rerun against the committed benchmarks/results/.
-RESULTS_DIR = pathlib.Path(
-    os.environ.get(
-        "REPRO_RESULTS_DIR", pathlib.Path(__file__).parent / "results"
-    )
-)
+RESULTS_DIR = pathlib.Path(__file__).parent / "results"
 
 
 @pytest.fixture(scope="session")
@@ -36,24 +28,5 @@ def save_result(results_dir):
 
     def _save(name: str, text: str) -> None:
         (results_dir / f"{name}.txt").write_text(text + "\n")
-
-    return _save
-
-
-@pytest.fixture()
-def save_baseline(results_dir):
-    """Write one benchmark's headline metrics to results/BENCH_<name>.json.
-
-    Accepts the optional ``execution``/``audit`` pass-throughs of
-    :func:`repro.experiments.baseline.write_baseline`, so benchmarks
-    can stamp the execution substrate and the run's
-    coordinated-omission audit into the baseline document.
-    """
-
-    def _save(name: str, metrics: dict, execution: str = "threaded",
-              audit: dict = None) -> None:
-        write_baseline(
-            results_dir, name, metrics, execution=execution, audit=audit
-        )
 
     return _save

@@ -114,6 +114,19 @@ class RunResult:
             return 1.0
         return self.outcomes.get("succeeded", 0) / offered
 
+    def fingerprint(self) -> tuple:
+        """The bit-identity triple ``(samples, outcomes, routed_counts)``.
+
+        What every "feature off ≡ baseline" and "same seed ≡ same run"
+        claim compares: measured sojourn samples (rounded to 1e-12 s),
+        the outcome tallies and the per-server routing counts.
+        """
+        return (
+            tuple(round(x, 12) for x in self.stats.samples()),
+            dict(self.outcomes),
+            tuple(self.routed_counts),
+        )
+
     def _describe_tail(self) -> List[str]:
         """Report lines after the clock-specific head, in one order:
         topology, per-server, fanout, control, cache, health, outcomes."""

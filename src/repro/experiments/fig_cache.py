@@ -136,14 +136,6 @@ class CacheComparison:
         return self.cold is not None and self.cold.spike_ratio >= ratio
 
 
-def _fingerprint(result) -> tuple:
-    return (
-        tuple(round(x, 12) for x in result.stats.samples()),
-        dict(result.outcomes),
-        tuple(result.routed_counts),
-    )
-
-
 def _hit_rate(counts: Dict[str, int]) -> float:
     looked = counts.get("hits", 0) + counts.get("misses", 0)
     return counts.get("hits", 0) / looked if looked else 0.0
@@ -231,10 +223,10 @@ def run_fig_cache(
             explicit = dataclasses.replace(
                 plain, cache=CacheConfig(enabled=False)
             )
-            fp = _fingerprint(simulate_load(profile, plain))
-            if fp != _fingerprint(simulate_load(profile, explicit)):
+            fp = simulate_load(profile, plain).fingerprint()
+            if fp != simulate_load(profile, explicit).fingerprint():
                 disabled_identical = False
-            if fp != _fingerprint(simulate_load(profile, plain)):
+            if fp != simulate_load(profile, plain).fingerprint():
                 disabled_identical = False
 
     if "live" in modes:

@@ -185,14 +185,6 @@ def _point_from_result(
     )
 
 
-def _fingerprint(result) -> tuple:
-    return (
-        tuple(round(x, 12) for x in result.stats.samples()),
-        dict(result.outcomes),
-        tuple(result.routed_counts),
-    )
-
-
 def _probe_service(app, n: int = 128) -> Tuple[float, float]:
     """Wall-clock (mean, p99) of one shard's bare ``process`` over the
     Zipf query mix — the calibration and work-constant probe."""
@@ -302,7 +294,7 @@ def run_fig_fanout(
                         seed=seed,
                     ),
                 )
-                k1_identical = _fingerprint(result) == _fingerprint(plain)
+                k1_identical = result.fingerprint() == plain.fingerprint()
         points["sim"] = tuple(sim_points)
 
     return FanoutComparison(

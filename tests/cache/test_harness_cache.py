@@ -1,5 +1,6 @@
 """Live-harness integration: the worker hit path end to end."""
 
+import statistics
 import time
 
 import pytest
@@ -73,7 +74,8 @@ def _config(**kwargs):
 
 class TestWorkerHitPath:
     def test_hits_short_circuit_service(self):
-        app = _SleepApp(n_keys=8)
+        app_service = 0.002
+        app = _SleepApp(n_keys=8, service=app_service)
         result = run_harness(
             app,
             _config(cache=CacheConfig(enabled=True, capacity=16,
@@ -88,11 +90,15 @@ class TestWorkerHitPath:
         # the result records carry the flag
         flagged = [r for r in result.stats.records if r.cache_hit]
         assert flagged
-        # hit service time is near-zero; a miss pays the full sleep
+        # A hit skips the app's sleep (the 8 misses all fall inside
+        # the 20-request warmup, so the measured records hold hits
+        # only). Judged on the median: one preempted worker moves the
+        # maximum, not the median.
         hit_service = [
             r.service_time for r in result.stats.records if r.cache_hit
         ]
-        assert hit_service and max(hit_service) < 0.001
+        assert hit_service
+        assert statistics.median(hit_service) < app_service / 2
         assert "cache:" in result.describe()
 
     def test_uncacheable_app_bypasses_cache(self):

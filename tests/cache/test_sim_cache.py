@@ -1,7 +1,5 @@
 """Simulator integration: bit-identity, hit economics, composition."""
 
-import dataclasses
-
 import pytest
 
 from repro.cache import RequestCache, predicted_hit_rate
@@ -12,14 +10,6 @@ from repro.sim import SimConfig, simulate_load
 from repro.sim.calibration import paper_profile
 
 PROFILE = paper_profile("xapian")
-
-
-def _fingerprint(result):
-    return (
-        tuple(round(x, 12) for x in result.stats.samples()),
-        dict(result.outcomes),
-        tuple(result.routed_counts),
-    )
 
 
 def _base(seed=0, **kwargs):
@@ -46,22 +36,22 @@ class TestBitIdentity:
             PROFILE,
             _base(seed=seed, cache=CacheConfig(enabled=False)),
         )
-        assert _fingerprint(plain) == _fingerprint(explicit)
+        assert plain.fingerprint() == explicit.fingerprint()
 
     def test_enabled_run_is_deterministic(self):
         config = _base(cache=CacheConfig(enabled=True, capacity=64))
         a = simulate_load(PROFILE, config)
         b = simulate_load(PROFILE, config)
-        assert _fingerprint(a) == _fingerprint(b)
+        assert a.fingerprint() == b.fingerprint()
         assert a.cache_counts == b.cache_counts
 
     def test_enabled_differs_but_off_unaffected(self):
         # Running a cached sim must not perturb a later disabled run.
-        before = _fingerprint(simulate_load(PROFILE, _base()))
+        before = simulate_load(PROFILE, _base()).fingerprint()
         simulate_load(
             PROFILE, _base(cache=CacheConfig(enabled=True, capacity=64))
         )
-        after = _fingerprint(simulate_load(PROFILE, _base()))
+        after = simulate_load(PROFILE, _base()).fingerprint()
         assert before == after
 
 

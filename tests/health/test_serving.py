@@ -50,14 +50,6 @@ def _sim_config(**overrides):
     return SimConfig(**defaults)
 
 
-def _fingerprint(result):
-    return (
-        tuple(round(x, 12) for x in result.stats.samples()),
-        dict(result.outcomes),
-        tuple(result.routed_counts),
-    )
-
-
 class TestSimIntegration:
     def test_defense_changes_the_outcome(self):
         undefended = simulate_load(_PROFILE, _sim_config())
@@ -88,7 +80,7 @@ class TestSimIntegration:
                 retry_budget=False,
             )),
         )
-        assert _fingerprint(passive) == _fingerprint(bare)
+        assert passive.fingerprint() == bare.fingerprint()
         # It still observed: the per-replica records accumulated.
         assert passive.health_counts["ejections"] == 0
 
@@ -98,11 +90,11 @@ class TestSimIntegration:
         )
         first = simulate_load(_PROFILE, config)
         second = simulate_load(_PROFILE, config)
-        assert _fingerprint(first) == _fingerprint(second)
+        assert first.fingerprint() == second.fingerprint()
         assert first.health_counts == second.health_counts
         assert first.fault_counts == second.fault_counts
         other = simulate_load(_PROFILE, config.replace(seed=1))
-        assert _fingerprint(other) != _fingerprint(first)
+        assert other.fingerprint() != first.fingerprint()
 
     def test_phase_boundaries_fire_in_virtual_time(self):
         result = simulate_load(_PROFILE, _sim_config())

@@ -324,16 +324,9 @@ class TestSimIntegration:
         # themselves must be bit-identical — observation only.
         from repro.sim import simulate_load
 
-        def fingerprint(result):
-            return (
-                tuple(round(x, 12) for x in result.stats.samples()),
-                dict(result.outcomes),
-                tuple(result.routed_counts),
-            )
-
         off = simulate_load(self._profile(), self._config(SloConfig()))
         on = simulate_load(self._profile(), self._config(_slo(window=0.25)))
-        assert fingerprint(off) == fingerprint(on)
+        assert off.fingerprint() == on.fingerprint()
         assert off.obs.live is None
         assert on.obs.live is not None
 

@@ -4,16 +4,8 @@ import pytest
 
 from repro.core import FanoutConfig
 from repro.core.config import ObservabilityConfig
-from repro.sim import SimConfig, paper_profile, simulate_app, simulate_load
+from repro.sim import SimConfig, simulate_app
 from repro.stats import quantile
-
-
-def _fingerprint(result):
-    return (
-        tuple(round(x, 12) for x in result.stats.samples()),
-        dict(result.outcomes),
-        tuple(result.routed_counts),
-    )
 
 
 def _config(k, **kwargs):
@@ -45,7 +37,7 @@ class TestK1BitIdentity:
                 seed=5,
             ),
         )
-        assert _fingerprint(sharded) == _fingerprint(plain)
+        assert sharded.fingerprint() == plain.fingerprint()
 
     def test_k1_fanout_stats_match_e2e(self):
         result = simulate_app("xapian", _config(1))
@@ -62,7 +54,7 @@ class TestSimFanout:
 
     def test_deterministic_per_seed(self, result):
         again = simulate_app("vsearch", _config(4))
-        assert _fingerprint(result) == _fingerprint(again)
+        assert result.fingerprint() == again.fingerprint()
         assert result.fanout.critical_counts == again.fanout.critical_counts
 
     def test_every_gather_completes(self, result):
