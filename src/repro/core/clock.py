@@ -55,8 +55,17 @@ class VirtualClock(Clock):
     """Manually advanced clock for deterministic simulation.
 
     ``sleep_until`` simply advances the clock; there is no real waiting.
-    Thread-safe so live-mode components can also be pointed at it in
-    tests, though the discrete-event engine drives it single-threaded.
+
+    What is guaranteed under threads: :meth:`now` is a lock-free load
+    of one float attribute — atomic under the interpreter lock, so a
+    reader sees some value a writer stored, never a torn one, and never
+    pays for a lock it does not need (the engine reads the clock
+    several times per simulated request). Writers — :meth:`advance_to`,
+    :meth:`advance`, :meth:`sleep_until`, all check-then-store or
+    read-modify-write — serialise on one lock, and :meth:`advance_to`
+    refuses to go backwards, so the values readers see never decrease.
+    The discrete-event engine drives it from one thread; tests also
+    point live worker threads at it.
     """
 
     def __init__(self, start: float = 0.0) -> None:
@@ -64,8 +73,7 @@ class VirtualClock(Clock):
         self._lock = threading.Lock()
 
     def now(self) -> float:
-        with self._lock:
-            return self._now
+        return self._now
 
     def advance_to(self, t: float) -> None:
         with self._lock:

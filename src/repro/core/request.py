@@ -18,15 +18,13 @@ actually suffered.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
-from typing import Any, Dict, Optional
+from typing import Any, Dict, NamedTuple, Optional
 
 __all__ = ["Request", "RequestRecord"]
 
 _request_ids = itertools.count()
 
 
-@dataclass
 class Request:
     """One in-flight request plus its accumulating timestamps (seconds).
 
@@ -37,44 +35,88 @@ class Request:
     no longer counts as a success; ``shed`` marks an admission-control
     rejection; ``discard`` marks a fault-injected duplicate whose
     response must be ignored.
+
+    Slotted by hand (``dataclass(slots=True)`` needs Python 3.10): the
+    one mutable object a request is while in flight carries no
+    ``__dict__``, and a misspelt stamp raises instead of being kept.
     """
 
-    payload: Any
-    generated_at: float
-    request_id: int = field(default_factory=lambda: next(_request_ids))
-    sent_at: Optional[float] = None
-    enqueued_at: Optional[float] = None
-    service_start_at: Optional[float] = None
-    service_end_at: Optional[float] = None
-    response_received_at: Optional[float] = None
-    response: Any = None
-    error: Optional[str] = None
-    logical_id: Optional[int] = None
-    attempt: int = 0
-    deadline: Optional[float] = None
-    shed: bool = False
-    discard: bool = False
-    #: Index of the server instance this attempt was routed to (set by
-    #: the balancer in multi-server topologies; 0 in the classic
-    #: single-server harness shape).
-    server_id: Optional[int] = None
-    #: Scheduling priority (higher = more urgent). 0 for unclassified
-    #: traffic; set by the control plane's request classifier when
-    #: priority scheduling is enabled.
-    priority: int = 0
-    #: Name of the request class the classifier assigned (None for
-    #: unclassified traffic); carried onto the record so per-class
-    #: latency can be reported.
-    request_class: Optional[str] = None
-    #: Number of requests co-scheduled in this request's service batch
-    #: (1 when batching is off or the batch degenerated to a single
-    #: member). Set by the batched worker loop at service start.
-    batch_size: int = 1
-    #: True when the caching tier answered this request without running
-    #: the application (the service window then covers only the
-    #: configured hit cost). Set by the server worker (live) or the
-    #: simulated server (sim) when a cache lookup hits.
-    cache_hit: bool = False
+    __slots__ = (
+        "payload", "generated_at", "request_id", "sent_at", "enqueued_at",
+        "service_start_at", "service_end_at", "response_received_at",
+        "response", "error", "logical_id", "attempt", "deadline", "shed",
+        "discard",
+        #: Index of the server instance this attempt was routed to (set
+        #: by the balancer in multi-server topologies; 0 in the classic
+        #: single-server harness shape).
+        "server_id",
+        #: Scheduling priority (higher = more urgent). 0 for
+        #: unclassified traffic; set by the control plane's request
+        #: classifier when priority scheduling is enabled.
+        "priority",
+        #: Name of the request class the classifier assigned (None for
+        #: unclassified traffic); carried onto the record so per-class
+        #: latency can be reported.
+        "request_class",
+        #: Number of requests co-scheduled in this request's service
+        #: batch (1 when batching is off or the batch degenerated to a
+        #: single member). Set by the batched worker loop at service
+        #: start.
+        "batch_size",
+        #: True when the caching tier answered this request without
+        #: running the application (the service window then covers only
+        #: the configured hit cost). Set by the server worker (live) or
+        #: the simulated server (sim) when a cache lookup hits.
+        "cache_hit",
+    )
+
+    def __init__(
+        self,
+        payload: Any,
+        generated_at: float,
+        request_id: Optional[int] = None,
+        sent_at: Optional[float] = None,
+        enqueued_at: Optional[float] = None,
+        service_start_at: Optional[float] = None,
+        service_end_at: Optional[float] = None,
+        response_received_at: Optional[float] = None,
+        response: Any = None,
+        error: Optional[str] = None,
+        logical_id: Optional[int] = None,
+        attempt: int = 0,
+        deadline: Optional[float] = None,
+        shed: bool = False,
+        discard: bool = False,
+        server_id: Optional[int] = None,
+        priority: int = 0,
+        request_class: Optional[str] = None,
+        batch_size: int = 1,
+        cache_hit: bool = False,
+    ) -> None:
+        self.payload = payload
+        self.generated_at = generated_at
+        self.request_id = next(_request_ids) if request_id is None else request_id
+        self.sent_at = sent_at
+        self.enqueued_at = enqueued_at
+        self.service_start_at = service_start_at
+        self.service_end_at = service_end_at
+        self.response_received_at = response_received_at
+        self.response = response
+        self.error = error
+        self.logical_id = logical_id
+        self.attempt = attempt
+        self.deadline = deadline
+        self.shed = shed
+        self.discard = discard
+        self.server_id = server_id
+        self.priority = priority
+        self.request_class = request_class
+        self.batch_size = batch_size
+        self.cache_hit = cache_hit
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"Request({fields})"
 
     def trace_ids(self, server_id: int) -> Dict[str, Optional[int]]:
         """This attempt's identity as the keyword arguments trace
@@ -96,16 +138,14 @@ class Request:
         discarded attempts never reach service, yet their truncated
         chains still need to be representable in traces.
         """
-        chain = [
-            ("generated_at", self.generated_at),
-            ("sent_at", self.sent_at),
-            ("enqueued_at", self.enqueued_at),
-            ("service_start_at", self.service_start_at),
-            ("service_end_at", self.service_end_at),
-            ("response_received_at", self.response_received_at),
-        ]
-        prev_name, prev_val = chain[0]
-        for name, val in chain[1:]:
+        stamps = (
+            self.sent_at, self.enqueued_at, self.service_start_at,
+            self.service_end_at, self.response_received_at,
+        )
+        # The record lists the chain in order (fields 1-6): the five
+        # stamps after ``generated_at`` take their names from it.
+        prev_name, prev_val = "generated_at", self.generated_at
+        for name, val in zip(RequestRecord._fields[2:7], stamps):
             if val is None:
                 if partial:
                     continue
@@ -116,26 +156,16 @@ class Request:
                     f"{prev_name}={prev_val}"
                 )
             prev_name, prev_val = name, val
+        server_id = self.server_id
         return RequestRecord(
-            request_id=self.request_id,
-            generated_at=self.generated_at,
-            sent_at=self.sent_at,
-            enqueued_at=self.enqueued_at,
-            service_start_at=self.service_start_at,
-            service_end_at=self.service_end_at,
-            response_received_at=self.response_received_at,
-            server_id=self.server_id if self.server_id is not None else 0,
-            logical_id=self.logical_id,
-            attempt=self.attempt,
-            shed=self.shed,
-            request_class=self.request_class,
-            batch_size=self.batch_size,
-            cache_hit=self.cache_hit,
+            self.request_id, self.generated_at, *stamps,
+            0 if server_id is None else server_id,
+            self.logical_id, self.attempt, self.shed,
+            self.request_class, self.batch_size, self.cache_hit,
         )
 
 
-@dataclass(frozen=True)
-class RequestRecord:
+class RequestRecord(NamedTuple):
     """Immutable timing record of one completed (or rejected) request.
 
     Records built by ``finish()`` (the strict path) always carry the

@@ -5,10 +5,11 @@ simulators the paper targets (zsim, Graphite): a virtual clock and the
 run's event heap. The heap is :class:`repro.core.scheduler.EventQueue`,
 the same class the wall-clock :class:`~repro.core.scheduler.Scheduler`
 drives from a timer thread; here :meth:`Engine.run` pops it in
-timestamp order, advancing the shared
-:class:`~repro.core.clock.VirtualClock` — which is exactly the clock
-the harness components read, so harness logic is unchanged between
-live and simulated runs.
+timestamp order — one ``pop()`` per event, which skips cancelled
+leaders itself; only a bounded ``run(until=...)`` peeks first —
+advancing the shared :class:`~repro.core.clock.VirtualClock`, which is
+exactly the clock the harness components read, so harness logic is
+unchanged between live and simulated runs.
 """
 
 from __future__ import annotations
@@ -53,20 +54,24 @@ class Engine:
     def run(self, until: Optional[float] = None, max_events: int = 50_000_000) -> int:
         """Process events until the queue drains (or ``until``).
 
-        Returns the number of events executed by this call.
+        Returns the number of events executed by this call; at most
+        ``max_events`` execute before the runaway guard raises.
         """
+        queue, advance_to = self._queue, self.clock.advance_to
         executed = 0
         while True:
-            next_time = self._queue.peek_time()
-            if next_time is None:
+            if until is not None:
+                next_time = queue.peek_time()
+                if next_time is not None and next_time > until:
+                    advance_to(until)
+                    break
+            if executed >= max_events and queue:
+                raise RuntimeError("event budget exhausted (runaway simulation?)")
+            event = queue.pop()
+            if event is None:
                 break
-            if until is not None and next_time > until:
-                self.clock.advance_to(until)
-                break
-            time, _, fn, args = self._queue.pop()
-            self.clock.advance_to(time)
+            time, _, fn, args = event
+            advance_to(time)
             fn(*args)
             executed += 1
-            if executed > max_events:
-                raise RuntimeError("event budget exhausted (runaway simulation?)")
         return executed

@@ -1,5 +1,7 @@
 """Tests for the clock abstraction."""
 
+import sys
+import threading
 import time
 
 import pytest
@@ -58,8 +60,11 @@ class TestVirtualClock:
 
     def test_cannot_go_backwards(self):
         clock = VirtualClock(10.0)
-        with pytest.raises(ValueError):
+        with pytest.raises(
+            ValueError, match=r"^virtual time cannot go backwards \(5\.0 < 10\.0\)$"
+        ):
             clock.advance_to(5.0)
+        assert clock.now() == 10.0
         with pytest.raises(ValueError):
             clock.advance(-1.0)
 
@@ -74,3 +79,71 @@ class TestVirtualClock:
         clock = VirtualClock(100.0)
         clock.sleep_until(50.0)
         assert clock.now() == 100.0
+
+
+class _NoLock:
+    """Stands in for ``clock._lock``: entering it is the failure."""
+
+    def __enter__(self):
+        raise AssertionError("the clock's lock was taken")
+
+    def __exit__(self, *exc):
+        return False
+
+
+class TestVirtualClockUnderThreads:
+    def test_now_takes_no_lock(self):
+        clock = VirtualClock(3.0)
+        clock._lock = _NoLock()
+        assert clock.now() == 3.0
+        # ... and the writers still do.
+        for write in (
+            lambda: clock.advance_to(4.0),
+            lambda: clock.advance(1.0),
+            lambda: clock.sleep_until(9.0),
+        ):
+            with pytest.raises(AssertionError, match="lock was taken"):
+                write()
+        assert clock.now() == 3.0
+
+    def test_readers_see_only_written_values_in_order(self):
+        # One writer walks the clock through 50 000 increasing instants
+        # while two readers poll it: a reader never sees time decrease
+        # and never sees a value the writer did not store.
+        instants = [i * 0.25 for i in range(1, 50_001)]
+        written = set(instants) | {0.0}
+        clock = VirtualClock()
+        done = threading.Event()
+        seen = [[], []]
+
+        def write():
+            try:
+                for t in instants:
+                    clock.advance_to(t)
+            finally:
+                done.set()
+
+        def read(into):
+            now = clock.now
+            while not done.is_set():
+                into.append(now())
+            into.append(now())
+
+        threads = [threading.Thread(target=write)] + [
+            threading.Thread(target=read, args=(into,)) for into in seen
+        ]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60.0)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert clock.now() == instants[-1]
+        for values in seen:
+            assert values[-1] == instants[-1]
+            assert all(a <= b for a, b in zip(values, values[1:]))
+            assert set(values) <= written

@@ -175,13 +175,44 @@ class TestEngine:
 
     def test_runaway_guard(self):
         engine = Engine()
+        ran = []
 
         def forever():
+            ran.append(engine.now)
             engine.after(0.001, forever)
 
         engine.at(0.0, forever)
         with pytest.raises(RuntimeError):
             engine.run(max_events=1000)
+        # The budget is the number of callbacks run: the 1001st never is.
+        assert len(ran) == 1000
+
+    def test_a_run_of_exactly_max_events_does_not_raise(self):
+        engine = Engine()
+        ran = []
+        for i in range(1000):
+            engine.at(float(i), ran.append, i)
+        assert engine.run(max_events=1000) == 1000
+        assert len(ran) == 1000
+        # One more event than the budget: it stays on the heap, unrun.
+        for i in range(1001):
+            engine.after(float(i), ran.append, i)
+        with pytest.raises(RuntimeError):
+            engine.run(max_events=1000)
+        assert len(ran) == 2000
+        assert engine.run() == 1 and len(ran) == 2001
+
+    def test_run_until_pops_nothing_beyond_the_bound(self):
+        # The bounded run is the one path that peeks before it pops.
+        engine = Engine()
+        fired = []
+        dead = engine.at(1.0, fired.append, "cancelled")
+        engine.at(2.0, fired.append, "kept")
+        engine.cancel(dead)
+        assert engine.run(until=1.5) == 0
+        assert engine.now == 1.5 and not fired
+        assert engine.run(until=1.5, max_events=0) == 0
+        assert engine.run() == 1 and fired == ["kept"]
 
     def test_executed_events_counted(self):
         engine = Engine()
