@@ -172,15 +172,23 @@ class ControlPlane:
         )
 
     def classify(self, request) -> None:
-        """Stamp the request's class/priority (no-op without classes)."""
-        if self._assigner is not None:
-            self._assigner.classify(request)
+        """Send feed (priority classes only): stamp class and priority."""
+        self._assigner.classify(request)
 
     # -- signals -------------------------------------------------------
-    def observe_sojourn(self, value: float) -> None:
-        """Feed one completed request's sojourn into the AIMD window."""
-        with self._window_lock:
-            self._window.append(value)
+    def observe_sojourn(self, request) -> None:
+        """Completion feed (admission only): a good answer's sojourn.
+
+        End-to-end sojourn goes into the AIMD window — the latency
+        definition the run's p99 SLO is stated against. Only the
+        admission controller's tick drains the window, so a run
+        without admission must not feed it.
+        """
+        if request.error is None and not request.shed:
+            with self._window_lock:
+                self._window.append(
+                    request.response_received_at - request.generated_at
+                )
 
     def window_p99(self) -> Optional[float]:
         """Drain the completion window; p99 of it (None when empty)."""

@@ -66,8 +66,8 @@ class SloConfig:
     Attributes
     ----------
     enabled:
-        Master switch. Off (the default) constructs nothing; the
-        completion hot paths keep their single ``is None`` test.
+        Master switch. Off (the default) constructs nothing, and the
+        transport's send and completion feeds hold nothing of it.
     target:
         Latency target in seconds (sojourn at or under it is good).
     objective:

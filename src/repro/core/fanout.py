@@ -28,7 +28,8 @@ shard's partial), *failed* (shed, errored, and — beneath a resilient
 client — retries exhausted or timed out at the deadline, which every
 leg of a gather shares because all carry one ``generated_at``) or
 *never answered* (dropped on the wire with no deadline to notice). An
-injected duplicate's ``discard`` copy is not a leg. A gather resolves
+injected duplicate's ``discard`` copy is not a leg: the transport hands
+it to no layer above. A gather resolves
 exactly once, when its last leg has reported: merged into one latency
 record — the critical (slowest) leg's — if every leg was answered,
 otherwise counted in :attr:`FanoutStats.failed`; and
@@ -122,8 +123,8 @@ class FanoutGatherer:
     """The gather point: collects K leg reports per logical request.
 
     The layer beneath reports each leg once to :meth:`leg_resolved` —
-    the resilient client as its sink, the bare transport through the
-    :meth:`on_complete` completion hook. When a gather's last leg
+    the resilient client as its sink, the bare transport through
+    :meth:`on_complete` as *its* sink. When a gather's last leg
     lands, the *critical* (slowest) shard's request supplies the
     logical latency record — its lifecycle chain IS the logical
     request's critical path — and the per-shard partial responses are
@@ -188,9 +189,7 @@ class FanoutGatherer:
             return len(self._pending)
 
     def on_complete(self, request: Request) -> bool:
-        """Bare-transport completion hook: True when the request was ours."""
-        if request.discard:
-            return True  # injected duplicate: not a leg
+        """The bare transport's sink: True when the request was ours."""
         good = not request.shed and request.error is None
         return self.leg_resolved(
             request.logical_id, "succeeded" if good else "failed", request

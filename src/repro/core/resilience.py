@@ -192,12 +192,13 @@ class ResilientClient:
     without one makes (and :meth:`close` stops) a timer thread of its
     own — and every attempt goes out through ``transport.send``.
 
-    Installs itself as the transport's completion hook and takes over
-    outcome accounting: successful attempts that beat the deadline feed
-    the latency statistics; timeouts, shed replies, errors, and late
-    responses are tallied separately, so percentiles stay sound under
-    injected faults. Use :meth:`send` in place of ``transport.send``
-    and :meth:`drain` in place of ``transport.drain``.
+    Whoever wires the client makes :meth:`on_attempt_complete` the
+    transport's ``sink``, and the client then owns outcome accounting:
+    successful attempts that beat the deadline feed the latency
+    statistics; timeouts, shed replies, errors, and late responses are
+    tallied separately, so percentiles stay sound under injected
+    faults. Use :meth:`send` in place of ``transport.send`` and
+    :meth:`drain` in place of ``transport.drain``.
 
     A call resolves exactly once, through ``sink(logical_id, outcome,
     request)`` — ``request`` is the winning attempt of a ``succeeded``
@@ -241,7 +242,6 @@ class ResilientClient:
         self._calls: Dict[int, _Call] = {}
         self._ids = itertools.count()
         self._unresolved = 0
-        transport.set_completion_hook(self._on_attempt_complete)
 
     # -- client-facing API ---------------------------------------------
     def send(
@@ -362,10 +362,8 @@ class ResilientClient:
                     )
                 )
 
-    def _on_attempt_complete(self, request) -> bool:
-        """Transport completion hook; returns True (always handled)."""
-        if request.discard:
-            return True  # injected duplicate: response intentionally ignored
+    def on_attempt_complete(self, request) -> None:
+        """The transport's sink: one answered attempt of some call."""
         now = request.response_received_at
         if request.sent_at is not None:
             self._collector.record_attempt(max(now - request.sent_at, 0.0))
@@ -379,18 +377,15 @@ class ResilientClient:
                     request_id=request.request_id, attempt=request.attempt,
                     server_id=request.server_id,
                 )
-            return True
-        if request.shed or request.error is not None:
+        elif request.shed or request.error is not None:
             self._collector.note("shed" if request.shed else "errors")
             self._retry_or_fail(call, request.attempt, "failed")
-            return True
-        if call.deadline is not None and now > call.deadline:
+        elif call.deadline is not None and now > call.deadline:
             # Response and deadline raced; the deadline wins so goodput
             # counts only deadline-met completions.
             self._resolve(call, "timed_out")
-            return True
-        self._resolve(call, "succeeded", request)
-        return True
+        else:
+            self._resolve(call, "succeeded", request)
 
     def _on_attempt_timeout(self, call: _Call, attempt_no: int) -> None:
         with self._lock:
@@ -398,7 +393,7 @@ class ResilientClient:
                 return
             server_id = call.last_server
         if self._health is not None and server_id is not None:
-            # The transport completion hook never sees a timed-out
+            # The transport's health feed never sees a timed-out
             # attempt; report the failure against the routed replica.
             self._health.record_attempt(
                 server_id, None, False, self._clock.now()

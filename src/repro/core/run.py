@@ -290,11 +290,13 @@ class RunParts:
         """Start ``transport`` over ``app`` and connect every built part.
 
         The one wiring step of ``run_harness`` and ``simulate_load``:
-        replicas, health routing, tracer and gauges, SLO feed, control
-        target, and the client stack the arrivals go through —
-        ``transport.send``, wrapped by the resilient client if
-        resilience is on, wrapped by the fan-out client if fan-out is.
-        Returns the top layer's ``send(generated_at, payload)``.
+        replicas, health routing, tracer and gauges, control target,
+        the transport's two feed lists and its sink (DESIGN.md §5 "The
+        order on the wire": each enabled feature appends its feeds, a
+        disabled one is absent), and the client stack the arrivals go
+        through — ``transport.send``, wrapped by the resilient client
+        if resilience is on, wrapped by the fan-out client if fan-out
+        is. Returns the top layer's ``send(generated_at, payload)``.
         ``scheduler`` is the run's one ``at/after/cancel`` timer source
         (:mod:`repro.core.scheduler`): the timer thread live, the
         engine in the simulator. Everything time-driven — recovery
@@ -308,6 +310,9 @@ class RunParts:
         self.transport = transport
         self.clock = clock
         self.scheduler = scheduler
+        registry, live, plane, health = (
+            self.registry, self.live, self.plane, self.health
+        )
         transport.start(
             app,
             config.n_threads,
@@ -316,41 +321,66 @@ class RunParts:
             queue_capacity=config.queue_capacity,
             n_servers=config.n_servers,
             balancer=make_balancer(config.balancer, seed=config.seed),
-            control=self.plane,
+            control=plane,
             batching=self.batching,
             cache=self.cache,
             scheduler=scheduler,
+            health=health,
         )
-        if self.health is not None:
-            transport.set_health(self.health)
-        if self.registry is not None:
+        on_send, on_complete = [], []
+        if plane is not None and config.control.priority is not None:
+            on_send.append(plane.classify)
+        if registry is not None:
             from ..obs import MetricsSampler
 
-            transport.set_observability(self.tracer, self.registry)
-            if self.live is not None:
-                transport.set_live(self.live)
-            for part in (self.injector, self.health, self.live, self.cache):
+            # The load generator's health signal ("Tell-Tale Tail
+            # Latencies"); registered ahead of the transport's gauges.
+            delay = registry.histogram(
+                "tb_send_delay_seconds",
+                help="Client-side lag between ideal arrival and actual send",
+            )
+            on_send.append(
+                lambda request: delay.observe(
+                    request.sent_at - request.generated_at
+                )
+            )
+            transport.set_observability(self.tracer, registry)
+            for part in (self.injector, health, live, self.cache):
                 if part is not None:
-                    part.register_metrics(self.registry)
+                    part.register_metrics(registry)
             self.sampler = MetricsSampler(
-                self.registry, clock,
+                registry, clock,
                 interval=config.observability.metrics_interval,
             )
-        if self.plane is not None:
+        if live is not None:
+            # Send-anchored SLO accounting: an attempt burns budget in
+            # the window it was dispatched, whether or not it ever
+            # completes (a stalled replica must not hide its backlog).
+            on_send.append(lambda request: live.observe_sent(request.sent_at))
+            on_complete.append(live.observe)
+        if plane is not None:
             from ..control import TransportControlTarget
 
-            self.plane.bind(TransportControlTarget(transport, self.plane))
-            self.plane.register_metrics(self.registry)
+            if config.control.admission is not None:
+                on_complete.append(plane.observe_sojourn)
+            plane.bind(TransportControlTarget(transport, plane))
+            plane.register_metrics(registry)
+        if health is not None:
+            on_complete.append(health.observe)
+        transport.on_send, transport.on_complete = (
+            tuple(on_send), tuple(on_complete)
+        )
         # The client stack, bottom-up: each layer wraps the send below
         # it, and the layer below reports what it resolved to the one
-        # above. Exactly one object is the transport's completion hook.
+        # above. Exactly one object is the transport's sink.
         send = transport.send
         if config.resilience.enabled:
             self.client = ResilientClient(
                 transport, clock, config.resilience, self.collector,
-                seed=config.seed, tracer=self.tracer, health=self.health,
+                seed=config.seed, tracer=self.tracer, health=health,
                 scheduler=scheduler,
             )
+            transport.sink = self.client.on_attempt_complete
             send = self.client.send
         if config.fanout.enabled:
             from .fanout import FanoutClient, FanoutGatherer
@@ -367,7 +397,7 @@ class RunParts:
             if beneath is not None:
                 beneath.sink = self.fanout.leg_resolved
             else:
-                transport.set_completion_hook(self.fanout.on_complete)
+                transport.sink = self.fanout.on_complete
             send = FanoutClient(send, clock, self.fanout, self.tracer).send
         return send
 

@@ -134,10 +134,18 @@ class Transport:
     and may override :meth:`_build_instance` (what a replica is) and
     :meth:`_start_impl`/:meth:`_stop_impl` (their I/O machinery). The
     base class applies transport faults, routes each send to a server
-    instance via the balancer, feeds the tracer / SLO / health /
-    control layers, and tracks outstanding requests so :meth:`drain`
-    can wait for the last response of an open-loop run — under
-    whichever clock it was built on.
+    instance via the balancer, runs the run's feeds, and tracks
+    outstanding requests so :meth:`drain` can wait for the last
+    response of an open-loop run — under whichever clock it was built
+    on.
+
+    What observes the wire is two lists and one sink, built once per
+    run by :meth:`repro.core.run.RunParts.wire` from the features that
+    are enabled (DESIGN.md §5 "The order on the wire"): every routed
+    attempt goes through ``on_send``; every answer that is not an
+    injected duplicate's goes through ``on_complete`` and then to
+    ``sink`` — the bottom layer of the client stack, or
+    :meth:`record` when there is none.
     """
 
     def __init__(self, clock: Clock) -> None:
@@ -146,7 +154,9 @@ class Transport:
         self._instances: List[ServerInstance] = []
         self._balancer: Optional[LoadBalancer] = None
         self._injector = None
-        self._completion_hook: Optional[Callable[[Request], bool]] = None
+        self.on_send: tuple = ()
+        self.on_complete: tuple = ()
+        self.sink = self.record
         self._outstanding = 0
         self._lock = threading.Lock()
         self._all_done = threading.Condition(self._lock)
@@ -156,22 +166,17 @@ class Transport:
         self._scheduler = None
         self._own_scheduler: Optional[Scheduler] = None
         self.stats = TransportStats()
-        # Observability hooks: None unless the run enables tracing, so
-        # the hot-path cost of the default configuration is one test.
+        # Tracer: None unless the run enables tracing. It keeps the
+        # fault trail on send and the lifecycle record on completion.
         self._tracer = None
         self._registry = None
-        self._send_delay_hist = None
-        # Control-plane hook: None unless the run enables repro.control.
+        # Control plane: None unless the run enables repro.control. A
+        # replica takes its admission gate and queue discipline from it.
         self._control = None
-        # Health hook: None unless the run enables repro.health. With a
-        # manager installed, routing consults it (ejection/breakers)
-        # and every completion feeds it.
+        # Health manager: None unless the run enables repro.health.
+        # With one, routing consults it (ejection/breakers).
         self._health = None
-        # Streaming SLO hook: None unless the run enables
-        # ObservabilityConfig.slo. Fed on every send (budget anchor)
-        # and every completion (latency sketch).
-        self._live = None
-        # Batching hook: None unless the run enables repro.batching. A
+        # Batching: None unless the run enables repro.batching. A
         # single stateless BatchPolicy is shared by every replica.
         self._batching = None
         # Caching tier: None unless the run enables repro.cache. One
@@ -196,6 +201,7 @@ class Transport:
         batching=None,
         cache=None,
         scheduler=None,
+        health=None,
     ) -> None:
         if self._running:
             raise RuntimeError("transport already started")
@@ -205,6 +211,7 @@ class Transport:
         self._injector = injector
         self._balancer = balancer if balancer is not None else RoundRobinBalancer()
         self._control = control
+        self._health = health
         self._batching = batching
         self._cache = cache
         self._app = app
@@ -223,32 +230,37 @@ class Transport:
             instance.server.start()
         self._running = True
 
-    def _build_instance(self, server_id: int) -> ServerInstance:
-        """Construct one replica (queue + worker pool), not yet started.
+    def _replica_options(self, server_id: int) -> dict:
+        """The per-replica hooks every kind of replica is built with.
 
-        With a control plane installed, the replica's queue gets that
-        plane's queue discipline (FIFO or priority) and its per-server
-        admission gate; without one, both hooks are ``None`` and the
-        queue is byte-for-byte the pre-control-plane configuration.
+        The fault injector's view scoped to this replica, the shared
+        batch policy and cache, the queue bound and — with a control
+        plane installed — the plane's queue discipline (FIFO or
+        priority) and this replica's admission gate. Without a control
+        plane gate and buffer are ``None`` and the queue is
+        byte-for-byte the pre-control-plane configuration.
         """
-        scoped = (
-            self._injector.for_server(server_id)
-            if self._injector is not None
-            else None
-        )
-        control = self._control
-        runtime = ReplicaRuntime(
-            _replicate_app(self._app, server_id),
-            self._clock,
-            n_threads=self._n_threads,
-            respond=self._make_responder(server_id),
-            injector=scoped,
+        injector, control = self._injector, self._control
+        return dict(
             server_id=server_id,
+            injector=(
+                injector.for_server(server_id) if injector is not None else None
+            ),
             batching=self._batching,
             cache=self._cache,
             queue_capacity=self._queue_capacity,
             gate=control.gate_for(server_id) if control is not None else None,
             buffer=control.make_buffer() if control is not None else None,
+        )
+
+    def _build_instance(self, server_id: int) -> ServerInstance:
+        """Construct one replica (queue + worker pool), not yet started."""
+        runtime = ReplicaRuntime(
+            _replicate_app(self._app, server_id),
+            self._clock,
+            n_threads=self._n_threads,
+            respond=self._make_responder(server_id),
+            **self._replica_options(server_id),
         )
         instance = ServerInstance(server_id, runtime.queue, runtime.server)
         instance.started_at = self._clock.now()
@@ -292,18 +304,12 @@ class Transport:
 
         Must be called after :meth:`start` (gauges observe the built
         instances). Counters the transport already keeps become
-        callback gauges — zero added cost on the send path; the only
-        hot-path instrument is the send-delay histogram, the
-        load-generator-health signal of "Tell-Tale Tail Latencies".
+        callback gauges — zero added cost on the send path.
         """
         self._tracer = tracer
         self._registry = registry
         if registry is None:
             return
-        self._send_delay_hist = registry.histogram(
-            "tb_send_delay_seconds",
-            help="Client-side lag between ideal arrival and actual send",
-        )
         stats = self.stats
         registry.gauge(
             "tb_inflight",
@@ -356,41 +362,6 @@ class Transport:
             fn=(lambda s=instance.server: s.alive_workers),
             server=str(instance.server_id),
         )
-
-    def set_health(self, health) -> None:
-        """Install the run's :class:`repro.health.HealthManager`.
-
-        Routing then filters candidates through
-        :meth:`HealthManager.route` (ejected replicas skipped, probes
-        and breaker trials forced) and :meth:`_complete` feeds every
-        attempt outcome back. ``None`` (the default) leaves both paths
-        at their single ``is None`` test.
-        """
-        self._health = health
-
-    def set_live(self, live) -> None:
-        """Install the run's :class:`repro.obs.live.LiveObs`.
-
-        :meth:`send` then counts every dispatched attempt into the
-        open SLO window and :meth:`_complete` streams every completion
-        into the windowed sketches — the same two points the health
-        layer taps, so threaded and process transports are covered
-        identically (process replicas funnel into this
-        :meth:`_complete`). ``None`` (the default) leaves both paths
-        at a single ``is None`` test.
-        """
-        self._live = live
-
-    def set_completion_hook(
-        self, hook: Callable[[Request], bool]
-    ) -> None:
-        """Install a completion interceptor (the resilience layer).
-
-        The hook runs on every completed attempt *before* default
-        recording; returning True means the hook took responsibility
-        for statistics and the default collector path is skipped.
-        """
-        self._completion_hook = hook
 
     # -- topology ------------------------------------------------------
     @property
@@ -477,17 +448,18 @@ class Transport:
     ) -> Optional[int]:
         """Submit one request; ``generated_at`` is the ideal instant.
 
-        One order on the wire: the fault action first, then routing. A
-        dropped attempt is lost before any router sees it — no
-        balancer draw, no ``routed`` count, ``None`` returned — so the
-        resilient client keeps its last-known server for the hedge.
-        Otherwise the attempt routes through the balancer and the
-        chosen server index comes back, so callers can steer a later
-        hedge to a different replica via ``avoid_server``. A caller
-        whose request only one replica can answer — a fan-out leg and
-        its data shard — passes ``server_id``: routing then runs over
-        that one-element candidate set (health still sees the attempt;
-        an ejected shard is routed to all the same, fail-open).
+        One order on the wire: the fault action first, then routing,
+        then the ``on_send`` feeds. A dropped attempt is lost before
+        any router sees it — no balancer draw, no ``routed`` count,
+        ``None`` returned — so the resilient client keeps its
+        last-known server for the hedge. Otherwise the attempt routes
+        through the balancer and the chosen server index comes back, so
+        callers can steer a later hedge to a different replica via
+        ``avoid_server``. A caller whose request only one replica can
+        answer — a fan-out leg and its data shard — passes
+        ``server_id``: routing then runs over that one-element
+        candidate set (health still sees the attempt; an ejected shard
+        is routed to all the same, fail-open).
         """
         if not self._running:
             raise RuntimeError("transport not started")
@@ -529,8 +501,6 @@ class Transport:
                 request_id=request.request_id, attempt=attempt,
                 value=extra_delay,
             )
-        if self._control is not None:
-            self._control.classify(request)
         if len(self._instances) == 1:
             server_id = 0
         else:
@@ -561,13 +531,8 @@ class Transport:
                     self._balancer, depths, candidates, avoid=avoid_server
                 )
         request.server_id = server_id
-        if self._send_delay_hist is not None:
-            self._send_delay_hist.observe(now - generated_at)
-        if self._live is not None:
-            # Send-anchored SLO accounting: the attempt burns budget
-            # in the window it was dispatched, whether or not it ever
-            # completes (a stalled replica must not hide its backlog).
-            self._live.observe_sent(now)
+        for feed in self.on_send:
+            feed(request)
         dup = None
         if action is not None and action.duplicate:
             # The copy loads the same server; its response is discarded.
@@ -648,74 +613,51 @@ class Transport:
         """Shed-response path: admission control rejected the request."""
         self._complete(request)
 
-    def _settle_instance_locked(self, request: Request) -> None:
+    def _settle_instance_locked(
+        self, request: Request
+    ) -> Optional[ServerInstance]:
         """Release the routed instance's outstanding slot (lock held)."""
         server_id = request.server_id
         if server_id is not None and 0 <= server_id < len(self._instances):
-            self._instances[server_id].outstanding -= 1
+            instance = self._instances[server_id]
+            instance.outstanding -= 1
+            return instance
+        return None
+
+    def record(self, request: Request) -> None:
+        """The default sink: a successful attempt is one latency record."""
+        if request.error is None and not request.shed:
+            self._collector.add(request.finish())
 
     def _complete(self, request: Request) -> None:
-        """Stamp receipt, record, and account the completion."""
+        """Stamp receipt, feed and sink the answer, release the slot.
+
+        An injected duplicate's answer is recorded in the trace and
+        then thrown away: no feed and no sink sees it, and its fate is
+        not one of the run's outcomes.
+        """
         request.response_received_at = self._clock.now()
-        good = (
-            request.error is None and not request.shed and not request.discard
-        )
         if self._tracer is not None:
-            if request.shed:
-                outcome = "shed"
-            elif request.error is not None:
-                outcome = "error"
-            elif request.discard:
-                outcome = "discard"
-            else:
-                outcome = None
-            self._tracer.record_request(request, outcome=outcome)
-        if self._live is not None and not request.discard:
-            self._live.observe(request)
-        if self._control is not None and good:
-            # Feed the AIMD window with end-to-end sojourn — the same
-            # latency definition the run's p99 SLO is stated against.
-            self._control.observe_sojourn(
-                request.response_received_at - request.generated_at
-            )
-        if self._health is not None and not request.discard:
-            health_server = request.server_id
-            if health_server is not None:
-                health_ok = request.error is None and not request.shed
-                self._health.record_attempt(
-                    health_server,
-                    (
-                        request.response_received_at - request.sent_at
-                        if health_ok and request.sent_at is not None
-                        else None
-                    ),
-                    health_ok,
-                    request.response_received_at,
-                )
-        handled = False
-        if self._completion_hook is not None:
-            handled = bool(self._completion_hook(request))
-        if not handled and good:
-            self._collector.add(request.finish())
+            self._tracer.record_request(request)
+        discard = request.discard
+        good = request.error is None and not request.shed and not discard
+        if not discard:
+            for feed in self.on_complete:
+                feed(request)
+            self.sink(request)
         drained_instance = None
         # ``_all_done`` shares this lock; taking the plain lock skips
         # the condition's Python-level enter/exit on the hot path.
         with self._lock:
             self._outstanding -= 1
             self.stats.completed += 1
-            server_id = request.server_id
-            if server_id is not None and 0 <= server_id < len(
-                self._instances
-            ):
-                instance = self._instances[server_id]
-                instance.outstanding -= 1
+            instance = self._settle_instance_locked(request)
+            if instance is not None:
                 if good:
                     instance.completed += 1
                 if instance.draining and instance.outstanding <= 0:
                     drained_instance = instance
-            if not request.discard:
-                # An injected duplicate's answer is thrown away, so its
-                # fate is not one of the run's outcomes.
+            if not discard:
                 if request.error is not None:
                     self.stats.errored += 1
                 if request.shed:

@@ -1,9 +1,10 @@
 """Replica health tracking, outlier ejection, and health-aware routing.
 
 The :class:`HealthManager` is the one stateful object of the health
-layer. It is fed from the transport completion hook (live) and the
-topology sink (sim) with one call per attempt outcome —
-:meth:`HealthManager.record_attempt` — and consulted once per routing
+layer. It is fed one call per attempt outcome —
+:meth:`HealthManager.observe`, one of the transport's completion feeds,
+under either clock, and :meth:`HealthManager.record_attempt` for an
+attempt timeout the client noticed — and consulted once per routing
 decision — :meth:`HealthManager.route` — to shrink the balancer's
 candidate set to the healthy replicas.
 
@@ -270,6 +271,25 @@ class HealthManager:
                 and self._can_eject_locked()
             ):
                 self._eject_locked(state, now)
+
+    def observe(self, request) -> None:
+        """Completion feed: one answered attempt of the replica it hit.
+
+        ``ok`` is an answer that is neither shed nor an error; its
+        latency is the send-to-response time.
+        """
+        server_id = request.server_id
+        if server_id is None:
+            return
+        ok = request.error is None and not request.shed
+        now = request.response_received_at
+        sent_at = request.sent_at
+        self.record_attempt(
+            server_id,
+            now - sent_at if ok and sent_at is not None else None,
+            ok,
+            now,
+        )
 
     def _is_outlier_locked(self, state: _ReplicaState) -> bool:
         config = self.config

@@ -330,7 +330,7 @@ class _WindowAccumulator:
 
 
 class LiveObs:
-    """Streaming SLO engine fed from the completion hook.
+    """Streaming SLO engine: one send feed and one completion feed.
 
     Clocked purely by caller-passed timestamps — no wall-clock reads —
     so the identical object serves the live harness and the virtual-

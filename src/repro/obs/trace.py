@@ -214,9 +214,18 @@ class Tracer:
         span edges instead of instrumenting each hot point separately.
         Unstamped edges (e.g. ``service_start`` of a shed attempt) are
         simply absent, so rejected attempts remain representable.
-        ``outcome`` optionally appends a point event (``shed`` /
-        ``error`` / ``late`` / ``discard``) at the last known instant.
+        A point event closes the chain at the last known instant: the
+        ``outcome`` passed, else the one the request's flags state
+        (``shed``, then ``error``, then an injected duplicate's
+        ``discard``), else none.
         """
+        if outcome is None:
+            if request.shed:
+                outcome = "shed"
+            elif request.error is not None:
+                outcome = "error"
+            elif request.discard:
+                outcome = "discard"
         logical_id = request.logical_id
         request_id = request.request_id
         attempt = request.attempt

@@ -5,8 +5,9 @@ The live harness reaches its servers over one of four wires
 :class:`SimulatedTransport` hosts :class:`SimulatedServer` replicas
 behind the ordinary :class:`~repro.core.transport.Transport` — so
 routing, transport-layer faults, outstanding/routed accounting,
-runtime membership, the tracer/SLO/health/control feeds and the
-``tb_*`` gauges are the base class's, written once for both clocks.
+runtime membership, the per-replica hooks, the send / completion feeds
+and the ``tb_*`` gauges are the base class's, written once for both
+clocks.
 Only what is clock-specific lives here: what a replica *is* (a
 service-time model under the event engine instead of a worker pool
 over an application) and how an attempt crosses the wire (an engine
@@ -76,7 +77,6 @@ class SimulatedTransport(Transport):
         self._power = power
 
     def _build_instance(self, server_id: int) -> ServerInstance:
-        control = self._control
         now = self._clock.now()
         server = SimulatedServer(
             self._engine,
@@ -85,18 +85,8 @@ class SimulatedTransport(Transport):
             self._n_threads,
             random.Random((self._seed ^ 0x5EED) + 1_000_003 * server_id),
             self._complete,
-            injector=(
-                self._injector.for_server(server_id)
-                if self._injector is not None
-                else None
-            ),
-            queue_capacity=self._queue_capacity,
-            server_id=server_id,
-            gate=control.gate_for(server_id) if control is not None else None,
-            buffer=control.make_buffer() if control is not None else None,
-            batching=self._batching,
             batch_marginal_cost=self._batch_marginal_cost,
-            cache=self._cache,
+            **self._replica_options(server_id),
             # Each replica — a runtime scale-up included — gets its own
             # worker pool over the run's one energy account.
             power=(

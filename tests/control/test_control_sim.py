@@ -6,6 +6,7 @@ from repro.control import (
     NO_CONTROL,
     AdmissionConfig,
     AutoscalerConfig,
+    ControlPlane,
     ControlPlaneConfig,
     PriorityConfig,
     RequestClassSpec,
@@ -156,6 +157,56 @@ class TestControlledBehavior:
                     autoscaler=AutoscalerConfig(max_servers=3)
                 ),
             )
+
+
+class TestAimdWindow:
+    """Only the admission controller's tick drains the AIMD sojourn
+    window, so only a run with admission may feed it."""
+
+    @staticmethod
+    def _bound_planes(monkeypatch):
+        planes = []
+        real_bind = ControlPlane.bind
+
+        def bind(plane, target):
+            planes.append(plane)
+            real_bind(plane, target)
+
+        monkeypatch.setattr(ControlPlane, "bind", bind)
+        return planes
+
+    @pytest.mark.parametrize("only", ["autoscaler", "priority"])
+    def test_without_admission_nothing_fills_the_window(
+        self, monkeypatch, only
+    ):
+        planes = self._bound_planes(monkeypatch)
+        off = {"admission": None, "autoscaler": None, "priority": None}
+        del off[only]
+        result = sim(control=full_control(**off))
+        (plane,) = planes
+        assert result.control_counts["ticks"] > 0
+        assert result.outcomes["succeeded"] == 2100
+        assert plane._window == []
+
+    def test_with_admission_every_tick_drains_the_window(self, monkeypatch):
+        planes = self._bound_planes(monkeypatch)
+        drained = []
+        real_p99 = ControlPlane.window_p99
+
+        def window_p99(plane):
+            drained.append(len(plane._window))
+            return real_p99(plane)
+
+        monkeypatch.setattr(ControlPlane, "window_p99", window_p99)
+        result = sim(control=full_control(autoscaler=None, priority=None))
+        (plane,) = planes
+        assert len(drained) == result.control_counts["ticks"] > 0
+        # Every good answer went in once and came out at the next tick,
+        # bar the ones after the last tick.
+        assert sum(drained) + len(plane._window) == (
+            result.outcomes["succeeded"]
+        )
+        assert len(plane._window) < max(drained)
 
 
 class TestLiveControlSmoke:

@@ -87,22 +87,17 @@ class ScriptedWire:
         self._clock = clock
         self._scheduler = scheduler
         self._script = script
-        self._hook = None
+        #: Where answers go: ``RunParts.wire`` or the test sets it.
+        self.sink = None
         self._held = []
         self._idle = threading.Condition()
         self._in_flight = 0
         self.sends = []
         #: The ``server_id`` each send was pinned to (None: unpinned).
         self.pins = []
-        #: Answers no completion hook claimed (a real transport would
-        #: record each as a request of its own).
-        self.unclaimed = []
 
     def start(self, *args, **kwargs):
         """``RunParts.wire`` starts its transport; nothing to start."""
-
-    def set_completion_hook(self, hook):
-        self._hook = hook
 
     def send(self, generated_at, payload, *, logical_id, attempt=0,
              deadline=None, avoid_server=None, server_id=None):
@@ -150,8 +145,10 @@ class ScriptedWire:
         request.response_received_at = now
         request.error = "boom" if action == "error" else None
         request.shed = action == "shed"
-        if not self._hook(request):
-            self.unclaimed.append(request)
+        if not request.discard:
+            # As the transport does: a duplicate's answer reaches no
+            # layer of the client stack.
+            self.sink(request)
         with self._idle:
             self._in_flight -= 1
             self._idle.notify_all()
@@ -167,6 +164,7 @@ def _under_wall_clock():
     wire = ScriptedWire(clock, wire_timer)
     collector = StatsCollector()
     client = ResilientClient(wire, clock, CONFIG, collector, seed=SEED)
+    wire.sink = client.on_attempt_complete
     leftover_timers = []
     try:
         for logical_id in sorted(SCRIPT):
@@ -188,6 +186,7 @@ def _under_virtual_clock():
     client = ResilientClient(
         wire, engine.clock, CONFIG, collector, seed=SEED, scheduler=engine
     )
+    wire.sink = client.on_attempt_complete
     quiet_after = []
     for logical_id in sorted(SCRIPT):
         start = float(logical_id)
@@ -285,7 +284,7 @@ def _scatter(clock, scheduler, wire_scheduler, legs, resilience, settle):
     open_before_sweep = parts.fanout.outstanding
     parts.stop()  # the end-of-run sweep
     return dict(
-        sends=wire.sends, pins=wire.pins, unclaimed=wire.unclaimed,
+        sends=wire.sends, pins=wire.pins,
         progress=progress, open_before_sweep=open_before_sweep,
         final=(stats.completed, stats.failed, stats.critical_counts),
         outcomes=parts.collector.outcome_counts(),
@@ -343,7 +342,7 @@ def test_a_gather_over_the_resilient_client_resolves_exactly_once():
     assert [s[:2] for s in run["sends"] if s[1] > 1] == [(1, 2), (4, 2), (8, 2)]
     # Gather 0 fails at the deadline; the other three merge, once each.
     assert run["progress"] == [(0, 1), (1, 1), (2, 1), (3, 1)]
-    assert run["open_before_sweep"] == 0 and run["unclaimed"] == []
+    assert run["open_before_sweep"] == 0
     # The critical leg is the one that had to be retried (shards 1, 2)
     # or whose original queued behind its duplicate (shard 0).
     assert run["final"] == (3, 1, [1, 1, 1])
@@ -367,10 +366,8 @@ def test_a_gather_over_the_bare_wire_resolves_exactly_once():
     run, _ = _same_under_both_clocks(BARE_LEGS, None)
 
     assert run["pins"] == [0, 1, 2] * 2
-    # The duplicate's discarded copy neither spoils gather 0 nor lets
-    # the original through as a request of its own ...
+    # The duplicate's original still completes gather 0 ...
     assert run["progress"] == [(1, 0), (1, 0)]
-    assert run["unclaimed"] == []
     # ... and the dropped leg leaves gather 1 open (two legs answered,
     # one never will be) until the end-of-run sweep.
     assert run["open_before_sweep"] == 1

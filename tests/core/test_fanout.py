@@ -126,19 +126,6 @@ class TestFanoutGatherer:
         assert gatherer.stats.completed == 0
         assert collector.records == []
 
-    def test_discarded_duplicate_is_not_a_leg(self):
-        collector = _StubCollector()
-        gatherer = FanoutGatherer(2, collector)
-        _, pairs = gatherer.open_gather()
-        copy = _finished_request(pairs[0][0], 0, 0.0, 1e-3)
-        copy.discard = True
-        assert gatherer.on_complete(copy) is True
-        assert gatherer.outstanding == 2
-        for lid, shard in pairs:
-            gatherer.on_complete(_finished_request(lid, shard, 0.0, 2e-3))
-        assert (gatherer.stats.completed, gatherer.stats.failed) == (1, 0)
-        assert len(collector.records) == 1
-
     def test_sweep_fails_a_gather_once_however_many_legs_are_open(self):
         gatherer = FanoutGatherer(3, _StubCollector())
         _, pairs = gatherer.open_gather()

@@ -252,12 +252,10 @@ class FakeTransport:
 
     def __init__(self, clock):
         self._clock = clock
-        self.hook = None
+        #: What the answers go to; the client under test sets it.
+        self.sink = None
         self.sent = []
         self._cv = threading.Condition()
-
-    def set_completion_hook(self, hook):
-        self.hook = hook
 
     def send(self, generated_at, payload, *, logical_id=None, attempt=0,
              deadline=None, avoid_server=None, server_id=None):
@@ -286,14 +284,17 @@ class FakeTransport:
         request.response_received_at = now
         request.error = error
         request.shed = shed
-        self.hook(request)
+        self.sink(request)
 
 
-def _client(config, seed=1):
+def _client(config, seed=1, health=None):
     clock = WallClock()
     transport = FakeTransport(clock)
     collector = StatsCollector()
-    client = ResilientClient(transport, clock, config, collector, seed=seed)
+    client = ResilientClient(
+        transport, clock, config, collector, seed=seed, health=health
+    )
+    transport.sink = client.on_attempt_complete
     return clock, transport, collector, client
 
 
@@ -464,15 +465,11 @@ class TestRetryBudgetGate:
         ))
 
     def test_exhausted_budget_fails_instead_of_retrying(self):
-        clock = WallClock()
-        transport = FakeTransport(clock)
-        collector = StatsCollector()
         health = self._health(reserve=0.0)
-        client = ResilientClient(
-            transport, clock,
+        clock, transport, collector, client = _client(
             ResilienceConfig(max_retries=3, backoff_base=0.001,
                              backoff_cap=0.002),
-            collector, seed=1, health=health,
+            health=health,
         )
         try:
             client.send(clock.now(), "p")
@@ -486,15 +483,11 @@ class TestRetryBudgetGate:
         assert health.counts()["retries_denied"] == 1
 
     def test_funded_budget_allows_the_retry(self):
-        clock = WallClock()
-        transport = FakeTransport(clock)
-        collector = StatsCollector()
         health = self._health(reserve=5.0)
-        client = ResilientClient(
-            transport, clock,
+        clock, transport, collector, client = _client(
             ResilienceConfig(max_retries=3, backoff_base=0.001,
                              backoff_cap=0.002),
-            collector, seed=1, health=health,
+            health=health,
         )
         try:
             client.send(clock.now(), "p")

@@ -156,8 +156,8 @@ class TestTransportMembership:
         clock, transport, settle = start("round_robin", 2)
         try:
             completed = []
-            transport.set_completion_hook(
-                lambda request: (completed.append(request.server_id), True)[1]
+            transport.sink = lambda request: completed.append(
+                request.server_id
             )
             # Land work on replica 1, then drain it before it finishes.
             for _ in range(10):

@@ -280,12 +280,12 @@ class TestProcessLifecycle:
         clock, transport, collector = self._start_transport(app=SlowApp())
         failures = []
 
-        def hook(request):
+        def sink(request):
             if request.error is not None:
                 failures.append(request.error)
-            return False  # keep default accounting
+            transport.record(request)  # keep default accounting
 
-        transport.set_completion_hook(hook)
+        transport.sink = sink
         try:
             handle = transport.instances[0].server
             for _ in range(4):

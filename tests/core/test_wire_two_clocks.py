@@ -132,10 +132,11 @@ def _start(leg, plan=PLAN, health=None, tracer=None, n_servers=3):
     balancer._rng = _counting(balancer._rng)
     transport.start(
         app, 1, StatsCollector(), injector=injector, n_servers=n_servers,
-        balancer=balancer, scheduler=scheduler,
+        balancer=balancer, scheduler=scheduler, health=health,
     )
     if health is not None:
-        transport.set_health(health)
+        # What ``RunParts.wire`` lists for a health-only run.
+        transport.on_complete = (health.observe,)
     if tracer is not None:
         transport.set_observability(tracer, MetricsRegistry())
     return clock, transport, settle, injector, balancer
