@@ -9,6 +9,7 @@ of the paper): swap the clock, keep the methodology.
 
 from __future__ import annotations
 
+import os
 import threading
 import time
 
@@ -31,24 +32,26 @@ class Clock:
 
 
 class WallClock(Clock):
-    """Real time via ``time.perf_counter`` (monotonic, ns resolution)."""
+    """Real time via ``time.perf_counter`` (monotonic, ns resolution).
+
+    ``sleep_until`` never holds the GIL while it waits: it sleeps to the
+    last millisecond, then yields the GIL and the CPU until the deadline.
+    """
 
     def now(self) -> float:
         return time.perf_counter()
 
     def sleep_until(self, deadline: float) -> None:
-        # Coarse sleep, then spin for the final stretch: time.sleep() on
-        # Linux routinely overshoots by 50+ us, which would corrupt
-        # open-loop interarrival times at high request rates.
+        # Timer sleeps, time.sleep(0) included, overshoot by ~50 us of slack;
+        # a busy-wait holds the GIL. sched_yield releases both on every turn.
         while True:
             remaining = deadline - self.now()
             if remaining <= 0:
                 return
             if remaining > 0.001:
                 time.sleep(remaining - 0.0005)
-            elif remaining > 0.0002:
-                time.sleep(0)
-            # else: busy-wait
+            else:
+                os.sched_yield()
 
 
 class VirtualClock(Clock):

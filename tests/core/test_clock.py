@@ -1,5 +1,6 @@
 """Tests for the clock abstraction."""
 
+import statistics
 import sys
 import threading
 import time
@@ -23,8 +24,8 @@ class TestWallClock:
         assert clock.now() >= deadline
 
     def test_sleep_until_precision(self):
-        # The spin tail should keep overshoot small even on noisy
-        # shared machines (generous bound for CI).
+        # The yield loop of the last millisecond should keep overshoot
+        # small even on noisy shared machines (generous bound for CI).
         clock = WallClock()
         overshoots = []
         for _ in range(5):
@@ -32,6 +33,53 @@ class TestWallClock:
             clock.sleep_until(deadline)
             overshoots.append(clock.now() - deadline)
         assert min(overshoots) < 2e-3
+
+    def test_sleep_until_short_wait_is_not_a_timer_sleep(self):
+        # Uncontended, a sub-millisecond wait ends within ~1 us of its
+        # deadline (median of 20 trials: 0.4-0.9 us, pinned or not); a
+        # loop of timer sleeps such as time.sleep(0) overshoots by the
+        # kernel's timer slack (27-42 us here), which this bound rejects.
+        clock = WallClock()
+        overshoots = []
+        for _ in range(50):
+            deadline = clock.now() + 300e-6
+            clock.sleep_until(deadline)
+            overshoots.append(clock.now() - deadline)
+        assert statistics.median(overshoots) < 15e-6
+
+    def test_sleep_until_lets_a_woken_thread_run(self):
+        # The shaper's case: it wakes the worker, then waits for its next
+        # arrival. A wait that holds the GIL keeps the woken thread from
+        # running until the wait is over; this one hands it over.
+        clock = WallClock()
+        go = threading.Event()
+        stamped = threading.Event()
+        stamp = [0.0]
+        done = False
+
+        def waiter():
+            while go.wait(timeout=10.0) and not done:
+                go.clear()
+                stamp[0] = time.perf_counter()
+                stamped.set()
+
+        thread = threading.Thread(target=waiter)
+        thread.start()
+        ran_first = 0
+        try:
+            for _ in range(200):
+                stamped.clear()
+                go.set()
+                clock.sleep_until(clock.now() + 150e-6)
+                returned = time.perf_counter()
+                assert stamped.wait(timeout=5.0)
+                ran_first += stamp[0] < returned
+        finally:
+            done = True
+            go.set()
+            thread.join(timeout=10.0)
+        assert not thread.is_alive()
+        assert ran_first >= 180
 
     def test_sleep_past_deadline_returns_immediately(self):
         clock = WallClock()
