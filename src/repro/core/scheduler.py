@@ -18,7 +18,7 @@ import heapq
 import itertools
 import threading
 from operator import itemgetter
-from typing import Any, Callable, Optional, Set
+from typing import Any, Callable, Iterable, Optional, Sequence, Set
 
 from .clock import Clock
 
@@ -67,6 +67,41 @@ class EventQueue:
         event = Event((time, next(self._seq), fn, args))
         heapq.heappush(self._heap, event)
         return event
+
+    def push_each(
+        self, times: Sequence[float], fn: Callable, args: Iterable[tuple]
+    ) -> None:
+        """Push ``fn(*args[i])`` at ``times[i]`` for a sorted series.
+
+        The series takes its block of ``seq`` numbers now, so it orders
+        against every other event exactly as ``len(times)`` :meth:`push`
+        calls made here would, ties included. Only its next event is on
+        the heap, and firing it pushes the one after: every event of the
+        series not yet pushed has a larger key than the one that is, so
+        each pop returns what it would with the whole series on the
+        heap. The heap then holds what is in flight, not the series.
+        """
+        n = len(times)
+        if not n:
+            return
+        if times[0] < self._fired[0] or any(
+            b < a for a, b in zip(times, times[1:])
+        ):
+            raise ValueError("a series must be sorted and not start in the past")
+        base = next(self._seq)
+        self._seq = itertools.count(base + n)
+        heap = self._heap
+
+        def fire(*event_args: Any) -> None:
+            following = next(events, None)
+            if following is not None:
+                heapq.heappush(heap, following)
+            fn(*event_args)
+
+        events = map(Event, zip(
+            times, itertools.count(base), itertools.repeat(fire), args
+        ))
+        heapq.heappush(heap, next(events))
 
     def cancel(self, event: Event) -> None:
         """Make ``event`` never fire; a no-op once it has."""

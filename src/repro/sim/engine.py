@@ -9,7 +9,9 @@ timestamp order — one ``pop()`` per event, which skips cancelled
 leaders itself; only a bounded ``run(until=...)`` peeks first —
 advancing the shared :class:`~repro.core.clock.VirtualClock`, which is
 exactly the clock the harness components read, so harness logic is
-unchanged between live and simulated runs.
+unchanged between live and simulated runs. The heap holds what is in
+flight: a run's arrivals stream onto it one at a time
+(:meth:`~repro.core.scheduler.EventQueue.push_each`).
 """
 
 from __future__ import annotations
@@ -54,8 +56,10 @@ class Engine:
     def run(self, until: Optional[float] = None, max_events: int = 50_000_000) -> int:
         """Process events until the queue drains (or ``until``).
 
-        Returns the number of events executed by this call; at most
-        ``max_events`` execute before the runaway guard raises.
+        Returns the number of events this call popped and ran; at most
+        ``max_events`` run before the runaway guard raises. What a
+        callback does inline is part of its event — a simulated
+        server's zero-delay response (DESIGN.md §4) is not one.
         """
         queue, advance_to = self._queue, self.clock.advance_to
         executed = 0

@@ -15,10 +15,11 @@ control target and feeds ``run_harness`` uses — and the engine is the
 run's scheduler where the live harness has a timer thread, so recovery
 timers, scenario phases, metrics samples and control ticks are engine
 events scheduled by the same :meth:`~repro.core.run.RunParts.start`.
-What this module adds is the virtual clock's way of driving a run: one
-arrival loop. Because the event loop is single-threaded and every
-random draw comes from seeded streams, the same plan replayed with the
-same seed yields byte-identical results.
+What this module adds is the virtual clock's way of driving a run: the
+arrival schedule streamed onto the engine's heap. Because the event
+loop is single-threaded and every random draw comes from seeded
+streams, the same plan replayed with the same seed yields
+byte-identical results.
 """
 
 from __future__ import annotations
@@ -117,9 +118,11 @@ def simulate_load(
     # onsets are deterministic and alignable. What recurs is bounded by
     # the arrival horizon so the heap still drains.
     parts.start(0.0, until=schedule.times[-1])
+    # Arrival i is send_fn(t_i, payload_i) at t_i. The whole schedule is
+    # numbered here, after what start() scheduled, but only its next
+    # arrival is ever on the heap (DESIGN.md §4).
     payloads = _synthetic_payloads(config, len(schedule))
-    for generated_at, payload in zip(schedule, payloads):
-        engine.at(generated_at, send_fn, generated_at, payload)
+    engine._queue.push_each(schedule.times, send_fn, zip(schedule, payloads))
     engine.run()
     elapsed = engine.now
     parts.stop()

@@ -4,6 +4,9 @@ Reproduces the harness's server structure — shared FIFO request queue
 drained by ``n`` worker threads — as discrete events: request arrival
 (after the inbound wire delay), service start when a worker frees up,
 service completion, response receipt (after the outbound wire delay).
+A delay of zero costs no event where the order allows: an arrival due
+now is taken at once, and a completion with nothing else due at its
+instant delivers its responses itself.
 Timestamps land in the same :class:`~repro.core.request.RequestRecord`
 chain live runs produce, so all downstream statistics code is shared.
 The server records nothing itself: every response goes to the
@@ -402,12 +405,32 @@ class SimulatedServer:
             tracer.emit(
                 "batch_end", now, server_id=self.server_id, value=seq
             )
+        # Asked before _dispatch() can push anything due now.
+        inline = (
+            not self._network.wire_latency_each_way
+            and self._nothing_else_due(now)
+        )
         for request in members:
             request.service_end_at = now
-            self._schedule_response(request, now)
+            if not inline:
+                self._schedule_response(request, now)
         if self._power is not None:
             self._power.on_end(now)
         self._dispatch()
+        if inline:
+            for request in members:
+                self._on_response(request)
+
+    def _nothing_else_due(self, now: float) -> bool:
+        """Whether no event on the heap is due at ``now``.
+
+        Then zero-delay responses pushed now would be the next events
+        popped, in member order, after this completion's ``_dispatch``
+        (whatever it pushes comes later in ``seq``): running them at the
+        end of the completion is the same order without the heap.
+        """
+        next_time = self._engine._queue.peek_time()
+        return next_time is None or next_time > now
 
     def _schedule_response(self, request: Request, now: float) -> None:
         self._engine.at(

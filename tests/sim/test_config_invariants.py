@@ -8,8 +8,10 @@ one composition of these ``RunConfig`` still rejects, cache × fan-out
 — and the properties every
 accepted composition must keep, whatever it does to latency: requests
 are conserved, timestamp chains are monotone, the routing books
-balance, and no replica is left holding an attempt. Virtual time only,
-so it is fast and a failing example replays exactly.
+balance, and no replica is left holding an attempt — and the engine's
+heap of what is in flight runs every drawn config exactly as the heap
+that held the whole schedule did. Virtual time only, so it is fast and
+a failing example replays exactly.
 """
 
 from hypothesis import example, given, settings
@@ -28,6 +30,12 @@ from repro.health import HealthConfig
 from repro.obs.trace import LIFECYCLE_EVENTS
 from repro.sim import SimConfig, simulate_load
 from repro.sim.calibration import paper_profile
+
+from .test_engine import (
+    arrivals_up_front,
+    observed,
+    responses_always_scheduled,
+)
 
 PROFILE = paper_profile("masstree")
 MEAN = PROFILE.service.mean
@@ -221,3 +229,17 @@ def test_run_invariants(draw):
         # Every attempt that reached a worker looked its key up once.
         served = sum(1 for c in chains.values() if len(c) == len(_CHAIN))
         assert counts["hits"] + counts["misses"] == served
+
+
+@given(draw=runs)
+@example(draw=CACHE_RESILIENCE_FAULTS)
+@example(draw=FANOUT_HEALTH_BATCHING)
+@settings(max_examples=200, deadline=None, derandomize=True)
+def test_the_heap_of_what_is_in_flight_changes_nothing(draw):
+    # Streamed arrivals and inline responses against the heap that held
+    # every arrival from the start and every response as an event.
+    config = _config(draw)
+    result = simulate_load(PROFILE, config)
+    with arrivals_up_front(), responses_always_scheduled():
+        reference = simulate_load(PROFILE, config)
+    assert observed(result) == observed(reference)

@@ -1,9 +1,127 @@
-"""Tests for the discrete-event engine and event queue."""
+"""Tests for the discrete-event engine and event queue.
+
+The simulator's heap holds only what is in flight: arrivals stream
+from the schedule under seqs reserved up front, and a zero-delay
+response runs inside its completion when nothing else is due. The
+references below are the heap that held everything — each arrival
+pushed before the run, each response an event — and a run must not be
+able to tell them apart.
+"""
+
+import contextlib
+from unittest import mock
 
 import pytest
 
-from repro.core import Scheduler, WallClock
-from repro.sim import Engine, Event, EventQueue
+from repro.control import AutoscalerConfig, ControlPlaneConfig
+from repro.core import ObservabilityConfig, Scheduler, WallClock
+from repro.faults import FaultPhase, FaultPlan, Scenario
+from repro.sim import (
+    Engine,
+    Event,
+    EventQueue,
+    SimConfig,
+    SimulatedServer,
+    simulate_app,
+    simulate_load,
+)
+from repro.sim.calibration import AppProfile
+from repro.stats import Deterministic
+
+
+def _push_every_arrival_up_front(queue, times, fn, args):
+    # What simulate_load did before arrivals streamed.
+    for generated_at, arguments in zip(times, args):
+        queue.push(generated_at, fn, *arguments)
+
+
+@contextlib.contextmanager
+def arrivals_up_front():
+    """Reference heap: the whole arrival schedule pushed before the run."""
+    with mock.patch.object(
+        EventQueue, "push_each", _push_every_arrival_up_front
+    ):
+        yield
+
+
+@contextlib.contextmanager
+def responses_always_scheduled():
+    """Reference heap: every response is an event, never run inline."""
+    with mock.patch.object(
+        SimulatedServer, "_nothing_else_due", lambda self, now: False
+    ):
+        yield
+
+
+def trace_stream(result) -> list:
+    """The trace events as tuples, ids renumbered by first appearance
+    (request ids come from one process-wide counter)."""
+    renumbered = {}
+
+    def ident(kind, value):
+        if value is None:
+            return None
+        return renumbered.setdefault((kind, value), len(renumbered))
+
+    return [
+        (event.ts, event.kind, ident("logical", event.logical_id),
+         ident("request", event.request_id), event.attempt,
+         event.server_id, event.value)
+        for event in result.obs.events
+    ]
+
+
+def observed(result) -> dict:
+    """What an event-order change would show in (of a traced run): the
+    bit-identity triple, the trace-event stream and the metric series."""
+    return dict(
+        fingerprint=result.fingerprint(),
+        outcomes=dict(result.outcomes),
+        events=trace_stream(result),
+        series={
+            name: [point.as_dict() for point in points]
+            for name, points in result.obs.series.items()
+        },
+    )
+
+
+#: Deterministic arrivals land on multiples of GAP exactly (a power of
+#: two sums without rounding), and so does every cadence below: samples,
+#: control ticks and scenario boundaries all tie with an arrival.
+GAP = 2.0 ** -12
+CONSTANT = AppProfile(name="constant", service=Deterministic(3 * GAP))
+
+
+def tied_config(n_servers: int = 1, **overrides) -> SimConfig:
+    fields = dict(
+        qps=1.0 / GAP,
+        deterministic_arrivals=True,
+        warmup_requests=16,
+        measure_requests=496,
+        n_servers=n_servers,
+        n_threads=2,
+        seed=3,
+        observability=ObservabilityConfig(
+            tracing=True, metrics_interval=32 * GAP
+        ),
+        control=ControlPlaneConfig(
+            enabled=True, tick_interval=64 * GAP,
+            autoscaler=AutoscalerConfig(
+                min_servers=1, max_servers=n_servers + 1
+            ),
+        ),
+        scenario=Scenario(
+            name="tied",
+            phases=(
+                FaultPhase(128 * GAP, 128 * GAP, FaultPlan(drop_rate=1.0),
+                           label="drops"),
+                FaultPhase(320 * GAP, 64 * GAP, FaultPlan(error_rate=1.0),
+                           label="errors"),
+            ),
+        ),
+    )
+    fields.update(overrides)
+    return SimConfig(**fields)
 
 
 class TestEventQueue:
@@ -113,6 +231,127 @@ class TestEventQueue:
         assert queue.peek_time() is None
         queue.push(5.0, lambda: None)
         assert queue.peek_time() == 5.0
+
+
+def _drain(queue):
+    fired = []
+    while (event := queue.pop()) is not None:
+        event.fn(*event.args)
+        fired.append(event.time)
+    return fired
+
+
+class TestSeries:
+    """``push_each``: a sorted series numbered now, streamed one by one."""
+
+    @staticmethod
+    def _timeline(series_push):
+        queue, order = EventQueue(), []
+        queue.push(1.0, order.append, "before")
+        series_push(queue, [1.0, 1.0, 2.0, 3.0], order.append,
+                    [("s0",), ("s1",), ("s2",), ("s3",)])
+        queue.push(1.0, order.append, "after")
+        queue.push(2.0, order.append, "after2")
+        times = _drain(queue)
+        return order, times, next(queue._seq)
+
+    def test_orders_as_if_every_event_were_pushed_now(self):
+        streamed = self._timeline(EventQueue.push_each)
+        assert streamed == self._timeline(_push_every_arrival_up_front)
+        order, times, next_seq = streamed
+        # Ties go to the series' reserved seqs: before the later pushes.
+        assert order == ["before", "s0", "s1", "after", "s2", "after2", "s3"]
+        assert times == [1.0, 1.0, 1.0, 1.0, 2.0, 2.0, 3.0]
+        assert next_seq == 7
+
+    def test_the_heap_holds_one_event_of_the_series(self):
+        queue, fired = EventQueue(), []
+        queue.push_each([float(i) for i in range(1000)], fired.append,
+                        ((i,) for i in range(1000)))
+        assert len(queue) == 1
+        peak = 0
+        while (event := queue.pop()) is not None:
+            event.fn(*event.args)
+            peak = max(peak, len(queue))
+        assert fired == list(range(1000)) and peak == 1
+
+    def test_a_series_fires_once_each_and_then_cancel_is_a_no_op(self):
+        queue = EventQueue()
+        queue.push_each([1.0, 2.0], lambda: None, [(), ()])
+        first = queue.pop()
+        first.fn(*first.args)
+        # The fired event is behind the split: cancelling records nothing.
+        queue.cancel(first)
+        assert len(queue) == 1
+        second = queue.pop()
+        second.fn(*second.args)
+        assert second.seq == first.seq + 1
+        assert queue.pop() is None and len(queue) == 0
+
+    def test_refuses_an_unsorted_series_or_one_in_the_past(self):
+        queue = EventQueue()
+        with pytest.raises(ValueError):
+            queue.push_each([2.0, 1.0], print, [(), ()])
+        queue.push(5.0, lambda: None)
+        queue.pop()
+        with pytest.raises(ValueError):
+            queue.push_each([4.0, 6.0], print, [(), ()])
+        assert queue.pop() is None
+
+    def test_an_empty_series_reserves_nothing(self):
+        queue = EventQueue()
+        queue.push_each([], print, [])
+        assert queue.push(1.0, print).seq == 0
+        assert len(queue) == 1
+
+    def test_engine_run_counts_series_events(self):
+        engine = Engine()
+        fired = []
+        engine._queue.push_each(
+            [0.5, 1.0, 1.0], lambda label: fired.append((engine.now, label)),
+            [("a",), ("b",), ("c",)],
+        )
+        assert engine.run() == 3
+        assert fired == [(0.5, "a"), (1.0, "b"), (1.0, "c")]
+
+
+class TestStreamedArrivals:
+    """A run whose arrivals stream equals the run that pushed them all."""
+
+    @pytest.mark.parametrize("n_servers", [1, 3])
+    def test_ties_with_samples_ticks_and_boundaries_keep_their_order(
+        self, n_servers
+    ):
+        config = tied_config(n_servers)
+        streamed = simulate_load(CONSTANT, config)
+        with arrivals_up_front():
+            reference = simulate_load(CONSTANT, config)
+        assert observed(streamed) == observed(reference)
+        # The ties were there to break: every sample and tick instant is
+        # an arrival instant, and both phases changed something.
+        assert streamed.fault_counts["phase_changes"] == 4
+        assert streamed.fault_counts["drops"] > 0
+        assert streamed.outcomes["errors"] > 0
+        assert streamed.control_counts["ticks"] >= 7
+
+
+class TestHeapHoldsWhatIsInFlight:
+    def test_a_long_run_never_holds_its_schedule(self, monkeypatch):
+        # A sim-plain-shaped run: one masstree server at 4 000 qps. The
+        # heap only grows between pops, so its peak is seen by one.
+        peak = [0]
+        real_pop = EventQueue.pop
+
+        def pop(queue):
+            peak[0] = max(peak[0], len(queue))
+            return real_pop(queue)
+
+        monkeypatch.setattr(EventQueue, "pop", pop)
+        result = simulate_app("masstree", SimConfig(
+            qps=4000.0, warmup_requests=3_000, measure_requests=27_000,
+        ))
+        assert result.outcomes["offered"] == 30_000
+        assert 1 <= peak[0] <= 64
 
 
 class TestEngine:

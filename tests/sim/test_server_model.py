@@ -1,13 +1,25 @@
 """Tests for the virtual-time server model."""
 
 import random
+from unittest import mock
 
 import pytest
 
-from repro.core import StatsCollector
-from repro.sim import Engine, SimulatedServer, ServiceTimeModel
+from repro.batching import BatchingConfig
+from repro.control import ControlPlaneConfig
+from repro.core import ObservabilityConfig, StatsCollector
+from repro.faults import FaultPlan
+from repro.sim import Engine, SimulatedServer, ServiceTimeModel, simulate_load
 from repro.sim.network_model import NETWORK_MODELS
 from repro.stats import Deterministic, Exponential
+
+from .test_engine import (
+    CONSTANT,
+    GAP,
+    observed,
+    responses_always_scheduled,
+    tied_config,
+)
 
 
 def run_server(service, arrivals, n_threads=1, network="integrated"):
@@ -101,3 +113,85 @@ class TestNetworkEffects:
     def test_thread_validation(self):
         with pytest.raises(ValueError):
             run_server(Deterministic(0.001), [0.0], n_threads=0)
+
+
+class TestInlineResponses:
+    """A zero-delay response runs inside its completion exactly when it
+    would have been the next event popped."""
+
+    @staticmethod
+    def _config(**overrides):
+        # Service, batch windows and pauses are multiples of GAP, so
+        # completions, batch deadlines and arrivals keep coinciding, and
+        # a metrics sample every 2 GAP is often due with a completion.
+        fields = dict(
+            observability=ObservabilityConfig(
+                tracing=True, metrics_interval=2 * GAP
+            ),
+            control=ControlPlaneConfig(),
+            scenario=None,
+            batching=BatchingConfig(
+                enabled=True, max_batch_size=3, max_batch_delay=2 * GAP,
+                sim_marginal_cost=0.5,
+            ),
+            faults=FaultPlan(worker_pause_rate=0.25, worker_pause=4 * GAP),
+        )
+        fields.update(overrides)
+        return tied_config(**fields)
+
+    @staticmethod
+    def _run(config):
+        """The run, and how each completion delivered its responses."""
+        asked = []
+        real = SimulatedServer._nothing_else_due
+
+        def nothing_else_due(server, now):
+            asked.append(real(server, now))
+            return asked[-1]
+
+        with mock.patch.object(
+            SimulatedServer, "_nothing_else_due", nothing_else_due
+        ):
+            result = simulate_load(CONSTANT, config)
+        return result, asked
+
+    @staticmethod
+    def _seen(result):
+        stats = result.stats
+        return (
+            observed(result), stats.batch_occupancy, stats.send_audit()
+        )
+
+    @pytest.mark.parametrize("batched", [True, False])
+    def test_equals_the_run_that_schedules_every_response(self, batched):
+        config = self._config()
+        if not batched:
+            config = self._config(batching=BatchingConfig())
+        inline, asked = self._run(config)
+        with responses_always_scheduled():
+            reference = simulate_load(CONSTANT, config)
+        assert self._seen(inline) == self._seen(reference)
+        # Both answers were given: some completions had company at their
+        # instant (an arrival, a batch deadline, a sample, another
+        # worker's completion) and kept their responses on the heap.
+        assert asked.count(True) > 0 and asked.count(False) > 0
+        assert inline.fault_counts["pauses"] > 0
+
+    def test_a_networked_wire_still_schedules_every_response(self):
+        config = self._config(configuration="networked")
+        scheduled = []
+        real = SimulatedServer._schedule_response
+
+        def schedule(server, request, now):
+            scheduled.append(request)
+            return real(server, request, now)
+
+        with mock.patch.object(
+            SimulatedServer, "_schedule_response", schedule
+        ):
+            networked, asked = self._run(config)
+        with responses_always_scheduled():
+            reference = simulate_load(CONSTANT, config)
+        assert self._seen(networked) == self._seen(reference)
+        assert asked == []  # the wire is not zero: nothing to ask
+        assert len(scheduled) == sum(networked.routed_counts)
