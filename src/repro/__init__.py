@@ -7,8 +7,10 @@ latency-critical applications. This package provides:
   shaping, instrumented request queue, statistics collection, the
   integrated/loopback/networked configurations, repeated-run
   methodology).
-- :mod:`repro.apps` — the eight applications (xapian, masstree, moses,
-  sphinx, img-dnn, specjbb, silo, shore), each built from scratch.
+- :mod:`repro.apps` — the nine applications (the paper's eight:
+  xapian, masstree, moses, sphinx, img-dnn, specjbb, silo, shore; plus
+  vsearch), each built from scratch. Each loads on first use:
+  ``import repro`` imports none of them.
 - :mod:`repro.stats` — HDR histograms, quantile confidence intervals,
   samplers.
 - :mod:`repro.sim` — a discrete-event simulator that runs the harness

@@ -2,7 +2,7 @@
 vsearch extension — sharded IVF vector search, the suite's ninth app.
 
 Every application implements :class:`~repro.apps.base.Application` and
-registers a factory here, so experiment drivers can instantiate the
+is registered here by name, so experiment drivers can instantiate the
 whole suite by name::
 
     from repro.apps import create_app
@@ -11,7 +11,15 @@ whole suite by name::
 
 Factories accept keyword overrides for dataset sizes etc.; defaults are
 sized for interactive use on a laptop.
+
+Importing this package loads none of the nine apps. ``_BUILTIN_APPS``
+maps each registry name to its subpackage and class; ``create_app(name)``
+imports only that subpackage (and, for the numpy-backed apps, numpy),
+``app_names()`` lists all nine without importing any, and the class
+names (``XapianApp`` ...) resolve on first attribute access.
 """
+
+from importlib import import_module
 
 from .base import (
     Application,
@@ -21,25 +29,39 @@ from .base import (
     create_app,
     register_app,
 )
-from .img_dnn import ImgDnnApp
-from .masstree import MasstreeApp
-from .moses import MosesApp
-from .shore import ShoreApp
-from .silo import SiloApp
-from .specjbb import SpecJbbApp
-from .sphinx import SphinxApp
-from .vsearch import VsearchApp
-from .xapian import XapianApp
 
-register_app("xapian", XapianApp)
-register_app("masstree", MasstreeApp)
-register_app("moses", MosesApp)
-register_app("sphinx", SphinxApp)
-register_app("img-dnn", ImgDnnApp)
-register_app("specjbb", SpecJbbApp)
-register_app("silo", SiloApp)
-register_app("shore", ShoreApp)
-register_app("vsearch", VsearchApp)
+#: registry name -> (subpackage, application class)
+_BUILTIN_APPS = {
+    "xapian": ("xapian", "XapianApp"),
+    "masstree": ("masstree", "MasstreeApp"),
+    "moses": ("moses", "MosesApp"),
+    "sphinx": ("sphinx", "SphinxApp"),
+    "img-dnn": ("img_dnn", "ImgDnnApp"),
+    "specjbb": ("specjbb", "SpecJbbApp"),
+    "silo": ("silo", "SiloApp"),
+    "shore": ("shore", "ShoreApp"),
+    "vsearch": ("vsearch", "VsearchApp"),
+}
+_CLASS_MODULES = {cls: module for module, cls in _BUILTIN_APPS.values()}
+
+
+def __getattr__(name):
+    module = _CLASS_MODULES.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(import_module(f"{__name__}.{module}"), name)
+
+
+def _factory(module: str, cls: str):
+    def build(**kwargs):
+        return getattr(import_module(f"{__name__}.{module}"), cls)(**kwargs)
+
+    return build
+
+
+for _name, (_module, _cls) in _BUILTIN_APPS.items():
+    register_app(_name, _factory(_module, _cls))
+del _name, _module, _cls
 
 __all__ = [
     "Application",

@@ -8,9 +8,11 @@ two-sided contract:
 - client side — :class:`Client`: ``next_request()`` yields the next
   request payload, drawn from the app's workload distribution.
 
-The registry maps the paper's application names (xapian, masstree,
-moses, sphinx, img-dnn, specjbb, silo, shore) to factories, so the
-experiment drivers can iterate over the whole suite.
+The registry maps the application names (the paper's xapian,
+masstree, moses, sphinx, img-dnn, specjbb, silo, shore, plus vsearch)
+to factories, so the experiment drivers can iterate over the whole
+suite. The built-in factories import their app on first call
+(:mod:`repro.apps`).
 """
 
 from __future__ import annotations

@@ -53,14 +53,18 @@ from .traffic import (
     PoissonArrivals,
     TrafficShaper,
 )
-from .transport import (
-    IntegratedTransport,
-    LoopbackTransport,
-    NetworkedTransport,
-    ProcessTransport,
-    Transport,
-    make_transport,
-)
+from .transport import IntegratedTransport, Transport, make_transport
+
+#: transports that load on first use (see :mod:`.transport`)
+_LAZY_TRANSPORTS = ("LoopbackTransport", "NetworkedTransport", "ProcessTransport")
+
+
+def __getattr__(name):
+    if name in _LAZY_TRANSPORTS:
+        from . import transport
+
+        return getattr(transport, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 __all__ = [
     "BALANCERS",

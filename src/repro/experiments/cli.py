@@ -7,7 +7,9 @@ Regenerates any of the paper's tables/figures from the terminal::
     tailbench all
 
 ``tailbench trace <app>`` and ``tailbench tail <app>`` inspect one
-workload instead; both live in :mod:`.inspect_cli`.
+workload instead; both live in :mod:`.inspect_cli`, which (with the
+:mod:`repro.obs` it reads traces through) loads only when one of them
+runs.
 """
 
 from __future__ import annotations
@@ -36,7 +38,6 @@ from .fig_fanout import render_fig_fanout, run_fig_fanout
 from .fig_live import render_fig_live, run_fig_live
 from .fig_resilience import render_fig_resilience, run_fig_resilience
 from .fig_topology import render_fig_topology, run_fig_topology
-from .inspect_cli import tail_main, trace_main
 from .table1 import render_table1, run_table1
 
 __all__ = ["main", "EXPERIMENTS", "EXTENSIONS"]
@@ -84,8 +85,8 @@ EXTENSIONS: Dict[str, Tuple[Callable, Callable]] = {
     "fig-live": (run_fig_live, render_fig_live),
 }
 
-#: One-workload inspection commands (see :mod:`.inspect_cli`).
-_INSPECT: Dict[str, Callable] = {"trace": trace_main, "tail": tail_main}
+#: One-workload inspection commands: ``<name>_main`` in :mod:`.inspect_cli`.
+_INSPECT = ("trace", "tail")
 
 _FAST_KWARGS = {
     "table1": {"measure_requests": 4000, "n_instructions": 100_000},
@@ -127,7 +128,9 @@ def main(argv=None) -> int:
     if argv and argv[0] in _INSPECT:
         # ``tailbench trace|tail <app> ...`` have their own option
         # surface; delegate before the experiment parser rejects them.
-        return _INSPECT[argv[0]](argv[1:])
+        from . import inspect_cli
+
+        return getattr(inspect_cli, f"{argv[0]}_main")(argv[1:])
     parser = argparse.ArgumentParser(
         prog="tailbench",
         description="Regenerate TailBench (IISWC 2016) tables and figures"

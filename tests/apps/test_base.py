@@ -18,11 +18,15 @@ class TestRegistry:
         assert app._n_records == 123
 
     def test_unknown_app_helpful_error(self):
-        with pytest.raises(KeyError, match="known:"):
+        with pytest.raises(KeyError) as raised:
             create_app("redis")
+        assert raised.value.args[0] == (
+            "unknown application 'redis'; known: ['img-dnn', 'masstree', "
+            "'moses', 'shore', 'silo', 'specjbb', 'sphinx', 'vsearch', 'xapian']"
+        )
 
     def test_duplicate_registration_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="'masstree' already registered"):
             register_app("masstree", lambda: None)
 
     def test_register_and_use_custom_app(self):

@@ -25,8 +25,12 @@ class TestFactory:
         assert isinstance(make_transport("networked", clock), NetworkedTransport)
 
     def test_unknown_configuration_rejected(self):
-        with pytest.raises(ValueError, match="unknown harness configuration"):
+        with pytest.raises(ValueError) as raised:
             make_transport("carrier-pigeon", WallClock())
+        assert str(raised.value) == (
+            "unknown harness configuration 'carrier-pigeon'; expected "
+            "'integrated', 'loopback', or 'networked'"
+        )
 
 
 def _roundtrip(transport, n=20):
