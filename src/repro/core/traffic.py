@@ -171,6 +171,20 @@ class BurstyArrivals(ArrivalProcess):
         )
 
 
+def service_stream(seed: int, server_id: int) -> random.Random:
+    """The service-time stream of replica ``server_id`` in a run seeded
+    ``seed``.
+
+    The arrival schedule draws from ``random.Random(seed)``; each
+    simulated replica draws its service times from its own stream, so a
+    replica's draws do not depend on when it joined or on how the others
+    were routed. Server 0's stream is the pre-topology single-server one.
+    The simulator and :func:`repro.queueing.mgk_percentiles` both seed
+    from here, so the M/G/k baseline sees the simulator's service draws.
+    """
+    return random.Random((seed ^ 0x5EED) + 1_000_003 * server_id)
+
+
 class ArrivalSchedule:
     """A concrete, pre-drawn list of arrival instants.
 

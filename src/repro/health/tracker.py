@@ -91,16 +91,6 @@ class HealthView:
                 return view
         return None
 
-    def healthy_ids(self, active_ids: Sequence[int]) -> List[int]:
-        """Active replicas currently routable (never empty when
-        ``active_ids`` is non-empty: falls back to the full set)."""
-        by_id = {view.server_id: view for view in self.replicas}
-        healthy = [
-            server_id for server_id in active_ids
-            if server_id not in by_id or by_id[server_id].healthy
-        ]
-        return healthy if healthy else list(active_ids)
-
 
 class HealthManager:
     """Failure-aware serving state shared by routing and completion paths.

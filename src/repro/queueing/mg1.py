@@ -2,9 +2,10 @@
 
 Poisson arrivals into a single FCFS server with a general service-time
 distribution — the analytic model of a single-threaded TailBench
-application. Exact formulas for mean waiting/sojourn time, plus a
-simulation solver for percentiles (closed forms for M/G/1 waiting-time
-percentiles do not exist in general).
+application. Exact formulas for the mean waiting and sojourn times and
+the mean queue length. Closed forms for M/G/1 percentiles do not exist
+in general; :func:`repro.queueing.mgk_percentiles` with ``k=1`` reads
+them off one seeded sample path of the exact FCFS recursion.
 """
 
 from __future__ import annotations

@@ -3,18 +3,20 @@
 The Fig. 8 baselines: what latency *would* be with k threads if adding
 threads carried no overhead (service times unchanged). Mean waits use
 the Lee–Longton approximation (exact for k=1, asymptotically good
-under moderate load); percentiles come from a virtual-time simulation
-of the M/G/k system itself, reusing the discrete-event server model.
+under moderate load); percentiles come from the exact FCFS recursion
+(:func:`~repro.queueing.recursion.fcfs_sojourns`) over one seeded
+sample path, not from the simulator whose ideal-memory runs Fig. 8
+checks against them.
 """
 
 from __future__ import annotations
 
 import math
+from typing import NamedTuple
 
-from ..sim.calibration import AppProfile
-from ..sim.contention import NO_CONTENTION
-from ..sim.latency_sim import SimConfig, SimResult, simulate_load
-from ..stats import Distribution
+from ..core.traffic import ArrivalSchedule, PoissonArrivals, service_stream
+from ..stats import Distribution, LatencySummary
+from .recursion import fcfs_sojourns
 
 __all__ = [
     "erlang_c",
@@ -71,27 +73,48 @@ def mgk_mean_sojourn(arrival_rate: float, service: Distribution, k: int) -> floa
     return float("inf") if math.isinf(wait) else wait + service.mean
 
 
+class _Summaries(NamedTuple):
+    sojourn: LatencySummary
+    queue: LatencySummary
+
+
 def mgk_percentiles(
     service: Distribution,
     qps: float,
     k: int,
     measure_requests: int = 20_000,
     seed: int = 0,
-) -> SimResult:
-    """Percentile latencies of the pure M/G/k model, by simulation.
+) -> _Summaries:
+    """Percentile latencies of the pure M/G/k model, on one sample path.
 
-    This is the dashed-line baseline of Fig. 8: ``k`` servers, the
+    This is the dashed-line baseline of Fig. 8: ``k`` FCFS workers, the
     *unmodified* service distribution (no contention, no network, no
-    simulator error). Returns a full :class:`SimResult` so p95/p99 and
-    the whole distribution are available.
+    simulator error). The path is the one a run seeded ``seed`` would
+    draw: its Poisson schedule and server 0's service stream. The first
+    ``max(100, measure_requests // 10)`` completions are warmup, as in
+    a run. Returns the ``(sojourn, queue)`` pair of
+    :class:`~repro.stats.LatencySummary`, also readable as ``.sojourn``
+    and ``.queue``.
     """
-    profile = AppProfile(name=f"mg{k}", service=service, contention=NO_CONTENTION)
-    config = SimConfig(
-        qps=qps,
-        n_threads=k,
-        configuration="integrated",
-        warmup_requests=max(100, measure_requests // 10),
-        measure_requests=measure_requests,
-        seed=seed,
+    if measure_requests < 1:
+        raise ValueError("measure_requests must be >= 1")
+    warmup = max(100, measure_requests // 10)
+    arrivals = ArrivalSchedule.generate(
+        PoissonArrivals(qps), warmup + measure_requests, seed=seed
+    ).times
+    rng = service_stream(seed, 0)
+    windows = fcfs_sojourns(
+        arrivals, [service.sample(rng) for _ in arrivals], k
     )
-    return simulate_load(profile, config)
+    # Completion order, as the collector sees it: by end, then by start
+    # (a worker's next completion is scheduled when it starts), then by
+    # arrival (equal starts begin in arrival order).
+    done = sorted(
+        (end, start, i) for i, (start, end) in enumerate(windows)
+    )[warmup:]
+    return _Summaries(
+        LatencySummary.from_samples([end - arrivals[i] for end, _, i in done]),
+        LatencySummary.from_samples(
+            [start - arrivals[i] for _, start, i in done]
+        ),
+    )

@@ -17,10 +17,9 @@ socket write).
 
 from __future__ import annotations
 
-import random
-
 from ..core.queueing import QueueSnapshot
 from ..core.request import Request
+from ..core.traffic import service_stream
 from ..core.transport import ServerInstance, Transport
 from .engine import Engine
 from .network_model import NetworkModel
@@ -83,7 +82,7 @@ class SimulatedTransport(Transport):
             self._app,
             self._network,
             self._n_threads,
-            random.Random((self._seed ^ 0x5EED) + 1_000_003 * server_id),
+            service_stream(self._seed, server_id),
             self._complete,
             batch_marginal_cost=self._batch_marginal_cost,
             **self._replica_options(server_id),

@@ -109,3 +109,17 @@ def test_sim_and_integrated_runs_load_no_optional_module():
     assert _apps(loaded) == [
         m for m in _apps(loaded) if m.startswith("repro.apps.masstree")
     ]
+
+
+def test_queueing_loads_no_simulator():
+    # The M/G/k baseline Fig. 8 checks the simulator against is the
+    # FCFS recursion, not another simulation: queueing theory stands
+    # on its own.
+    loaded = _loaded(
+        "import repro.queueing\n"
+        "from repro.stats import Exponential\n"
+        "repro.queueing.mgk_percentiles(\n"
+        "    Exponential.from_mean(1e-3), qps=500.0, k=2,\n"
+        "    measure_requests=200)"
+    )["after"]
+    assert [m for m in loaded if m.startswith("repro.sim")] == []
