@@ -1,10 +1,12 @@
-"""Multi-core scaling of the process execution engine (img-dnn).
+"""Multi-core scaling of process execution (img-dnn).
 
 The GIL caps every threaded topology at roughly one core of aggregate
 application work, no matter how many replicas the topology declares.
-``ExecutionConfig(mode="process")`` moves each replica's worker pool
-into its own OS process, so aggregate saturated throughput should
-scale with replica count until the machine runs out of cores.
+``ExecutionConfig(mode="process")`` keeps each replica's queue and
+worker threads in the harness but runs every worker's application
+calls in a child process of its own, so aggregate saturated
+throughput should scale with replica count until the machine runs out
+of cores.
 
 This benchmark measures saturated aggregate QPS of img-dnn at 1 and N
 single-threaded process replicas and at N threaded ones (offered load
@@ -36,10 +38,11 @@ _APP_KWARGS = dict(train_samples=300, epochs=3)
 _CALIBRATE_OPS = 40
 _OVERSUBSCRIBE = 1.6
 #: Target per-request service time. One raw img-dnn inference is tens
-#: of microseconds — IPC framing would dominate and the benchmark
-#: would measure the pipe, not the substrate — so requests run a
-#: calibrated ensemble of inferences sized to ~1 ms, the realistic
-#: end of the app's latency range and large enough to amortize IPC.
+#: of microseconds — the pipe round trip to the worker's child would
+#: dominate and the benchmark would measure the pipe, not the
+#: substrate — so requests run a calibrated ensemble of inferences
+#: sized to ~1 ms, the realistic end of the app's latency range and
+#: large enough to amortize it.
 _TARGET_SERVICE = 1e-3
 
 

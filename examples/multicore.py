@@ -1,4 +1,4 @@
-"""Process-sharded replicas: escaping the GIL with one flag.
+"""Application calls in child processes: escaping the GIL with one flag.
 
 Every threaded topology in this harness shares one Python interpreter,
 so the GIL caps aggregate *application* work at roughly one core no
@@ -6,17 +6,17 @@ matter how many replicas the topology declares. Flipping
 
     execution=ExecutionConfig(mode="process")
 
-moves each replica's queue and worker pool into its own OS process
-behind the same Transport interface: the shaper, balancer, collector,
-and per-server attribution are unchanged, but replicas now execute on
-separate cores.
+gives each worker thread a child process of its own and sends only the
+application call there: the shaper, balancer, queues, workers,
+collector and per-server attribution stay in the harness process, but
+application work now executes on separate cores.
 
 This example runs the same img-dnn workload at 1 and N single-threaded
 replicas in both execution modes and prints the achieved-throughput
 scaling. On a multi-core machine the process column scales with the
 replica count while the threaded column stays flat; on a 1-core
 machine both stay flat (there is nothing to scale onto) but the
-attribution table shows the process replicas each served their share.
+attribution table shows the replicas each served their share.
 
 Run:  PYTHONPATH=src python examples/multicore.py
 """

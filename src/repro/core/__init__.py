@@ -42,7 +42,6 @@ from .request import Request, RequestRecord
 from .resilience import ResilienceConfig, ResilientClient
 from .run import RunResult
 from .runner import CampaignResult, run_campaign
-from .runtime import ReplicaRuntime
 from .scheduler import Scheduler
 from .server import Server
 from .traffic import (
@@ -56,7 +55,7 @@ from .traffic import (
 from .transport import IntegratedTransport, Transport, make_transport
 
 #: transports that load on first use (see :mod:`.transport`)
-_LAZY_TRANSPORTS = ("LoopbackTransport", "NetworkedTransport", "ProcessTransport")
+_LAZY_TRANSPORTS = ("LoopbackTransport", "NetworkedTransport")
 
 
 def __getattr__(name):
@@ -109,7 +108,6 @@ __all__ = [
     "RequestRecord",
     "CampaignResult",
     "run_campaign",
-    "ReplicaRuntime",
     "Scheduler",
     "Server",
     "ArrivalProcess",
@@ -121,7 +119,6 @@ __all__ = [
     "IntegratedTransport",
     "LoopbackTransport",
     "NetworkedTransport",
-    "ProcessTransport",
     "Transport",
     "make_transport",
 ]

@@ -187,32 +187,29 @@ _START_METHODS = ("fork", "spawn")
 
 @dataclass(frozen=True)
 class ExecutionConfig:
-    """Where replica worker pools execute (see DESIGN.md §4).
+    """Where replicas' application calls execute (see DESIGN.md §4).
 
     Attributes
     ----------
     mode:
-        ``"threaded"`` (default) runs every replica's worker pool as
-        threads in the harness process — deterministic, bit-identical
-        with all prior builds, but aggregate throughput is GIL-capped.
-        ``"process"`` runs each replica in its own OS process behind
-        :class:`repro.core.transport.ProcessTransport`: requests and
-        batched completion records travel over pipes, and aggregate
-        throughput scales with cores.
+        ``"threaded"`` (default) calls the application on each
+        replica's worker threads, in the harness process —
+        deterministic, bit-identical with all prior builds, but
+        aggregate application work is GIL-capped. ``"process"`` keeps
+        every replica in the harness process too, but gives each
+        worker thread one child process holding a copy of its
+        replica's application: only the application call crosses the
+        child's pipe, so application work scales with cores. A
+        request's service time then includes the pipe round trip.
     start_method:
-        ``multiprocessing`` start method for replica processes.
+        ``multiprocessing`` start method for the child processes.
         ``"fork"`` (default) inherits the already-set-up application
-        object for free; ``"spawn"`` requires the application and
-        fault plan to be picklable.
-    drain_timeout:
-        Seconds a replica process is given to drain and exit after a
-        shutdown message (scale-down join, end-of-run stop) before it
-        is forcibly terminated.
+        object for free; ``"spawn"`` requires the application to be
+        picklable.
     """
 
     mode: str = "threaded"
     start_method: str = "fork"
-    drain_timeout: float = 10.0
 
     def __post_init__(self) -> None:
         if self.mode not in _EXECUTION_MODES:
@@ -225,8 +222,6 @@ class ExecutionConfig:
                 f"start_method must be one of {_START_METHODS}, "
                 f"got {self.start_method!r}"
             )
-        if self.drain_timeout <= 0:
-            raise ValueError("drain_timeout must be positive")
 
 
 #: Default execution substrate: the paper's single-process harness.
@@ -574,10 +569,10 @@ class HarnessConfig(RunConfig):
     execution:
         Execution substrate (see :class:`ExecutionConfig`):
         ``threaded`` (default, bit-identical with prior builds) or
-        ``process`` (one OS process per replica — multi-core scaling).
-        What process mode does not run is rejected below, each
-        rejection saying why (DESIGN.md's composition table lists
-        them with the tests that pin them).
+        ``process`` (one child process per worker thread runs the
+        application calls — multi-core scaling). Both compose with
+        every configuration and subsystem: nothing but the
+        application call leaves the harness process.
     """
 
     one_way_delay: float = 25e-6
@@ -592,34 +587,6 @@ class HarnessConfig(RunConfig):
         if self.one_way_delay < 0:
             raise ValueError("one_way_delay must be non-negative")
         super().__post_init__()
-        if self.execution.mode == "process":
-            if self.configuration != "integrated":
-                raise ValueError(
-                    "process execution requires the 'integrated' "
-                    "configuration: the replica pipe is the transport "
-                    f"(got {self.configuration!r})"
-                )
-            if self.control.enabled and (
-                self.control.admission is not None
-                or self.control.priority is not None
-            ):
-                raise ValueError(
-                    "admission control and priority scheduling need "
-                    "shared-memory access to replica queues; process "
-                    "execution supports the autoscaler only"
-                )
-            if self.scenario is not None:
-                raise ValueError(
-                    "chaos scenarios mutate fault plans at run time and "
-                    "cannot reach replica processes; process execution "
-                    "supports static fault plans only"
-                )
-            if self.cache.enabled:
-                raise ValueError(
-                    "the cache is shared in-process state; replica "
-                    "processes cannot reach it, so caching is "
-                    "threaded-only"
-                )
 
 
 @dataclass(frozen=True)

@@ -92,11 +92,9 @@ def run_harness(
     parts = RunParts(config)
     schedule = parts.schedule
     transport = make_transport(
-        config.configuration,
-        clock,
-        one_way_delay=config.one_way_delay,
-        execution=config.execution,
+        config.configuration, clock, one_way_delay=config.one_way_delay
     )
+    transport.execution = config.execution
     shaper = TrafficShaper(clock, schedule)
 
     client = app.make_client(seed=config.seed)
@@ -132,14 +130,6 @@ def run_harness(
     # — not offered requests: under saturation or shedding the offered
     # count would over-report what the system actually sustained.
     completions = max(transport.stats.completed - transport.stats.shed, 0)
-    child_counts = getattr(transport, "child_fault_counts", None)
-    if callable(child_counts):
-        # Process-mode replicas inject worker/app faults in their own
-        # processes; merge what the children reported with the parent
-        # injector's transport-level counts.
-        fault_counts = shared["fault_counts"]
-        for key, value in child_counts().items():
-            fault_counts[key] = fault_counts.get(key, 0) + value
     return HarnessResult(
         achieved_qps=completions / wall_time if wall_time > 0 else 0.0,
         wall_time=wall_time,

@@ -454,11 +454,7 @@ class RunParts:
             self.sampler.sample()
 
     def topology(self) -> dict:
-        """What the result reports of the transport's replicas.
-
-        Read before ``transport.stop()``: a stopped process replica no
-        longer reports its workers.
-        """
+        """What the result reports of the transport's replicas."""
         transport = self.transport
         instances = transport.instances
         return dict(

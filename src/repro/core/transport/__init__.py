@@ -2,9 +2,10 @@
 
 Only the base classes and the integrated transport load with this
 package. The loopback and networked transports (``socket``, ``pickle``)
-and the process transport (``multiprocessing``, :mod:`repro.obs`) load
-the first time ``make_transport`` builds one or one of their names is
-looked up here.
+load the first time ``make_transport`` builds one or one of their names
+is looked up here; process mode's child processes
+(:mod:`.process`, ``multiprocessing``) the first time a transport
+builds a replica in that mode.
 """
 
 from importlib import import_module
@@ -17,8 +18,6 @@ _LAZY = {
     "LoopbackTransport": "loopback",
     "NetworkedTransport": "networked",
     "DelayLine": "networked",
-    "ProcessTransport": "process",
-    "ProcessReplicaHandle": "process",
 }
 
 
@@ -36,32 +35,18 @@ __all__ = [
     "LoopbackTransport",
     "NetworkedTransport",
     "DelayLine",
-    "ProcessTransport",
-    "ProcessReplicaHandle",
 ]
 
 
 def make_transport(
-    config: str, clock, one_way_delay: float = 25e-6, execution=None
+    config: str, clock, one_way_delay: float = 25e-6
 ) -> Transport:
     """Build a transport by configuration name.
 
     ``config`` is one of ``"integrated"``, ``"loopback"``,
-    ``"networked"`` — the three setups of Fig. 1. With an
-    :class:`~repro.core.config.ExecutionConfig` in ``"process"`` mode,
-    the integrated shape is served by :class:`ProcessTransport`
-    (replicas in their own OS processes); config validation restricts
-    process mode to the integrated configuration.
+    ``"networked"`` — the three setups of Fig. 1. Any of them runs in
+    either execution mode (``Transport.execution``).
     """
-    if execution is not None and execution.mode == "process":
-        if config != "integrated":
-            raise ValueError(
-                "process execution mode requires the 'integrated' "
-                f"configuration, got {config!r}"
-            )
-        from .process import ProcessTransport
-
-        return ProcessTransport(clock, execution=execution)
     if config == "integrated":
         return IntegratedTransport(clock)
     if config == "loopback":

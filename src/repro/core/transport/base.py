@@ -39,10 +39,11 @@ from typing import Any, Callable, List, Optional, Tuple
 from ..balancer import LoadBalancer, RoundRobinBalancer, pick_active
 from ..clock import Clock
 from ..collector import StatsCollector
+from ..config import THREADED
 from ..queueing import QueueClosed, RequestQueue
 from ..request import Request
-from ..runtime import ReplicaRuntime
 from ..scheduler import Scheduler
+from ..server import Server
 
 __all__ = ["ServerInstance", "Transport", "TransportStats"]
 
@@ -76,12 +77,15 @@ class ServerInstance:
     ``drained_at`` bound the replica's active window (per-server rate
     accounting divides by this window, not the whole run), and
     ``completed`` counts responses this replica actually produced.
+    ``children`` is the replica's application in process mode (a
+    :class:`~repro.core.transport.process.ChildApp`), else ``None``.
     """
 
     __slots__ = (
         "server_id",
         "queue",
         "server",
+        "children",
         "outstanding",
         "routed",
         "completed",
@@ -94,6 +98,7 @@ class ServerInstance:
         self.server_id = server_id
         self.queue = queue
         self.server = server
+        self.children = None
         self.outstanding = 0
         self.routed = 0
         self.completed = 0
@@ -146,6 +151,12 @@ class Transport:
     injected duplicate's goes through ``on_complete`` and then to
     ``sink`` — the bottom layer of the client stack, or
     :meth:`record` when there is none.
+
+    ``execution`` says where a replica's application calls run: on
+    its worker threads (the default), or, in process mode, in one
+    child process per worker thread (``repro.core.transport.process``).
+    Set it before :meth:`start`; :func:`repro.core.run_harness` sets
+    it from ``HarnessConfig.execution``.
     """
 
     def __init__(self, clock: Clock) -> None:
@@ -157,6 +168,7 @@ class Transport:
         self.on_send: tuple = ()
         self.on_complete: tuple = ()
         self.sink = self.record
+        self.execution = THREADED
         self._outstanding = 0
         self._lock = threading.Lock()
         self._all_done = threading.Condition(self._lock)
@@ -255,33 +267,77 @@ class Transport:
 
     def _build_instance(self, server_id: int) -> ServerInstance:
         """Construct one replica (queue + worker pool), not yet started."""
-        runtime = ReplicaRuntime(
-            _replicate_app(self._app, server_id),
+        options = self._replica_options(server_id)
+        app = _replicate_app(self._app, server_id)
+        children = None
+        if self.execution.mode == "process":
+            from .process import ChildApp
+
+            # A run starts once its replicas are up; a scale-up (maybe
+            # on the timer thread) does not wait for its children.
+            app = children = ChildApp(
+                app, self._n_threads, self.execution.start_method,
+                wait=not self._running,
+            )
+        queue = RequestQueue(
+            self._clock,
+            capacity=options.pop("queue_capacity"),
+            injector=options["injector"],
+            gate=options.pop("gate"),
+            buffer=options.pop("buffer"),
+        )
+        server = Server(
+            app,
+            queue,
             self._clock,
             n_threads=self._n_threads,
             respond=self._make_responder(server_id),
-            **self._replica_options(server_id),
+            **options,
         )
-        instance = ServerInstance(server_id, runtime.queue, runtime.server)
+        instance = ServerInstance(server_id, queue, server)
+        instance.children = children
         instance.started_at = self._clock.now()
         return instance
 
-    def stop(self) -> None:
+    def stop(self, timeout: float = 30.0) -> None:
+        """Stop every replica, then the I/O machinery, then the timers.
+
+        Each step runs even when an earlier one fails — a worker that
+        does not stop within ``timeout`` must not leave the other
+        replicas, a replica's child processes or the sockets running —
+        and the first failure is raised once everything is down.
+        """
         if not self._running:
             return
+        failures = []
+
+        def attempt(step, *args, **kwargs) -> None:
+            try:
+                step(*args, **kwargs)
+            except Exception as exc:  # noqa: BLE001 - raised below
+                failures.append(exc)
+
         for instance in self._instances:
             # Anything still queued belongs to requests nobody is
             # waiting on (drain() already returned or timed out);
             # serving it would only delay the worker join.
-            instance.server.shutdown(discard_pending=True)
-        self._stop_impl()
+            attempt(
+                instance.server.shutdown,
+                timeout=timeout,
+                discard_pending=True,
+            )
+            if instance.children is not None:
+                attempt(instance.children.close, timeout)
+        attempt(self._stop_impl)
         self._running = False
         own, self._own_scheduler = self._own_scheduler, None
         if own is not None:
             # Last, so a callback failure it re-raises leaves nothing
             # running; a delayed send that fired into the teardown
             # above was abandoned like any arrival after shutdown.
-            own.stop()
+            attempt(own.stop)
+        if failures:
+            raise failures[0]
 
     def _start_impl(self) -> None:
         """Hook for I/O machinery startup (sockets, threads)."""
@@ -425,7 +481,11 @@ class Transport:
             instance = active[-1]
             instance.draining = True
             instance.drained_at = self._clock.now()
-            return instance.server_id
+            idle = instance.outstanding <= 0
+        if idle:
+            # No completion is left to fire the hook.
+            self._instance_drained(instance)
+        return instance.server_id
 
     @property
     def alive_workers(self) -> Tuple[int, ...]:
@@ -668,13 +728,13 @@ class Transport:
             self._instance_drained(drained_instance)
 
     def _instance_drained(self, instance: ServerInstance) -> None:
-        """Hook: a draining replica's last outstanding request resolved.
+        """A draining replica's last outstanding request resolved.
 
-        Threaded replicas stay in place (their workers cost nothing
-        idle); :class:`~repro.core.transport.ProcessTransport` overrides
-        this to shut the child process down and join it within the
-        drain deadline.
+        Its workers stay in place (idle, they cost nothing); in process
+        mode its children exit, to be reaped by :meth:`stop`.
         """
+        if instance.children is not None:
+            instance.children.stop()
 
     @property
     def server_errors(self) -> List[str]:

@@ -6,10 +6,9 @@ from a full-run snapshot after the harness stops. :class:`LiveObs` is
 the streaming counterpart — it watches the run *while it serves*,
 clocked entirely by the timestamps the caller passes in, so the same
 object runs identically under the live harness (wall clock) and the
-simulator (virtual time), and across threaded and process transports
-(process replicas forward their events through
-:mod:`repro.obs.forward`; the parent's completion path feeds this
-class exactly as the threaded one does).
+simulator (virtual time), and in both execution modes (in process
+mode only the application call leaves the harness process, so the
+completion path that feeds this class is the threaded one).
 
 Three cooperating pieces:
 

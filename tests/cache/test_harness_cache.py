@@ -3,11 +3,9 @@
 import statistics
 import time
 
-import pytest
-
 from repro.apps.base import Application, Client
 from repro.core import CacheConfig, HarnessConfig, ResilienceConfig, run_harness
-from repro.core.config import ExecutionConfig, ObservabilityConfig
+from repro.core.config import ObservabilityConfig
 from repro.faults import FaultPlan
 
 
@@ -141,13 +139,6 @@ class TestWorkerHitPath:
 
 
 class TestHarnessComposition:
-    def test_rejects_process_execution(self):
-        with pytest.raises(ValueError):
-            _config(
-                cache=CacheConfig(enabled=True),
-                execution=ExecutionConfig(mode="process"),
-            )
-
     def test_cache_with_resilience_and_faults_runs_live(self):
         # The composition the simulator accepts too (tests/cache/
         # test_sim_cache.py::TestComposition): retries re-send the
