@@ -10,6 +10,10 @@ Regenerates any of the paper's tables/figures from the terminal::
 workload instead; both live in :mod:`.inspect_cli`, which (with the
 :mod:`repro.obs` it reads traces through) loads only when one of them
 runs.
+
+An extension figure (``fig-*``) exits with status 1 when one of its
+simulator-judged claims fails; what it reports about live arms never
+sets the status.
 """
 
 from __future__ import annotations
@@ -31,13 +35,14 @@ from .extensions import (
     run_ext_energy,
 )
 from .fig8 import render_fig8, run_fig8
-from .fig_batching import render_fig_batching, run_fig_batching
-from .fig_cache import render_fig_cache, run_fig_cache
-from .fig_control import render_fig_control, run_fig_control
-from .fig_fanout import render_fig_fanout, run_fig_fanout
-from .fig_live import render_fig_live, run_fig_live
-from .fig_resilience import render_fig_resilience, run_fig_resilience
-from .fig_topology import render_fig_topology, run_fig_topology
+from .fig_batching import run_fig_batching
+from .fig_cache import run_fig_cache
+from .fig_control import run_fig_control
+from .fig_fanout import run_fig_fanout
+from .fig_live import run_fig_live
+from .fig_resilience import run_fig_resilience
+from .fig_topology import run_fig_topology
+from .figure import Report
 from .table1 import render_table1, run_table1
 
 __all__ = ["main", "EXPERIMENTS", "EXTENSIONS"]
@@ -60,29 +65,29 @@ EXTENSIONS: Dict[str, Tuple[Callable, Callable]] = {
     "ext-energy": (run_ext_energy, render_ext_energy),
     # Multi-server topology: round-robin vs JSQ at 4 replicas, run both
     # live and simulated (runs the live harness — minutes, not seconds).
-    "fig-topology": (run_fig_topology, render_fig_topology),
+    "fig-topology": (run_fig_topology, Report.render),
     # Control plane: static vs SLO-controlled server under a 0.5x->1.5x
     # load step, live and simulated (runs the live harness — seconds).
-    "fig-control": (run_fig_control, render_fig_control),
+    "fig-control": (run_fig_control, Report.render),
     # Dynamic batching: max_batch_size sweep at fixed overload, the
     # throughput-vs-p99 frontier, live and simulated (seconds).
-    "fig-batching": (run_fig_batching, render_fig_batching),
+    "fig-batching": (run_fig_batching, Report.render),
     # Failure-aware serving: retry-storm chaos scenario, undefended
     # metastable collapse vs health-layer recovery, live and simulated
     # (live arms run ~30s each at full scale).
-    "fig-resilience": (run_fig_resilience, render_fig_resilience),
+    "fig-resilience": (run_fig_resilience, Report.render),
     # Sharded vector search: scatter-gather fan-out at K in {1,2,4,8},
     # measured e2e p99 vs the order-statistic prediction, live and
     # simulated (live arms build IVF indexes — a minute or two).
-    "fig-fanout": (run_fig_fanout, render_fig_fanout),
+    "fig-fanout": (run_fig_fanout, Report.render),
     # Caching tier: Zipf closed-form hit rates at C in {1%,5%,20%} of
     # keyspace, the cold-cache restart spike, and off-run bit-identity,
     # live and simulated (live arm serves vsearch — tens of seconds).
-    "fig-cache": (run_fig_cache, render_fig_cache),
+    "fig-cache": (run_fig_cache, Report.render),
     # Live SLO engine: slow-replica burn caught by multi-window
     # burn-rate alerting and explained by tail attribution, live and
     # simulated (live arm runs ~16s at full scale).
-    "fig-live": (run_fig_live, render_fig_live),
+    "fig-live": (run_fig_live, Report.render),
 }
 
 #: One-workload inspection commands: ``<name>_main`` in :mod:`.inspect_cli`.
@@ -111,6 +116,11 @@ _FAST_KWARGS = {
 
 def run_experiment(name: str, fast: bool = False, seed: int = 0) -> str:
     """Run one experiment and return its rendered output."""
+    return _run(name, fast, seed)[0]
+
+
+def _run(name: str, fast: bool, seed: int) -> Tuple[str, bool]:
+    """(rendered output, did every judged claim hold?) of one experiment."""
     registry = {**EXPERIMENTS, **EXTENSIONS}
     try:
         runner, renderer = registry[name]
@@ -120,7 +130,8 @@ def run_experiment(name: str, fast: bool = False, seed: int = 0) -> str:
         ) from None
     kwargs = dict(_FAST_KWARGS[name]) if fast else {}
     kwargs["seed"] = seed
-    return renderer(runner(**kwargs))
+    data = runner(**kwargs)
+    return renderer(data), not isinstance(data, Report) or data.ok
 
 
 def main(argv=None) -> int:
@@ -155,8 +166,10 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
 
     names = sorted(EXPERIMENTS) if args.experiment == "all" else [args.experiment]
+    status = 0
     for name in names:
-        output = run_experiment(name, fast=args.fast, seed=args.seed)
+        output, ok = _run(name, args.fast, args.seed)
+        status = status if ok else 1
         print(output)
         print()
         if args.save:
@@ -165,7 +178,7 @@ def main(argv=None) -> int:
             directory = pathlib.Path(args.save)
             directory.mkdir(parents=True, exist_ok=True)
             (directory / f"{name}.txt").write_text(output + "\n")
-    return 0
+    return status
 
 
 if __name__ == "__main__":

@@ -24,82 +24,22 @@ of the controllers themselves*.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, Tuple
-
 from ..control import (
     AdmissionConfig,
     AutoscalerConfig,
     ControlPlaneConfig,
 )
 from ..stats import LogNormal
-from .reporting import ascii_table
+from .figure import Arm, Report, claim, ms, run_figure
 from .sleep_app import SleepApp
 
-__all__ = [
-    "ControlArm",
-    "ControlComparison",
-    "run_fig_control",
-    "render_fig_control",
-]
+__all__ = ["run_fig_control"]
 
 #: The same 1 ms-mean synthetic service the topology figure uses.
 _APP = SleepApp(LogNormal(mean=1e-3, sigma=0.5))
 
 #: The latency objective both arms are judged against.
 DEFAULT_SLO_P99 = 0.05
-
-
-@dataclass(frozen=True)
-class ControlArm:
-    """One (mode, config) cell of the comparison."""
-
-    mode: str  # "live" | "sim"
-    arm: str  # "static" | "controlled"
-    p99: float
-    served: int
-    shed: int
-    goodput_qps: float
-    scale_ups: int
-    active_servers: int
-
-    def meets_slo(self, slo_p99: float) -> bool:
-        return self.p99 <= slo_p99
-
-
-@dataclass(frozen=True)
-class ControlComparison:
-    """Static vs controlled under the same load step, live and sim."""
-
-    slo_p99: float
-    step_qps: Tuple[Tuple[float, float], ...]
-    #: (mode, arm) -> cell; modes "live"/"sim", arms "static"/"controlled".
-    arms: Dict[Tuple[str, str], ControlArm]
-
-    def verdict(self) -> Tuple[bool, str]:
-        """(reproduced?, sentence). The claim is judged on the
-        deterministic simulator; the live arms corroborate it but carry
-        scheduler noise, so they are reported rather than gated on."""
-        sim_static = self.arms[("sim", "static")]
-        sim_controlled = self.arms[("sim", "controlled")]
-        ok = not sim_static.meets_slo(self.slo_p99) and (
-            sim_controlled.meets_slo(self.slo_p99)
-        )
-        if ok:
-            sentence = (
-                f"under the load step the static server violates the "
-                f"{self.slo_p99 * 1e3:.0f}ms p99 SLO "
-                f"({sim_static.p99 * 1e3:.1f}ms) while the controlled "
-                f"server holds it ({sim_controlled.p99 * 1e3:.1f}ms) by "
-                f"shedding {sim_controlled.shed} requests and scaling "
-                f"to {sim_controlled.active_servers} replicas"
-            )
-        else:
-            sentence = (
-                "WARNING: expected SLO separation between static and "
-                "controlled arms did not reproduce"
-            )
-        return ok, sentence
 
 
 def _control_config(slo_p99: float) -> ControlPlaneConfig:
@@ -130,7 +70,7 @@ def run_fig_control(
     step_seconds: float = 2.0,
     seed: int = 0,
     slo_p99: float = DEFAULT_SLO_P99,
-) -> ControlComparison:
+) -> Report:
     """Run the load step through all four (mode, arm) cells.
 
     ``step_seconds`` scales the whole profile (the overload phase lasts
@@ -142,66 +82,56 @@ def run_fig_control(
         (step_seconds, 0.5 * capacity),
         (2.0 * step_seconds, 1.5 * capacity),
     )
-    control = _control_config(slo_p99)
 
-    arms: Dict[Tuple[str, str], ControlArm] = {}
-    for arm_name, plane in (("static", None), ("controlled", control)):
-        fields = dict(
-            configuration="integrated",
-            n_threads=1,
-            n_servers=1,
-            seed=seed,
-            load_profile=profile_steps,
-        )
-        if plane is not None:
-            fields["control"] = plane
-        for mode in ("live", "sim"):
-            result = _APP.run(mode, **fields)
-            arms[(mode, arm_name)] = ControlArm(
-                mode=mode,
-                arm=arm_name,
-                p99=result.sojourn.p99,
-                served=result.stats.count,
-                shed=result.outcomes.get("shed", 0),
-                goodput_qps=result.goodput_qps,
-                scale_ups=result.control_counts.get("scale_ups", 0),
-                active_servers=result.control_counts.get("active_servers", 1),
-            )
-    return ControlComparison(
-        slo_p99=slo_p99, step_qps=profile_steps, arms=arms
-    )
+    def claims(rows):
+        # Judged on the deterministic simulator; the live arms
+        # corroborate it but carry scheduler noise.
+        static, controlled = rows["sim"]["static"], rows["sim"]["controlled"]
+        return [claim(
+            static.p99 > slo_p99 >= controlled.p99,
+            f"under the load step the static server violates the "
+            f"{slo_p99 * 1e3:.0f}ms p99 SLO ({static.p99 * 1e3:.1f}ms) "
+            f"while the controlled server holds it "
+            f"({controlled.p99 * 1e3:.1f}ms) by shedding {controlled.shed} "
+            f"requests and scaling to {controlled.active_servers} replicas",
+            "expected SLO separation between static and controlled arms "
+            "did not reproduce",
+        )]
 
-
-def render_fig_control(result: ControlComparison) -> str:
-    headers = [
-        "mode", "arm", "p99", "SLO", "served", "shed",
-        "goodput", "scale_ups", "replicas",
-    ]
-    rows = []
-    for mode in ("live", "sim"):
-        for arm_name in ("static", "controlled"):
-            cell = result.arms[(mode, arm_name)]
-            rows.append([
-                mode,
-                arm_name,
-                f"{cell.p99 * 1e3:.2f}ms",
-                "met" if cell.meets_slo(result.slo_p99) else "VIOLATED",
-                str(cell.served),
-                str(cell.shed),
-                f"{cell.goodput_qps:.0f}/s",
-                str(cell.scale_ups),
-                str(cell.active_servers),
-            ])
     steps = " -> ".join(
-        f"{qps:.0f}qps x {duration:g}s" for duration, qps in result.step_qps
+        f"{qps:.0f}qps x {duration:g}s" for duration, qps in profile_steps
     )
-    table = ascii_table(
-        headers,
-        rows,
+    return run_figure(
         title=(
             f"Control plane under a load step ({steps}; "
-            f"SLO p99 <= {result.slo_p99 * 1e3:.0f}ms)"
+            f"SLO p99 <= {slo_p99 * 1e3:.0f}ms)"
         ),
+        columns=(
+            ("arm", "{arm}"),
+            ("p99", ms("p99")),
+            ("SLO", lambda r: "met" if r.p99 <= slo_p99 else "VIOLATED"),
+            ("served", "{served}"),
+            ("shed", "{shed}"),
+            ("goodput", "{goodput_qps:.0f}/s"),
+            ("scale_ups", "{scale_ups}"),
+            ("replicas", "{active_servers}"),
+        ),
+        run=_APP.run,
+        base=dict(
+            seed=seed,
+            load_profile=profile_steps,
+        ),
+        arms=[
+            Arm("static"),
+            Arm("controlled", dict(control=_control_config(slo_p99))),
+        ],
+        measure=lambda result: dict(
+            p99=result.sojourn.p99,
+            served=result.stats.count,
+            shed=result.outcomes.get("shed", 0),
+            goodput_qps=result.goodput_qps,
+            scale_ups=result.control_counts.get("scale_ups", 0),
+            active_servers=result.control_counts.get("active_servers", 1),
+        ),
+        claims=claims,
     )
-    _, sentence = result.verdict()
-    return f"{table}\n{sentence}"

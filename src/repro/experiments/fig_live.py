@@ -31,21 +31,16 @@ it but carries scheduler noise.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, Optional, Tuple
+import functools
+from typing import Tuple
 
 from ..core.config import ObservabilityConfig, SloConfig
 from ..faults import slow_replica
 from ..stats import LogNormal
-from .reporting import ascii_table
+from .figure import Arm, Report, claim, fault_timeline, ms, run_figure
 from .sleep_app import SleepApp
 
-__all__ = [
-    "LiveObsArm",
-    "LiveObsComparison",
-    "run_fig_live",
-    "render_fig_live",
-]
+__all__ = ["run_fig_live"]
 
 #: Service-time distribution shared by the live sleep app and the
 #: simulator: 10 ms mean, moderate tail.
@@ -69,91 +64,9 @@ _SLOW_PAUSE = 0.15
 _FAULT_SERVER = _N_SERVERS - 1
 
 
-@dataclass(frozen=True)
-class LiveObsArm:
-    """One mode's streaming-observability outcome."""
-
-    mode: str  # "live" | "sim"
-    alert_fired: bool
-    #: Fire instant minus fault onset (None if it never fired).
-    fire_offset: Optional[float]
-    alert_cleared: bool
-    #: Top-ranked tail cause, as (component, server_id, phase).
-    top_cause: Optional[Tuple[str, int, str]]
-    #: Share of tail excess the top cause explains.
-    top_share: float
-    #: Send-anchored SLO attainment over the whole run.
-    attainment: float
-    #: Mean per-window p99 before the fault vs during it.
-    p99_pre: float
-    p99_fault: float
-    n_windows: int
-    n_exemplars: int
-    #: Completion-side attainment from the collector, for cross-check
-    #: (counts only completed requests; the streaming number also
-    #: charges work that never completed).
-    collector_attainment: float
-
-
-@dataclass(frozen=True)
-class LiveObsComparison:
-    """Streaming SLO engine vs a one-replica slowdown, live and sim."""
-
-    time_scale: float
-    fault_start: float
-    fault_end: float
-    horizon: float
-    offered_qps: float
-    slo: SloConfig
-    arms: Dict[str, LiveObsArm]
-
-    def verdict(self) -> Tuple[bool, str]:
-        """(reproduced?, sentence), judged on the simulator arm.
-
-        Reproduced means: the burn-rate alert fired within one fast
-        horizon of the fault onset, and the tail report's top cause is
-        queue wait on the faulted replica in the fault phase.
-        """
-        mode = "sim" if "sim" in self.arms else "live"
-        arm = self.arms[mode]
-        fast_horizon = self.slo.fast_horizon
-        fired_in_time = (
-            arm.alert_fired
-            and arm.fire_offset is not None
-            and -1e-9 <= arm.fire_offset <= fast_horizon + 1e-9
-        )
-        blamed_queue = arm.top_cause is not None and arm.top_cause[:2] == (
-            "queue", _FAULT_SERVER,
-        ) and arm.top_cause[2] == "fault"
-        ok = fired_in_time and blamed_queue
-        if ok:
-            sentence = (
-                f"SLO burn caught and explained: alert fired "
-                f"{arm.fire_offset:.2f}s after fault onset (fast horizon "
-                f"{fast_horizon:g}s), attribution ranks queue wait on "
-                f"server {_FAULT_SERVER} in the fault phase as the top "
-                f"p99 cause ({arm.top_share:.0%} of tail excess); "
-                f"window p99 rose from {arm.p99_pre * 1e3:.1f}ms to "
-                f"{arm.p99_fault * 1e3:.1f}ms"
-            )
-        else:
-            sentence = (
-                "WARNING: expected burn-rate alert timing and queue-wait "
-                "attribution did not reproduce "
-                f"(fired={arm.alert_fired}, offset={arm.fire_offset}, "
-                f"top={arm.top_cause})"
-            )
-        return ok, sentence
-
-
-def _measure_arm(
-    mode: str,
-    result,
-    *,
-    fault_start: float,
-    fault_end: float,
-    slo: SloConfig,
-) -> LiveObsArm:
+def _measure(
+    result, *, fault_start: float, fault_end: float, slo: SloConfig
+) -> dict:
     live = result.obs.live
     # Windows anchor at the run origin: virtual t=0 in sim, the wall
     # clock's run-start instant live. Re-anchoring phase boundaries
@@ -162,45 +75,43 @@ def _measure_arm(
     t_fault_start = origin + fault_start
     t_fault_end = origin + fault_end
     fires = live.alerts.fires()
-    fire_offset = (
-        fires[0].ts - t_fault_start if fires else None
-    )
     phases = (
         ("pre", float("-inf"), t_fault_start),
         ("fault", t_fault_start, t_fault_end),
         ("post", t_fault_end, float("inf")),
     )
-    report = result.obs.tail_report(pct=99.0, phases=phases)
-    top = report.top()
-    pre_p99 = [
-        w.quantiles["p99"]
-        for w in live.windows
-        if w.end <= t_fault_start and "p99" in w.quantiles
-    ]
-    fault_p99 = [
-        w.quantiles["p99"]
-        for w in live.windows
-        if t_fault_start <= w.start and w.end <= t_fault_end
-        and "p99" in w.quantiles
-    ]
-    return LiveObsArm(
-        mode=mode,
+    top = result.obs.tail_report(pct=99.0, phases=phases).top()
+
+    def mean_p99(start: float, end: float) -> float:
+        """Mean p99 of the windows that lie inside ``[start, end]``."""
+        p99s = [
+            w.quantiles["p99"]
+            for w in live.windows
+            if start <= w.start and w.end <= end and "p99" in w.quantiles
+        ]
+        return sum(p99s) / len(p99s) if p99s else 0.0
+
+    return dict(
         alert_fired=bool(fires),
-        fire_offset=fire_offset,
+        # Fire instant minus fault onset (None if it never fired).
+        fire_offset=fires[0].ts - t_fault_start if fires else None,
         alert_cleared=bool(live.alerts.clears()),
+        # Top-ranked tail cause, as (component, server_id, phase), and
+        # the share of tail excess it explains.
         top_cause=(
             (top.component, top.server_id, top.phase)
             if top is not None
             else None
         ),
         top_share=top.share if top is not None else 0.0,
+        # Send-anchored SLO attainment over the whole run.
         attainment=live.attainment,
-        p99_pre=sum(pre_p99) / len(pre_p99) if pre_p99 else 0.0,
-        p99_fault=(
-            sum(fault_p99) / len(fault_p99) if fault_p99 else 0.0
-        ),
-        n_windows=len(live.windows),
-        n_exemplars=len(live.exemplars),
+        # Mean per-window p99 before the fault vs during it.
+        p99_pre=mean_p99(float("-inf"), t_fault_start),
+        p99_fault=mean_p99(t_fault_start, t_fault_end),
+        # Completion-side attainment from the collector, for
+        # cross-check (counts only completed requests; the streaming
+        # number also charges work that never completed).
         collector_attainment=result.stats.slo_attainment(slo.target),
     )
 
@@ -209,7 +120,7 @@ def run_fig_live(
     time_scale: float = 1.0,
     seed: int = 0,
     modes: Tuple[str, ...] = ("live", "sim"),
-) -> LiveObsComparison:
+) -> Report:
     """Run the slow-replica burn through every requested mode.
 
     ``time_scale`` stretches the phase timeline *and* the SLO windows
@@ -219,15 +130,13 @@ def run_fig_live(
     fault onset lands exactly on a window boundary — windows anchor at
     the run origin — so alert latency is measured in whole windows.
     """
-    if time_scale <= 0:
-        raise ValueError("time_scale must be positive")
     scale = time_scale
-    warm = 4.0 * scale
-    fault_duration = 4.0 * scale
-    post = 8.0 * scale
-    fault_end = warm + fault_duration
-    horizon = warm + fault_duration + post
     qps = _LOAD_FRACTION * _N_SERVERS / _APP.service.mean
+    warm, fault_end, _, timeline = fault_timeline(
+        scale, 4.0, 4.0, 8.0, qps, functools.partial(
+            slow_replica, server_id=_FAULT_SERVER, pause=_SLOW_PAUSE
+        ),
+    )
 
     # SLO: 90% of requests under 100 ms. Healthy operation sits at
     # ~1% bad (burn ~0.1x); the fault pushes the send-anchored bad
@@ -246,79 +155,72 @@ def run_fig_live(
         clear_factor=0.5,
         exemplars_per_window=3,
     )
-    observability = ObservabilityConfig(tracing=True, slo=slo)
-    scenario = slow_replica(
-        server_id=_FAULT_SERVER,
-        start=warm,
-        duration=fault_duration,
-        pause=_SLOW_PAUSE,
-    )
-    measure = dict(fault_start=warm, fault_end=fault_end, slo=slo)
 
-    fields = dict(
-        configuration="integrated",
-        n_threads=1,
-        n_servers=_N_SERVERS,
-        balancer="round_robin",
-        seed=seed,
-        load_profile=((horizon, qps),),
-        scenario=scenario,
-        observability=observability,
-    )
-    arms: Dict[str, LiveObsArm] = {
-        mode: _measure_arm(mode, _APP.run(mode, **fields), **measure)
-        for mode in ("sim", "live")
-        if mode in modes
-    }
-    return LiveObsComparison(
-        time_scale=scale,
-        fault_start=warm,
-        fault_end=fault_end,
-        horizon=horizon,
-        offered_qps=qps,
-        slo=slo,
-        arms=arms,
-    )
-
-
-def render_fig_live(result: LiveObsComparison) -> str:
-    headers = [
-        "mode", "alert", "fired+", "cleared", "top cause",
-        "share", "p99 pre", "p99 fault", "attain", "coll",
-    ]
-    rows = []
-    for mode in ("live", "sim"):
-        arm = result.arms.get(mode)
-        if arm is None:
-            continue
-        cause = (
-            f"{arm.top_cause[0]}@s{arm.top_cause[1]}/{arm.top_cause[2]}"
-            if arm.top_cause is not None
-            else "-"
+    def claims(rows):
+        """Reproduced means: the burn-rate alert fired within one fast
+        horizon of the fault onset, and the tail report's top cause is
+        queue wait on the faulted replica in the fault phase. Judged on
+        the simulator arm; a live-only invocation is reported on the
+        live arm instead."""
+        mode = "sim" if rows["sim"] else "live"
+        arm = rows[mode]["slow_replica"]
+        fast_horizon = slo.fast_horizon
+        fired_in_time = (
+            arm.alert_fired
+            and arm.fire_offset is not None
+            and -1e-9 <= arm.fire_offset <= fast_horizon + 1e-9
         )
-        rows.append([
-            mode,
-            "fired" if arm.alert_fired else "quiet",
-            f"{arm.fire_offset:.2f}s" if arm.fire_offset is not None else "-",
-            "yes" if arm.alert_cleared else "no",
-            cause,
-            f"{arm.top_share:.0%}",
-            f"{arm.p99_pre * 1e3:.1f}ms",
+        blamed_queue = arm.top_cause == ("queue", _FAULT_SERVER, "fault")
+        return [claim(
+            fired_in_time and blamed_queue,
+            f"SLO burn caught and explained: alert fired "
+            f"{arm.fire_offset:.2f}s after fault onset (fast horizon "
+            f"{fast_horizon:g}s), attribution ranks queue wait on "
+            f"server {_FAULT_SERVER} in the fault phase as the top "
+            f"p99 cause ({arm.top_share:.0%} of tail excess); "
+            f"window p99 rose from {arm.p99_pre * 1e3:.1f}ms to "
             f"{arm.p99_fault * 1e3:.1f}ms",
-            f"{arm.attainment:.1%}",
-            f"{arm.collector_attainment:.1%}",
-        ])
-    table = ascii_table(
-        headers,
-        rows,
+            "expected burn-rate alert timing and queue-wait attribution "
+            f"did not reproduce (fired={arm.alert_fired}, "
+            f"offset={arm.fire_offset}, top={arm.top_cause})",
+            judged=mode == "sim",
+        )]
+
+    return run_figure(
         title=(
-            f"Live SLO engine vs slow replica at "
-            f"{result.offered_qps:.0f} qps over {_N_SERVERS} replicas "
-            f"(fault {result.fault_start:g}s-{result.fault_end:g}s on "
-            f"server {_FAULT_SERVER}; SLO "
-            f"{result.slo.objective:.0%} < {result.slo.target * 1e3:.0f}ms, "
-            f"window {result.slo.window:g}s)"
+            f"Live SLO engine vs slow replica at {qps:.0f} qps over "
+            f"{_N_SERVERS} replicas (fault {warm:g}s-{fault_end:g}s on "
+            f"server {_FAULT_SERVER}; SLO {slo.objective:.0%} < "
+            f"{slo.target * 1e3:.0f}ms, window {slo.window:g}s)"
         ),
+        columns=(
+            ("alert", lambda r: "fired" if r.alert_fired else "quiet"),
+            ("fired+", lambda r: (
+                "-" if r.fire_offset is None else f"{r.fire_offset:.2f}s"
+            )),
+            ("cleared", lambda r: "yes" if r.alert_cleared else "no"),
+            ("top cause", lambda r: (
+                "-" if r.top_cause is None
+                else "{}@s{}/{}".format(*r.top_cause)
+            )),
+            ("share", "{top_share:.0%}"),
+            ("p99 pre", ms("p99_pre", 1)),
+            ("p99 fault", ms("p99_fault", 1)),
+            ("attain", "{attainment:.1%}"),
+            ("coll", "{collector_attainment:.1%}"),
+        ),
+        run=_APP.run,
+        base=dict(
+            n_servers=_N_SERVERS,
+            balancer="round_robin",
+            seed=seed,
+            observability=ObservabilityConfig(tracing=True, slo=slo),
+            **timeline,
+        ),
+        arms=[Arm("slow_replica")],
+        measure=lambda result: _measure(
+            result, fault_start=warm, fault_end=fault_end, slo=slo
+        ),
+        claims=claims,
+        modes=modes,
     )
-    _, sentence = result.verdict()
-    return f"{table}\n{sentence}"

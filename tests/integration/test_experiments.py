@@ -2,7 +2,13 @@
 
 import pytest
 
-from repro.experiments.cli import EXPERIMENTS, run_experiment
+from repro.experiments.cli import (
+    _FAST_KWARGS,
+    EXPERIMENTS,
+    EXTENSIONS,
+    main,
+    run_experiment,
+)
 from repro.experiments.fig2 import run_fig2, run_fig2_live
 from repro.experiments.fig3 import sweep_app
 from repro.experiments.fig5 import run_fig5
@@ -256,3 +262,37 @@ class TestExtensions:
         assert p95s == sorted(p95s)
         safe_shares = [share for _, share in data["safe"]]
         assert safe_shares == sorted(safe_shares, reverse=True)
+
+
+class TestExtensionFigures:
+    @pytest.mark.parametrize(
+        "name", ["fig-fanout", "fig-cache", "fig-resilience", "fig-live"]
+    )
+    def test_sim_only_figure_claims_hold(self, name):
+        # The four figures whose --fast run is simulator-only: seeded,
+        # so every judged claim must hold at the default seed.
+        runner, _ = EXTENSIONS[name]
+        report = runner(**_FAST_KWARGS[name])
+        assert any(ok for ok, _ in report.claims)
+        assert report.ok, report.render()
+
+    def test_failed_claim_exits_1(self, monkeypatch, capsys):
+        from repro.experiments import fig_resilience
+
+        assert main(["fig-resilience", "--fast"]) == 0
+        # A storm too mild to start the retry spiral: the undefended
+        # arm recovers, so the metastable-collapse claim fails.
+        monkeypatch.setattr(fig_resilience, "_STORM_PAUSE", 1e-6)
+        assert main(["fig-resilience", "--fast"]) == 1
+        assert "\nWARNING: " in capsys.readouterr().out
+
+    def test_only_judged_claims_set_the_status(self):
+        from repro.experiments.figure import Report
+
+        claims = ((True, "held"), (None, "reported"), (False, "failed"))
+        report = Report("T", (), {}, claims)
+        assert not report.ok
+        assert report.render().splitlines()[-3:] == [
+            "held", "reported", "WARNING: failed",
+        ]
+        assert Report("T", (), {}, claims[:2]).ok
