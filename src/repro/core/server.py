@@ -1,25 +1,23 @@
 """Application server: a worker-thread pool over the request queue.
 
-Each worker pulls requests from the shared :class:`RequestQueue`,
-stamps service start/end around the application's ``process`` call,
-and hands the completed request to a response callback (the transport's
-reply path). This mirrors the paper's harness structure (Fig. 1): the
-request queue is shared among application threads, and the number of
-workers is the "threads" axis of Figs. 4 and 7.
+Each worker pulls requests from the shared :class:`RequestQueue` and
+executes the service stage of :mod:`repro.core.stage` over them in
+wall-clock (or test-driven virtual) time. The request queue is shared
+among application threads, and the number of workers is the "threads"
+axis of Figs. 4 and 7 (the paper's harness structure, Fig. 1).
 """
 
 from __future__ import annotations
 
-import itertools
 import threading
 import time
 import traceback
 from typing import Callable, List, Sequence
 
-from ..faults import INJECTED_APP_ERROR
 from .clock import Clock
 from .queueing import QueueClosed, RequestQueue
 from .request import Request
+from .stage import build_stage
 
 __all__ = ["Server"]
 
@@ -40,27 +38,18 @@ class Server:
         Number of worker threads.
     respond:
         Callback invoked with each completed :class:`Request`.
-    injector:
-        Optional :class:`repro.faults.FaultInjector` driving worker
-        pauses, worker crashes, and injected application errors.
     server_id:
         Index of this instance in a multi-server topology (0 in the
         classic single-server shape); worker threads are named after it.
-    batching:
-        Optional :class:`repro.batching.BatchPolicy`. When set, workers
-        dequeue size-or-deadline batches via
-        :meth:`RequestQueue.get_batch` and service each batch with one
-        application call (``handle_batch`` when the app provides it,
-        else a per-request ``process`` loop). When ``None`` (default)
-        a worker takes one request at a time — the batch of one — and
-        calls ``process``.
-    cache:
-        Optional :class:`repro.cache.RequestCache` shared across all
-        server instances. Workers consult it per request before the
-        application call: a hit is served from the cache for the
-        configured near-zero hit cost, and only the misses of a batch
-        reach the application. Requests whose app declines a key
-        (``cache_key`` returns None) bypass the cache entirely.
+    injector, batching, cache:
+        The stage's optional :class:`repro.faults.FaultInjector`,
+        :class:`repro.batching.BatchPolicy` and shared
+        :class:`repro.cache.RequestCache` (see :mod:`repro.core.stage`).
+        With a policy a worker dequeues a batch via
+        :meth:`RequestQueue.get_batch` and makes one application call
+        over its misses (``handle_batch`` when the app has one, else a
+        ``process`` loop); without one it takes one request — the
+        batch of one — and calls ``process``.
     """
 
     def __init__(
@@ -81,14 +70,14 @@ class Server:
         self._queue = queue
         self._clock = clock
         self._respond = respond or (lambda req: None)
-        self._injector = injector
         self.server_id = server_id
         self._batching = batching
-        self._cache = cache
         self._handle_batch = (
             None if batching is None else getattr(app, "handle_batch", None)
         )
-        self._batch_seq = itertools.count()
+        self._stage = build_stage(
+            server_id, injector, cache, batching, on_error=self._record_error
+        )
         self._threads: List[threading.Thread] = [
             threading.Thread(
                 target=self._worker_loop,
@@ -103,10 +92,8 @@ class Server:
         self._alive = n_threads
         self._alive_lock = threading.Lock()
         # Monitoring only: plain int updates (GIL-atomic enough for a
-        # sampled gauge), and a tracer installed only when observability
-        # is on — see Transport.set_observability.
+        # sampled gauge).
         self._busy = 0
-        self._tracer = None
 
     @property
     def n_threads(self) -> int:
@@ -118,8 +105,9 @@ class Server:
         return self._busy
 
     def set_tracer(self, tracer) -> None:
-        """Install a tracer for worker-layer fault events."""
-        self._tracer = tracer
+        """Install a tracer for the stage's batch and fault events."""
+        if self._stage is not None:
+            self._stage.tracer = tracer
 
     @property
     def alive_workers(self) -> int:
@@ -152,86 +140,32 @@ class Server:
                 return
 
     def _serve(self, batch: Sequence[Request]) -> bool:
-        """Run the one service stage over ``batch``; False = worker died.
+        """Execute the service stage over ``batch``; False = worker died.
 
         ``batch`` is the single request an unbatched worker dequeued or
-        one formed batch (one priority class, see
-        :meth:`~repro.core.queueing.RequestQueue.get_batch`). All
-        members share one ``service_start_at`` / ``service_end_at``
-        window; the stage order is DESIGN.md §9's: open the window,
-        worker pause (one per window), cache lookup per member, injected
-        error per miss, one application call over what is left, store,
-        close the window, respond, crash draw.
+        one formed batch. The stage (:mod:`repro.core.stage`) decides;
+        this executor sleeps the pause and the hits' cost, calls the
+        application on the misses and stores their successful
+        responses, then stamps one window on every member and responds.
         """
         now = self._clock.now
-        injector, tracer, cache = self._injector, self._tracer, self._cache
-        sid = self.server_id
+        stage = self._stage
         start = now()
-        seq = None  # the batch's sequence number; None when unbatched
-        if self._batching is not None:
-            seq = float(next(self._batch_seq))
-            size = len(batch)
-            for request in batch:
-                request.batch_size = size
-            if tracer is not None:
-                for request in batch:
-                    tracer.emit(
-                        "batch_form", start, value=seq,
-                        **request.trace_ids(sid),
-                    )
-                tracer.emit("batch_start", start, server_id=sid, value=seq)
         self._busy += 1
-        if injector is not None:
-            pause = injector.worker_pause()
-            if pause > 0.0:
-                if tracer is not None:
-                    # One stall covers the whole window — a worker-level
-                    # freeze, not per-request slowness — so under
-                    # batching it names the server, not a member.
-                    ids = (
-                        batch[0].trace_ids(sid) if seq is None
-                        else {"server_id": sid}
-                    )
-                    tracer.emit("fault_pause", start, value=pause, **ids)
-                # GC/compaction-style stall inside the service window.
-                self._clock.sleep(pause)
-        # Caching tier: a hit is answered from the cache for the
-        # configured hit cost and never reaches the backend (injected
-        # app errors model backend failures, so a hit skips those too).
+        seq = None
         served = batch
-        keys = None
-        if cache is not None:
-            served, keys = [], {}
-            for request in batch:
-                key = self._app.cache_key(request.payload)
-                if key is not None:
-                    hit, value = cache.lookup(
-                        key, now(), **request.trace_ids(sid)
-                    )
-                    if hit:
-                        request.response = value
-                        request.cache_hit = True
-                        if cache.hit_cost > 0.0:
-                            self._clock.sleep(cache.hit_cost)
-                        continue
-                    keys[request.request_id] = key
-                served.append(request)
-        # Injected application errors are per request: a failed member
-        # consumes no service and gets an error response; the rest of
-        # the batch is processed normally.
-        if injector is not None:
-            kept = []
-            for request in served:
-                if injector.app_error():
-                    if tracer is not None:
-                        tracer.emit(
-                            "fault_app_error", now(), **request.trace_ids(sid)
-                        )
-                    request.error = INJECTED_APP_ERROR
-                    self._record_error(request.error)
-                else:
-                    kept.append(request)
-            served = kept
+        misses = ()
+        if stage is not None:
+            seq, pause = stage.open(batch, start)
+            cache = stage.cache
+            if cache is not None:
+                misses = stage.lookup(batch, start, self._app.cache_key)
+                pause += (len(batch) - len(misses)) * cache.hit_cost
+                served = [request for request, _ in misses]
+            if pause > 0.0:
+                # The pause is a GC/compaction-style stall inside the
+                # service window; a hit is answered for its hit cost.
+                self._clock.sleep(pause)
         if served:
             try:
                 if self._handle_batch is None:
@@ -254,35 +188,27 @@ class Server:
                     request.error = err
                 self._record_error(err)
             else:
-                if keys:
-                    # Only successful responses are cacheable.
-                    for request in served:
-                        key = keys.get(request.request_id)
-                        if key is not None:
-                            cache.store(
-                                key, request.response, now(),
-                                **request.trace_ids(sid),
-                            )
+                # Stored after the call, where a response first exists.
+                sid = self.server_id
+                for request, key in misses:
+                    if key is not None:
+                        cache.store(
+                            key, request.response, now(),
+                            **request.trace_ids(sid),
+                        )
         end = now()
         self._busy -= 1
-        if seq is not None and tracer is not None:
-            tracer.emit("batch_end", end, server_id=sid, value=seq)
+        crashed = stage is not None and stage.close(seq, batch, end)
+        if crashed:
+            with self._alive_lock:
+                self._alive -= 1
         respond = self._respond
         for request in batch:
             # One window for every member, stamped as it is answered.
             request.service_start_at = start
             request.service_end_at = end
             respond(request)
-        if injector is not None and any(
-            injector.worker_crash() for _ in batch
-        ):
-            # Injected crash: the pool permanently loses a worker.
-            with self._alive_lock:
-                self._alive -= 1
-            if tracer is not None:
-                tracer.emit("fault_crash", now(), server_id=sid)
-            return False
-        return True
+        return not crashed
 
     def _record_error(self, text: str) -> None:
         with self._errors_lock:

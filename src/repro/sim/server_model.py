@@ -13,26 +13,20 @@ The server records nothing itself: every response goes to the
 ``on_response`` it was built with — the simulated transport's
 completion path in a run, a two-line recorder in a unit test.
 
-The model mirrors the live server's fault-injection points: with a
-:class:`repro.faults.FaultInjector`, queue stalls freeze dispatch,
-worker pauses inflate service time, worker crashes permanently reduce
-capacity, and the application layer errors at the plan's rate. With a
-``queue_capacity``, arrivals beyond the bound are shed and answered
-with a shed response (admission control). With a ``power`` stage
-(:mod:`repro.energy`), each service window is rescaled by the frequency
-chosen for it and pays the wakeup of a worker that slept — energy is a
-stage of this server, not another server.
+A service window runs the one stage of :mod:`repro.core.stage`; this
+model prices it, and with a ``power`` stage (:mod:`repro.energy`)
+rescales it by the frequency chosen for it plus the wakeup of a worker
+that slept — energy is a stage of this server, not another server.
 """
 
 from __future__ import annotations
 
-import itertools
 import random
 from typing import Callable, Optional, Sequence
 
 from ..core.queueing import FifoBuffer, QueueSnapshot
 from ..core.request import Request
-from ..faults import INJECTED_APP_ERROR
+from ..core.stage import build_stage
 from .engine import Engine
 from .network_model import NetworkModel
 from .service_models import ServiceTimeModel
@@ -61,21 +55,19 @@ class SimulatedServer:
         instant it reaches the client. Whoever passes it owns recording:
         the simulated transport installs its completion path here, which
         owns lifecycle tracing and statistics exactly as it does live.
-    injector:
-        Optional fault injector (queue stalls, worker pauses/crashes,
-        application errors).
     queue_capacity:
         Optional bound on waiting requests; arrivals beyond it are
         shed.
     server_id:
         Index of this instance in a multi-server topology; stamped on
         every request it serves so per-server statistics work.
-    tracer:
-        Optional :class:`repro.obs.Tracer`. The simulated server emits
-        the *same* event schema as the live server — ``fault_*`` and
-        ``batch_*`` markers as they happen — so live and virtual-time
-        traces diff directly. Lifecycle spans are recorded by whoever
-        receives the response.
+    injector, tracer, batching, cache:
+        The stage's (see :mod:`repro.core.stage`): the same decisions
+        and the same ``fault_*`` / ``batch_*`` events as the live
+        server, so live and virtual-time traces diff directly. The
+        injector's queue stalls also freeze dispatch; the batch policy
+        — the live worker loop's, over the same buffer state — forms
+        the batches dispatch starts.
     gate:
         Optional :class:`repro.control.AdmissionGate` consulted on
         every arrival — the *same* gate object type (and therefore the
@@ -83,12 +75,6 @@ class SimulatedServer:
     buffer:
         Optional queue-discipline buffer (see
         :class:`repro.core.queueing.PriorityBuffer`); FIFO when None.
-    batching:
-        Optional :class:`repro.batching.BatchPolicy` — the *same*
-        policy class the live worker loop uses, applied to the same
-        buffer state, so batch membership matches across modes. When
-        set, dispatch forms size-or-deadline batches instead of
-        starting requests one at a time.
     batch_marginal_cost:
         Service-time model for batched dispatch: a batch of per-member
         draws ``s_0..s_{k-1}`` occupies its worker for ``s_0 +
@@ -137,17 +123,15 @@ class SimulatedServer:
         self._capacity = queue_capacity
         self._on_response_cb = on_response
         self.server_id = server_id
-        self._tracer = tracer
         self._gate = gate
         self._queue = buffer if buffer is not None else FifoBuffer()
         self._batching = batching
         self._batch_marginal = batch_marginal_cost
-        # Caching tier (repro.cache.RequestCache), shared across the
-        # fleet. Consulted at service start for requests that carry a
-        # synthetic key (payload is not None); None costs one test.
-        self._cache = cache
+        # The cache (repro.cache.RequestCache, shared across the fleet)
+        # is looked up at service start for requests that carry a
+        # synthetic key (payload is not None).
+        self._stage = build_stage(server_id, injector, cache, batching, tracer)
         self._power = power
-        self._batch_seq = itertools.count()
         # Earliest pending batch-deadline event (None when none is
         # scheduled): lets dispatch avoid stacking redundant wakeups.
         self._batch_deadline_at: Optional[float] = None
@@ -174,7 +158,8 @@ class SimulatedServer:
         """Nothing to join; pending events die with the engine."""
 
     def set_tracer(self, tracer) -> None:
-        self._tracer = tracer
+        if self._stage is not None:
+            self._stage.tracer = tracer
 
     # -- client side ------------------------------------------------------
     def submit(self, generated_at: float, payload=None) -> None:
@@ -311,55 +296,28 @@ class SimulatedServer:
         self._dispatch()
 
     def _start(self, members: Sequence[Request], now: float) -> None:
-        """Open one service window over ``members`` (DESIGN.md §9).
+        """Price one service window over ``members``; schedule its close.
 
-        ``members`` is one request or one formed batch. Every member
-        consumes one service draw — hit or miss, batched or not — so
-        neither the cache nor batching ever shifts the service RNG
-        stream. A hit costs ``hit_cost``; the misses cost the first
-        one's draw plus ``batch_marginal_cost`` of the others'.
+        One service draw per member, hit or miss, so neither the cache
+        nor batching shifts the service RNG stream; a hit costs
+        ``hit_cost``. A miss is stored at lookup (DESIGN.md §9).
         """
         self._busy_workers += 1
-        tracer, cache, sid = self._tracer, self._cache, self.server_id
+        stage = self._stage
+        seq, pause = None, 0.0
+        if stage is not None:
+            seq, pause = stage.open(members, now)
+            if stage.cache is not None:
+                stage.lookup(members, now, resident=True)
         sample, rng = self._service_model.sample, self._rng
-        seq = None  # the batch's sequence number; None when unbatched
-        if self._batching is not None:
-            seq = float(next(self._batch_seq))
-            size = len(members)
-            for request in members:
-                request.batch_size = size
-            if tracer is not None:
-                for request in members:
-                    tracer.emit(
-                        "batch_form", now, value=seq,
-                        **request.trace_ids(sid),
-                    )
-                tracer.emit("batch_start", now, server_id=sid, value=seq)
-        pause = 0.0
-        if self._injector is not None:
-            pause = self._injector.worker_pause()
-            if pause > 0.0 and tracer is not None:
-                # One stall per window; under batching it names the
-                # server, not a member (see Server._serve).
-                ids = (
-                    members[0].trace_ids(sid) if seq is None
-                    else {"server_id": sid}
-                )
-                tracer.emit("fault_pause", now, value=pause, **ids)
         first = None
         others = hits = 0.0
         for request in members:
             request.service_start_at = now
             draw = sample(rng)
-            if cache is not None and request.payload is not None:
-                ids = request.trace_ids(sid)
-                if cache.lookup(request.payload, now, **ids)[0]:
-                    request.cache_hit = True
-                    hits += cache.hit_cost
-                    continue
-                # Resident from service start: concurrent requests for
-                # the same key coalesce onto the entry optimistically.
-                cache.store(request.payload, True, now, **ids)
+            if request.cache_hit:
+                hits += stage.cache.hit_cost
+                continue
             if first is None:
                 first = draw
             else:
@@ -380,31 +338,10 @@ class SimulatedServer:
     ) -> None:
         now = self._engine.now
         self._busy_workers -= 1
-        injector, tracer = self._injector, self._tracer
-        if injector is not None:
-            crashed = False
-            for request in members:
-                if injector.app_error():
-                    request.error = INJECTED_APP_ERROR
-                    if tracer is not None:
-                        tracer.emit(
-                            "fault_app_error", now,
-                            **request.trace_ids(self.server_id),
-                        )
-                # Any-of-members, drawn until the first crash.
-                if not crashed and injector.worker_crash():
-                    crashed = True
-            if crashed:
-                self._alive_workers = max(0, self._alive_workers - 1)
-                self.crashed_workers += 1
-                if tracer is not None:
-                    tracer.emit(
-                        "fault_crash", now, server_id=self.server_id,
-                    )
-        if seq is not None and tracer is not None:
-            tracer.emit(
-                "batch_end", now, server_id=self.server_id, value=seq
-            )
+        stage = self._stage
+        if stage is not None and stage.close(seq, members, now):
+            self._alive_workers = max(0, self._alive_workers - 1)
+            self.crashed_workers += 1
         # Asked before _dispatch() can push anything due now.
         inline = (
             not self._network.wire_latency_each_way

@@ -115,7 +115,12 @@ class _KeyedApp(Application):
         return payload
 
     def make_client(self, seed=0):
-        keys = itertools.cycle(range(16))
+        # Every other request asks for one hot key, which the LRU keeps
+        # resident, so hits do not hang on how the replicas' calls
+        # interleave; the others cycle through 15 cold keys.
+        keys = itertools.cycle(
+            key for cold in range(1, 16) for key in (0, cold)
+        )
 
         class _Keys(Client):
             def next_request(self):

@@ -1,14 +1,25 @@
 """Tests for the worker-pool server."""
 
+import random
 import threading
 import time
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from repro.batching import BatchPolicy
-from repro.core import Request, RequestQueue, Server, VirtualClock, WallClock
+from repro.cache import build_cache
+from repro.core import (
+    CacheConfig, Request, RequestQueue, Server, VirtualClock, WallClock,
+)
 from repro.faults import INJECTED_APP_ERROR, FaultInjector, FaultPlan
 from repro.obs.trace import Tracer
+from repro.sim import Engine, SimulatedServer
+from repro.sim.network_model import NETWORK_MODELS
+
+from ..sim.test_stage_invariants import batching as batch_policies
+from ..sim.test_stage_invariants import plans
 
 
 class EchoApp:
@@ -227,8 +238,141 @@ class TestUnbatchedIsTheBatchOfOne:
         assert kinds[-1] == "fault_crash"
 
 
+class _Keyed:
+    """A payload that is its own cache key, as the simulator's are, and
+    carries the service its live call costs."""
+
+    def __init__(self, key, cost):
+        self.key, self.cost = key, cost
+
+    def __eq__(self, other):
+        return self.key == other.key
+
+    def __hash__(self):
+        return hash(self.key)
+
+
+class _CostApp:
+    """Charges each call its payload's cost on the virtual clock."""
+
+    def __init__(self, clock):
+        self.clock = clock
+
+    def cache_key(self, payload):
+        return payload
+
+    def process(self, payload):
+        self.clock.advance(payload.cost)
+        return payload.key
+
+
+class _Costs:
+    """The simulator's twin of ``_CostApp``: draws in member order."""
+
+    def __init__(self, costs):
+        self._costs = iter(costs)
+
+    def sample(self, rng):
+        return next(self._costs)
+
+
+# Every duration is a power of two, so a window's length is exact on
+# both clocks and reads back as its parts: bit i = member i charged its
+# service, then the hits (HIT_COST each), then the pause.
+HIT_COST = 2.0 ** 8
+PAUSE = 2.0 ** 12
+N_WORKERS = 64  # more than any run crashes: crashes are only counted
+
+
+def _windows_of(key_lists):
+    return [
+        [_Keyed(key, 2.0 ** i) for i, key in enumerate(keys)]
+        for keys in key_lists
+    ]
+
+
+def _live(key_lists, batching, plan, cached, seed):
+    clock = VirtualClock()
+    tracer = Tracer()
+    server = Server(
+        _CostApp(clock), RequestQueue(clock), clock, n_threads=N_WORKERS,
+        injector=None if plan is None else FaultInjector(plan, seed),
+        batching=batching, cache=_cache(cached, tracer),
+    )
+    server.set_tracer(tracer)
+    windows = []
+    for payloads in _windows_of(key_lists):
+        members = [Request(payload=p, generated_at=0.0) for p in payloads]
+        server._serve(members)
+        windows.append(members)
+    return windows, tracer, N_WORKERS - server.alive_workers
+
+
+def _simulated(key_lists, batching, plan, cached, seed):
+    engine = Engine()
+    tracer = Tracer()
+    windows = _windows_of(key_lists)
+    costs = [payload.cost for payloads in windows for payload in payloads]
+    server = SimulatedServer(
+        engine, _Costs(costs), NETWORK_MODELS["integrated"], N_WORKERS,
+        random.Random(0), lambda request: None,
+        injector=None if plan is None else FaultInjector(plan, seed),
+        tracer=tracer, batching=batching, batch_marginal_cost=1.0,
+        cache=_cache(cached, tracer),
+    )
+    served = []
+    for payloads in windows:
+        members = [Request(payload=p, generated_at=0.0) for p in payloads]
+        server._start(members, engine.now)
+        engine.run()
+        served.append(members)
+    return served, tracer, server.crashed_workers
+
+
+def _cache(cached, tracer):
+    # Capacity = keyspace: nothing is evicted, so the store position
+    # (the executors' one difference) cannot reorder evictions.
+    config = CacheConfig(enabled=True, capacity=16, hit_cost=HIT_COST)
+    return build_cache(config, tracer=tracer) if cached else None
+
+
+def _observed(run):
+    """One clock's stage, as outcomes, window parts and point events."""
+    windows, tracer, crashes = run
+    where = {}
+    outcomes, parts = [], []
+    for w, members in enumerate(windows):
+        window = members[0].service_end_at - members[0].service_start_at
+        assert all(
+            m.service_end_at - m.service_start_at == window for m in members
+        )
+        paused, rest = divmod(int(window), int(PAUSE))
+        hits, charged = divmod(rest, int(HIT_COST))
+        parts.append((
+            bool(paused), hits,
+            [i for i in range(len(members)) if charged >> i & 1],
+        ))
+        outcomes.append([
+            "error" if m.error is not None else "hit" if m.cache_hit
+            else "served"
+            for m in members
+        ])
+        for i, m in enumerate(members):
+            where[m.request_id] = (w, i)
+    events = [
+        (e.kind, e.ts, e.value, e.server_id, where.get(e.request_id))
+        for e in tracer.events()
+    ]
+    return {
+        "outcomes": outcomes, "windows": parts, "events": events,
+        "hits": [[m.cache_hit for m in ms] for ms in windows],
+        "crashes": crashes,
+    }
+
+
 class TestInjectedErrorText:
-    """One plan, one ``request.error`` text: both clocks, batched or not."""
+    """One stage, two clocks: one plan gives one ``request.error`` text,
+    batched or not, and the same outcome, window and events per member."""
 
     PLAN = FaultPlan(error_rate=0.5)
 
@@ -251,10 +395,7 @@ class TestInjectedErrorText:
         return {r.error for r in done}
 
     def sim_texts(self, batching):
-        import random
-
-        from repro.sim import Engine, ServiceTimeModel, SimulatedServer
-        from repro.sim.network_model import NETWORK_MODELS
+        from repro.sim import ServiceTimeModel
         from repro.stats import Deterministic
 
         engine = Engine()
@@ -274,3 +415,57 @@ class TestInjectedErrorText:
         expected = {None, INJECTED_APP_ERROR}
         assert self.live_texts(batching) == expected
         assert self.sim_texts(batching) == expected
+
+    @given(
+        batching=batch_policies,
+        cached=st.booleans(),
+        plan=st.one_of(st.none(), plans),
+        seed=st.integers(0, 2**16),
+    )
+    @example(
+        batching=BatchPolicy(4, 0.001), cached=True, seed=3,
+        plan=FaultPlan(
+            worker_pause_rate=0.1, worker_pause=PAUSE, error_rate=0.2,
+            worker_crash_rate=0.02,
+        ),
+    )
+    @settings(max_examples=120, deadline=None, derandomize=True)
+    def test_same_stage_on_both_clocks(self, batching, cached, plan, seed):
+        # Member sizes from the policy, keys distinct within a window:
+        # a repeated key is where the executors differ (next test).
+        rng = random.Random(seed)
+        top = 1 if batching is None else batching.max_batch_size
+        key_lists = [
+            rng.sample(range(16), rng.randint(1, top)) for _ in range(40)
+        ]
+        if plan is not None:
+            plan = plan.replace(worker_pause=PAUSE)
+        args = (key_lists, batching, plan, cached, seed)
+        live = _observed(_live(*args))
+        simulated = _observed(_simulated(*args))
+        for key in live:
+            assert live[key] == simulated[key], key
+        # Who was charged is exactly who missed, errored members too.
+        for (_, _, charged), hits in zip(live["windows"], live["hits"]):
+            assert charged == [i for i, hit in enumerate(hits) if not hit]
+
+    def test_store_position_is_the_one_difference(self):
+        """A key carried twice in one window: the simulator stores the
+        first member's miss at lookup, so the second hits; live stores
+        after the call, so the second misses too and is charged."""
+        args = ([[7, 7]], BatchPolicy(2, 0.0), None, True, 0)
+        live = _observed(_live(*args))
+        simulated = _observed(_simulated(*args))
+        assert live["outcomes"] == [["served", "served"]]
+        assert live["windows"] == [(False, 0, [0, 1])]
+        assert simulated["outcomes"] == [["served", "hit"]]
+        assert simulated["windows"] == [(False, 1, [0])]
+        lookups = [
+            (kind, member) for kind, _, _, _, member in live["events"]
+            if kind.startswith("cache_")
+        ]
+        assert lookups == [("cache_miss", (0, 0)), ("cache_miss", (0, 1))]
+        assert [
+            (kind, member) for kind, _, _, _, member in simulated["events"]
+            if kind.startswith("cache_")
+        ] == [("cache_miss", (0, 0)), ("cache_hit", (0, 1))]
