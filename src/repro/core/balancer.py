@@ -130,7 +130,9 @@ class PowerOfTwoBalancer(LoadBalancer):
     """Sample two distinct servers; join the shorter of the two queues.
 
     Ties go to the first-sampled server, so the policy never picks the
-    strictly longer of its two sampled queues.
+    strictly longer of its two sampled queues. The pair is the one
+    ``random.sample(candidates, 2)`` returns, drawn with the same
+    ``randrange`` draws and no candidate list.
     """
 
     name = "power_of_two"
@@ -140,11 +142,34 @@ class PowerOfTwoBalancer(LoadBalancer):
         self._lock = threading.Lock()
 
     def pick(self, depths: Sequence[int], avoid: Optional[int] = None) -> int:
-        candidates = list(self._candidates(len(depths), avoid))
-        if len(candidates) == 1:
-            return candidates[0]
+        n = len(depths)
+        if n < 1:
+            raise ValueError("depth vector must not be empty")
+        # The candidates are the servers but ``avoid``, in index order:
+        # candidate p is server p below ``skip``, server p + 1 from it.
+        skip = avoid if avoid is not None and n > 1 and 0 <= avoid < n else n
+        m = n - 1 if skip < n else n
+        if m == 1:
+            # One candidate, drawn for by nobody: candidate 0.
+            return 1 if skip == 0 else 0
         with self._lock:
-            first, second = self._rng.sample(candidates, 2)
+            draw = self._rng.randrange
+            first = draw(m)
+            if m <= 21:
+                # sample()'s pool rule: the first pick's slot is refilled
+                # with the last candidate, then one of m - 1 is drawn.
+                second = draw(m - 1)
+                if second == first:
+                    second = m - 1
+            else:
+                # Its set rule: draw again until the two differ.
+                second = draw(m)
+                while second == first:
+                    second = draw(m)
+        if first >= skip:
+            first += 1
+        if second >= skip:
+            second += 1
         return first if depths[first] <= depths[second] else second
 
 
@@ -196,38 +221,44 @@ def pick_active(
 
     With runtime membership (autoscaling), the instance list is
     append-only and draining replicas stay in place — so the balancer
-    must never see them as candidates. This helper presents the policy
-    with a dense depth vector of only the active replicas and maps its
-    positional pick back to the true server id. When every replica is
-    active (``active_ids == range(len(depths))``) the mapping is the
-    identity and the policy behaves exactly as before — static
-    topologies pay nothing for this indirection.
+    must never see them as candidates. ``active_ids`` lists distinct
+    server ids in ascending order, as the transport keeps them. When it
+    holds every replica (as many ids as depths) it is
+    ``range(len(depths))``, so the policy sees ``depths`` and ``avoid``
+    as they are and its position is the server id: static topologies
+    map nothing and build nothing. Otherwise the policy sees a dense
+    depth vector of only the active replicas and its positional pick
+    is mapped back to the true server id.
 
     ``avoid`` is a server id (not a position); it is translated into
     the dense space, and dropped when the avoided replica is not active
-    (routing away from a drained replica is automatic).
+    (routing away from a drained replica is automatic). Every policy
+    ignores an ``avoid`` outside its depth vector, as it does None.
 
     Degrades gracefully: when upstream filtering (avoid + draining +
     health ejection) leaves zero candidates, the full replica set is
     used instead — under a storm, routing *somewhere* beats raising on
     the send path.
     """
-    if not active_ids:
-        active_ids = list(range(len(depths)))
-        if not active_ids:
+    n = len(active_ids)
+    if not n:
+        n = len(depths)
+        if not n:
             raise ValueError("no servers exist to route to")
-    if len(active_ids) == 1:
+        active_ids = range(n)
+    if n == 1:
         return active_ids[0]
-    dense_depths = [depths[server_id] for server_id in active_ids]
-    dense_avoid: Optional[int] = None
-    if avoid is not None:
-        try:
-            dense_avoid = list(active_ids).index(avoid)
-        except ValueError:
-            dense_avoid = None
-    position = balancer.pick(dense_depths, avoid=dense_avoid)
-    if not 0 <= position < len(active_ids):
-        raise ValueError(
-            f"balancer picked position {position} of {len(active_ids)}"
-        )
+    if n == len(depths):
+        position = balancer.pick(depths, avoid=avoid)
+    else:
+        dense_depths = [depths[server_id] for server_id in active_ids]
+        dense_avoid: Optional[int] = None
+        if avoid is not None:
+            try:
+                dense_avoid = list(active_ids).index(avoid)
+            except ValueError:
+                dense_avoid = None
+        position = balancer.pick(dense_depths, avoid=dense_avoid)
+    if not 0 <= position < n:
+        raise ValueError(f"balancer picked position {position} of {n}")
     return active_ids[position]

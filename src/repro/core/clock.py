@@ -67,7 +67,9 @@ class VirtualClock(Clock):
     :meth:`advance`, :meth:`sleep_until`, all check-then-store or
     read-modify-write — serialise on one lock, and :meth:`advance_to`
     refuses to go backwards, so the values readers see never decrease.
-    The discrete-event engine drives it from one thread; tests also
+    The discrete-event engine drives it from one thread and is its
+    only writer during a run: ``Engine.run`` stores each popped time
+    itself, with the same refusal and none of the lock. Tests also
     point live worker threads at it.
     """
 

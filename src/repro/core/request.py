@@ -23,6 +23,7 @@ from typing import Any, Dict, NamedTuple, Optional
 __all__ = ["Request", "RequestRecord"]
 
 _request_ids = itertools.count()
+_new_tuple = tuple.__new__
 
 
 class Request:
@@ -157,12 +158,14 @@ class Request:
                 )
             prev_name, prev_val = name, val
         server_id = self.server_id
-        return RequestRecord(
+        # Every field in order, so the record is built as the tuple it
+        # is, without the named constructor's call.
+        return _new_tuple(RequestRecord, (
             self.request_id, self.generated_at, *stamps,
             0 if server_id is None else server_id,
             self.logical_id, self.attempt, self.shed,
             self.request_class, self.batch_size, self.cache_hit,
-        )
+        ))
 
 
 class RequestRecord(NamedTuple):

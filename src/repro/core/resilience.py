@@ -190,7 +190,8 @@ class ResilientClient:
     timer thread under the wall clock, the simulator's
     :class:`repro.sim.Engine` under the virtual one; a client built
     without one makes (and :meth:`close` stops) a timer thread of its
-    own — and every attempt goes out through ``transport.send``.
+    own — armed through one ``lane()`` of it per kind of timer, and
+    every attempt goes out through ``transport.send``.
 
     Whoever wires the client makes :meth:`on_attempt_complete` the
     transport's ``sink``, and the client then owns outcome accounting:
@@ -223,6 +224,13 @@ class ResilientClient:
         self._transport = transport
         self._scheduler = (
             scheduler if scheduler is not None else Scheduler(clock)
+        )
+        # One lane per kind of timer (DESIGN.md §4 "Who advances
+        # time"): each kind is armed in time order, so only its next
+        # timer sits on the heap; a backoff earlier than its lane's
+        # tail goes to the heap instead.
+        self._deadlines, self._hedges, self._timeouts, self._backoffs = (
+            self._scheduler.lane() for _ in range(4)
         )
         self._clock = clock
         self._config = config
@@ -273,13 +281,11 @@ class ResilientClient:
         self._send_attempt(call, kind="first")
         if deadline is not None:
             call.timers.append(
-                self._scheduler.at(deadline, self._on_deadline, call)
+                self._deadlines.at(deadline, self._on_deadline, call)
             )
         if config.hedge_after is not None and config.max_hedges > 0:
             call.timers.append(
-                self._scheduler.after(
-                    config.hedge_after, self._maybe_hedge, call
-                )
+                self._hedges.after(config.hedge_after, self._maybe_hedge, call)
             )
 
     def drain(self, timeout: float = 300.0) -> None:
@@ -357,7 +363,7 @@ class ResilientClient:
             )
             if timeout is not None and timeout > 0.0:
                 call.timers.append(
-                    self._scheduler.after(
+                    self._timeouts.after(
                         timeout, self._on_attempt_timeout, call, attempt_no
                     )
                 )
@@ -441,7 +447,7 @@ class ResilientClient:
                 return
         if schedule_retry:
             call.timers.append(
-                self._scheduler.after(delay, self._send_retry, call)
+                self._backoffs.after(delay, self._send_retry, call)
             )
 
     def _send_retry(self, call: _Call) -> None:

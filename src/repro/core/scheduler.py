@@ -5,8 +5,10 @@ a hedge, a fault-delayed send, a scenario phase boundary, a metrics
 sample, a control tick — is a callback on the run's :class:`EventQueue`.
 Two drivers pop it: under the wall clock one :class:`Scheduler` timer
 thread, in virtual time the simulator's :class:`repro.sim.Engine`; both
-expose the same three methods. :func:`every` is the one way a cadence
-is kept under both.
+expose the same three methods, and a ``lane()`` with the same ``at`` /
+``after``: a :class:`Lane` for timers pushed in time order, of which
+only the head is on the heap (a client arms each kind of its timers
+through one). :func:`every` is the one way a cadence is kept under both.
 
 Callbacks run on the timer thread, so they must not block: whatever
 one of them waits for, every other timer of the run waits for too.
@@ -17,12 +19,15 @@ from __future__ import annotations
 import heapq
 import itertools
 import threading
+from collections import deque
 from operator import itemgetter
-from typing import Any, Callable, Iterable, Optional, Sequence, Set
+from typing import (
+    Any, Callable, Deque, Dict, Iterable, Iterator, Optional, Sequence, Set,
+)
 
 from .clock import Clock
 
-__all__ = ["Event", "EventQueue", "Scheduler", "every"]
+__all__ = ["Event", "EventQueue", "Lane", "Scheduler", "every"]
 
 
 class Event(tuple):
@@ -47,19 +52,30 @@ class EventQueue:
     Events fire in ``(time, seq)`` order and none can be pushed ahead
     of one that already fired (its time is raised to that one's), so
     the last fired event splits the events ever pushed into those that
-    fired and those still on the heap. :meth:`cancel` uses that to
-    record only entries that are still on the heap — a resolved call
-    cancels all its timers, fired ones included — which keeps ``len``
-    exact at no cost per entry.
+    fired and those still pending. :meth:`cancel` uses that to record
+    only entries that are still pending — a resolved call cancels all
+    its timers, fired ones included — which keeps ``len`` exact at no
+    cost per entry.
+
+    A :meth:`lane` keeps events pushed in time order behind its head,
+    and only the head is on the heap; so does a :meth:`push_each`
+    series. Every event still draws its ``seq`` from the one counter
+    when it is pushed, and keys increase along a lane, so the minimum
+    of the heap is the minimum of everything pending: each pop returns
+    the event a heap that held them all would. When a lane's head
+    leaves the heap — popped, or dropped as cancelled by :meth:`pop` or
+    :meth:`peek_time` — its next live event takes its place.
     """
 
     def __init__(self) -> None:
         self._heap: list = []
         self._seq = itertools.count()
-        #: ``seq`` of every cancelled entry still on the heap.
+        #: ``seq`` of every cancelled entry still pending.
         self._cancelled: Set[int] = set()
         #: The event :meth:`pop` returned last.
         self._fired = Event((float("-inf"), -1, None, ()))
+        #: ``seq`` of each lane head on the heap -> its lane.
+        self._heads: Dict[int, Any] = {}
 
     def push(self, time: float, fn: Callable, *args: Any) -> Event:
         if time < self._fired[0]:
@@ -68,6 +84,10 @@ class EventQueue:
         heapq.heappush(self._heap, event)
         return event
 
+    def lane(self) -> "Lane":
+        """A new FIFO lane of this queue (see :class:`Lane`)."""
+        return Lane(self)
+
     def push_each(
         self, times: Sequence[float], fn: Callable, args: Iterable[tuple]
     ) -> None:
@@ -75,11 +95,10 @@ class EventQueue:
 
         The series takes its block of ``seq`` numbers now, so it orders
         against every other event exactly as ``len(times)`` :meth:`push`
-        calls made here would, ties included. Only its next event is on
-        the heap, and firing it pushes the one after: every event of the
-        series not yet pushed has a larger key than the one that is, so
-        each pop returns what it would with the whole series on the
-        heap. The heap then holds what is in flight, not the series.
+        calls made here would, ties included. It is a lane whose events
+        are made from the series as they become its head, so the heap
+        holds what is in flight, not the series, and ``len`` counts
+        only the series' next event.
         """
         n = len(times)
         if not n:
@@ -90,33 +109,32 @@ class EventQueue:
             raise ValueError("a series must be sorted and not start in the past")
         base = next(self._seq)
         self._seq = itertools.count(base + n)
-        heap = self._heap
-
-        def fire(*event_args: Any) -> None:
-            following = next(events, None)
-            if following is not None:
-                heapq.heappush(heap, following)
-            fn(*event_args)
-
-        events = map(Event, zip(
-            times, itertools.count(base), itertools.repeat(fire), args
-        ))
-        heapq.heappush(heap, next(events))
+        _Series(self, map(Event, zip(
+            times, itertools.count(base), itertools.repeat(fn), args
+        ))).rearm()
 
     def cancel(self, event: Event) -> None:
-        """Make ``event`` never fire; a no-op once it has."""
+        """Make ``event`` never fire; a no-op once it has.
+
+        Cancel an event once (a resolved call cancels each of its
+        timers once): a second cancel is a no-op only while the first
+        one's entry is still kept.
+        """
         if event > self._fired:
             self._cancelled.add(event[1])
 
     def pop(self) -> Optional[Event]:
         """Remove and return the earliest live event (None when empty)."""
-        heap, cancelled = self._heap, self._cancelled
+        heap, cancelled, heads = self._heap, self._cancelled, self._heads
         while heap:
             event = heapq.heappop(heap)
-            if event[1] not in cancelled:
+            seq = event[1]
+            if seq in heads:
+                heads.pop(seq).rearm()
+            if seq not in cancelled:
                 self._fired = event
                 return event
-            cancelled.remove(event[1])
+            cancelled.remove(seq)
         return None
 
     def peek_time(self) -> Optional[float]:
@@ -126,13 +144,91 @@ class EventQueue:
         due, so a dead timer neither wakes the timer thread nor moves
         the virtual clock.
         """
-        heap, cancelled = self._heap, self._cancelled
+        heap, cancelled, heads = self._heap, self._cancelled, self._heads
         while heap and heap[0][1] in cancelled:
-            cancelled.remove(heapq.heappop(heap)[1])
+            seq = heapq.heappop(heap)[1]
+            cancelled.remove(seq)
+            if seq in heads:
+                heads.pop(seq).rearm()
         return heap[0][0] if heap else None
 
     def __len__(self) -> int:
-        return len(self._heap) - len(self._cancelled)
+        # Only a lane whose head is on the heap has events waiting.
+        waiting = sum(len(lane._waiting) for lane in self._heads.values())
+        return len(self._heap) + waiting - len(self._cancelled)
+
+
+class Lane:
+    """A FIFO of one queue's events whose times do not decrease.
+
+    Only its head is on the heap; the others wait in push order, each
+    holding the ``seq`` it drew when pushed, so its keys increase from
+    head to tail. A push earlier than the tail would break that order:
+    it goes to the heap, exactly as :meth:`EventQueue.push` puts it. A
+    cancelled event never reaches the heap from here: it is dropped
+    when the lane re-arms past it. A lane suits timers that are pushed
+    in time order and mostly cancelled — a client's deadlines, hedges
+    and attempt timeouts — and keeps them off the heap's depth.
+    """
+
+    __slots__ = ("_queue", "_waiting", "_tail", "_armed")
+
+    def __init__(self, queue: EventQueue) -> None:
+        self._queue = queue
+        self._waiting: Deque[Event] = deque()
+        self._tail = float("-inf")
+        #: Whether the lane's head is on the heap.
+        self._armed = False
+
+    def push(self, time: float, fn: Callable, *args: Any) -> Event:
+        queue = self._queue
+        if time < queue._fired[0]:
+            time = queue._fired[0]
+        event = Event((time, next(queue._seq), fn, args))
+        if not self._armed:
+            self._armed = True
+            self._tail = time
+            heapq.heappush(queue._heap, event)
+            queue._heads[event[1]] = self
+        elif time >= self._tail:
+            self._tail = time
+            self._waiting.append(event)
+        else:
+            heapq.heappush(queue._heap, event)
+        return event
+
+    def rearm(self) -> None:
+        """The head left the heap: put the next live event there."""
+        queue = self._queue
+        waiting, cancelled = self._waiting, queue._cancelled
+        while waiting:
+            event = waiting.popleft()
+            if event[1] in cancelled:
+                cancelled.remove(event[1])
+                continue
+            heapq.heappush(queue._heap, event)
+            queue._heads[event[1]] = self
+            return
+        self._armed = False
+
+
+class _Series:
+    """The lane of one :meth:`EventQueue.push_each`: its events come
+    from the series, under their reserved ``seq``s, one at a time."""
+
+    __slots__ = ("_queue", "_events")
+    #: Its events are made as they are due, so none waits (or counts).
+    _waiting = ()
+
+    def __init__(self, queue: EventQueue, events: Iterator[Event]) -> None:
+        self._queue = queue
+        self._events = events
+
+    def rearm(self) -> None:
+        event = next(self._events, None)
+        if event is not None:
+            heapq.heappush(self._queue._heap, event)
+            self._queue._heads[event[1]] = self
 
 
 class Scheduler:
@@ -162,8 +258,19 @@ class Scheduler:
         self._error: Optional[Exception] = None
 
     def at(self, when: float, fn: Callable, *args) -> Event:
+        return self._schedule(self._queue.push, when, fn, args)
+
+    def after(self, delay: float, fn: Callable, *args) -> Event:
+        return self.at(self._clock.now() + max(delay, 0.0), fn, *args)
+
+    def lane(self) -> "_SchedulerLane":
+        """``at`` / ``after`` onto one new :class:`Lane` of the queue."""
+        return _SchedulerLane(self, self._queue.lane().push)
+
+    def _schedule(self, push: Callable, when: float, fn: Callable,
+                  args: tuple) -> Event:
         with self._wakeup:
-            event = self._queue.push(when, fn, *args)
+            event = push(when, fn, *args)
             if self._thread is None and not self._stopped:
                 self._thread = threading.Thread(
                     target=self._loop, name="tb-timer", daemon=True
@@ -171,9 +278,6 @@ class Scheduler:
                 self._thread.start()
             self._wakeup.notify()
         return event
-
-    def after(self, delay: float, fn: Callable, *args) -> Event:
-        return self.at(self._clock.now() + max(delay, 0.0), fn, *args)
 
     def cancel(self, event: Event) -> None:
         with self._lock:
@@ -222,6 +326,26 @@ class Scheduler:
         error, self._error = self._error, None
         if error is not None:
             raise error
+
+
+class _SchedulerLane:
+    """A :meth:`Scheduler.lane`: the scheduler's ``at`` / ``after``,
+    pushing onto one lane; :meth:`Scheduler.cancel` takes its events."""
+
+    __slots__ = ("_scheduler", "_push")
+
+    def __init__(self, scheduler: Scheduler, push: Callable) -> None:
+        self._scheduler = scheduler
+        self._push = push
+
+    def at(self, when: float, fn: Callable, *args) -> Event:
+        return self._scheduler._schedule(self._push, when, fn, args)
+
+    def after(self, delay: float, fn: Callable, *args) -> Event:
+        scheduler = self._scheduler
+        return scheduler._schedule(
+            self._push, scheduler._clock.now() + max(delay, 0.0), fn, args
+        )
 
 
 def every(

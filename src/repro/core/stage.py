@@ -119,7 +119,10 @@ class ServiceStage:
                         tracer.emit(
                             "fault_app_error", now, **request.trace_ids(sid)
                         )
-            crashed = any(injector.worker_crash() for _ in members)
+            if len(members) == 1:
+                crashed = injector.worker_crash()
+            else:
+                crashed = any(injector.worker_crash() for _ in members)
             if crashed and tracer is not None:
                 tracer.emit("fault_crash", now, server_id=sid)
         if seq is not None and tracer is not None:

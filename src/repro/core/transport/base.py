@@ -64,11 +64,10 @@ class ServerInstance:
 
     Bundles the replica's request queue, its worker-pool
     :class:`~repro.core.server.Server`, and the transport-side
-    bookkeeping the balancer consumes: ``outstanding`` counts requests
-    routed to this instance whose responses have not yet come back
-    (in flight + queued + in service), the depth signal for
-    JSQ/power-of-two routing; ``routed`` counts lifetime assignments.
-    Both counters are guarded by the transport's completion lock.
+    bookkeeping: ``routed`` counts lifetime assignments, guarded by the
+    transport's completion lock. The replica's outstanding count — the
+    depth signal for JSQ/power-of-two routing — is the transport's, one
+    entry of its depth vector (:meth:`Transport.queue_depths`).
 
     Runtime membership (autoscaling) makes the instance list
     append-only: a removed replica is *drained* in place — flagged so
@@ -86,7 +85,6 @@ class ServerInstance:
         "queue",
         "server",
         "children",
-        "outstanding",
         "routed",
         "completed",
         "draining",
@@ -99,7 +97,6 @@ class ServerInstance:
         self.queue = queue
         self.server = server
         self.children = None
-        self.outstanding = 0
         self.routed = 0
         self.completed = 0
         self.draining = False
@@ -170,6 +167,13 @@ class Transport:
         self.sink = self.record
         self.execution = THREADED
         self._outstanding = 0
+        #: The balancer's inputs, kept where the counters change (under
+        #: ``_lock``) so a send builds neither: per replica, requests
+        #: routed there whose responses have not come back (in flight +
+        #: queued + in service); and the ids of the replicas accepting
+        #: new work (not draining), ascending.
+        self._depths: List[int] = []
+        self._active: Tuple[int, ...] = ()
         self._lock = threading.Lock()
         self._all_done = threading.Condition(self._lock)
         self._running = False
@@ -237,6 +241,8 @@ class Transport:
         self._instances = []
         for server_id in range(n_servers):
             self._instances.append(self._build_instance(server_id))
+        self._depths = [0] * n_servers
+        self._active = tuple(range(n_servers))
         self._start_impl()
         for instance in self._instances:
             instance.server.start()
@@ -403,7 +409,7 @@ class Transport:
         registry.gauge(
             "tb_outstanding",
             help="Routed, not-yet-answered requests per replica",
-            fn=(lambda i=instance: i.outstanding),
+            fn=(lambda i=instance.server_id: self._depths[i]),
             server=str(instance.server_id),
         )
         registry.gauge(
@@ -431,16 +437,12 @@ class Transport:
     def queue_depths(self) -> List[int]:
         """Per-instance outstanding counts (the balancer's depth vector)."""
         with self._lock:
-            return [instance.outstanding for instance in self._instances]
+            return list(self._depths)
 
     def active_server_ids(self) -> List[int]:
         """Ids of replicas accepting new work (non-draining)."""
         with self._lock:
-            return [
-                instance.server_id
-                for instance in self._instances
-                if not instance.draining
-            ]
+            return list(self._active)
 
     def add_server(self) -> Optional[int]:
         """Grow the replica set by one at runtime (autoscale up).
@@ -459,6 +461,8 @@ class Transport:
         self._register_instance_observability(instance)
         with self._lock:
             self._instances.append(instance)
+            self._depths.append(0)
+            self._active += (server_id,)
         return server_id
 
     def drain_server(self) -> Optional[int]:
@@ -471,17 +475,14 @@ class Transport:
         None when only one active replica remains.
         """
         with self._lock:
-            active = [
-                instance
-                for instance in self._instances
-                if not instance.draining
-            ]
-            if len(active) <= 1:
+            if len(self._active) <= 1:
                 return None
-            instance = active[-1]
+            server_id = self._active[-1]
+            self._active = self._active[:-1]
+            instance = self._instances[server_id]
             instance.draining = True
             instance.drained_at = self._clock.now()
-            idle = instance.outstanding <= 0
+            idle = self._depths[server_id] <= 0
         if idle:
             # No completion is left to fire the hook.
             self._instance_drained(instance)
@@ -568,17 +569,12 @@ class Transport:
                 # Pinned (a fan-out leg): the candidate set is the one
                 # replica holding its data shard, so no depths are read
                 # and the balancer draws nothing.
-                depths, candidates = (), [server_id]
+                depths, candidates = (), (server_id,)
             else:
-                with self._lock:
-                    depths = [
-                        instance.outstanding for instance in self._instances
-                    ]
-                    candidates = [
-                        instance.server_id
-                        for instance in self._instances
-                        if not instance.draining
-                    ]
+                # The kept vector itself: each count it holds is one
+                # the lock-holding writers stored, and the active ids
+                # are replaced, never changed in place.
+                depths, candidates = self._depths, self._active
             forced = False
             if self._health is not None:
                 candidates, forced = self._health.route(candidates, now)
@@ -616,9 +612,8 @@ class Transport:
         with self._lock:
             self._outstanding += copies
             self.stats.sent += 1
-            instance = self._instances[server_id]
-            instance.outstanding += copies
-            instance.routed += copies
+            self._depths[server_id] += copies
+            self._instances[server_id].routed += copies
         self._submit_after(request, extra_delay)
         if dup is not None:
             self._submit_after(dup, extra_delay)
@@ -679,9 +674,8 @@ class Transport:
         """Release the routed instance's outstanding slot (lock held)."""
         server_id = request.server_id
         if server_id is not None and 0 <= server_id < len(self._instances):
-            instance = self._instances[server_id]
-            instance.outstanding -= 1
-            return instance
+            self._depths[server_id] -= 1
+            return self._instances[server_id]
         return None
 
     def record(self, request: Request) -> None:
@@ -715,7 +709,7 @@ class Transport:
             if instance is not None:
                 if good:
                     instance.completed += 1
-                if instance.draining and instance.outstanding <= 0:
+                if instance.draining and self._depths[instance.server_id] <= 0:
                     drained_instance = instance
             if not discard:
                 if request.error is not None:

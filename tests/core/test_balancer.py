@@ -13,6 +13,7 @@ from repro.core.balancer import (
     RoundRobinBalancer,
     balancer_names,
     make_balancer,
+    pick_active,
 )
 
 
@@ -90,15 +91,23 @@ class TestPowerOfTwo:
         balancer = PowerOfTwoBalancer(seed=0)
 
         class _ScriptedRng:
-            """Stands in for the policy RNG: yields a scripted pair."""
+            """Stands in for the policy RNG: yields a scripted pair.
+
+            As the two draws ``random.sample(range(4), 2)`` makes for
+            it: one of the four candidates, then one of the three left,
+            where the last candidate has taken the first one's slot.
+            """
 
             def __init__(self):
                 self.pair = (0, 1)
+                self.draws = []
 
-            def sample(self, candidates, k):
-                assert k == 2
-                assert self.pair[0] in candidates and self.pair[1] in candidates
-                return list(self.pair)
+            def randrange(self, bound):
+                if not self.draws:
+                    first, second = self.pair
+                    self.draws = [first, first if second == 3 else second]
+                assert bound == (4 if len(self.draws) == 2 else 3)
+                return self.draws.pop(0)
 
         scripted = _ScriptedRng()
         balancer._rng = scripted
@@ -116,8 +125,12 @@ class TestPowerOfTwo:
         balancer = PowerOfTwoBalancer(seed=0)
 
         class _ScriptedRng:
-            def sample(self, candidates, k):
-                return [2, 1]
+            def __init__(self):
+                # random.sample's draws for the pair (2, 1).
+                self.draws = [2, 1]
+
+            def randrange(self, bound):
+                return self.draws.pop(0)
 
         balancer._rng = _ScriptedRng()
         assert balancer.pick([0, 3, 3]) == 2
@@ -158,3 +171,61 @@ class TestJoinShortestQueue:
 
     def test_avoid_excludes_minimum(self):
         assert JoinShortestQueueBalancer().pick([0, 1, 2], avoid=0) == 1
+
+
+#: Every size sample() treats with its pool rule, and two with its set
+#: rule (more than 21 candidates).
+SIZES = (*range(2, 22), 22, 40)
+
+
+class TestPowerOfTwoDraws:
+    """Power-of-two's pair is ``random.sample(candidates, 2)``'s, drawn
+    without the candidate list: same pair, same draws, same RNG state."""
+
+    @staticmethod
+    def _pair(n, seed, avoid):
+        candidates = [i for i in range(n) if i != avoid]
+        rng = random.Random(seed)
+        if len(candidates) == 1:
+            return (candidates[0], candidates[0]), rng.getstate()
+        return tuple(rng.sample(candidates, 2)), rng.getstate()
+
+    @pytest.mark.parametrize("n", SIZES)
+    @pytest.mark.parametrize("avoiding", [False, True])
+    def test_the_pair_is_random_sample_s(self, n, avoiding):
+        for seed in range(200):
+            avoid = seed % n if avoiding else None
+            (first, second), state = self._pair(n, seed, avoid)
+            # Equal depths: a tie goes to the first of the pair.
+            balancer = PowerOfTwoBalancer(seed=seed)
+            assert balancer.pick([0] * n, avoid=avoid) == first
+            assert balancer._rng.getstate() == state
+            # The first of the pair longer: the second one wins.
+            depths = [0] * n
+            depths[first] = 1
+            balancer = PowerOfTwoBalancer(seed=seed)
+            assert balancer.pick(depths, avoid=avoid) == second
+            assert balancer._rng.getstate() == state
+
+
+class TestAllActivePath:
+    """``pick_active`` over every replica hands the policy the depth
+    vector itself; over a strict subset it builds a dense one. With one
+    more, inactive replica the same picks must take the dense path and
+    come out the same."""
+
+    @pytest.mark.parametrize("policy", sorted(BALANCERS))
+    @pytest.mark.parametrize("n", [2, 3, 8, 23])
+    def test_routes_as_the_dense_remap(self, policy, n):
+        draws = random.Random(n)
+        direct = make_balancer(policy, seed=11)
+        remapped = make_balancer(policy, seed=11)
+        active = list(range(n))
+        for _ in range(300):
+            depths = [draws.randrange(4) for _ in range(n)]
+            # None, an active replica, or the inactive one (dropped by
+            # the remap, out of range for the policy).
+            avoid = draws.choice([None, draws.randrange(n), n])
+            assert pick_active(direct, depths, active, avoid) == pick_active(
+                remapped, depths + [-1], active, avoid
+            )

@@ -10,8 +10,8 @@ accepted composition must keep, whatever it does to latency: requests
 are conserved, timestamp chains are monotone, the routing books
 balance, and no replica is left holding an attempt — and the engine's
 heap of what is in flight runs every drawn config exactly as the heap
-that held the whole schedule did. Virtual time only, so it is fast and
-a failing example replays exactly.
+that held the whole schedule and every timer did. Virtual time only,
+so it is fast and a failing example replays exactly.
 """
 
 from hypothesis import example, given, settings
@@ -35,6 +35,7 @@ from .test_engine import (
     arrivals_up_front,
     observed,
     responses_always_scheduled,
+    timers_on_the_heap,
 )
 
 PROFILE = paper_profile("masstree")
@@ -236,10 +237,13 @@ def test_run_invariants(draw):
 @example(draw=FANOUT_HEALTH_BATCHING)
 @settings(max_examples=200, deadline=None, derandomize=True)
 def test_the_heap_of_what_is_in_flight_changes_nothing(draw):
-    # Streamed arrivals and inline responses against the heap that held
-    # every arrival from the start and every response as an event.
+    # Streamed arrivals, laned timers and inline responses against the
+    # heap that held every arrival from the start, every timer, and
+    # every response as an event.
     config = _config(draw)
     result = simulate_load(PROFILE, config)
-    with arrivals_up_front(), responses_always_scheduled():
+    with arrivals_up_front(), timers_on_the_heap(), (
+        responses_always_scheduled()
+    ):
         reference = simulate_load(PROFILE, config)
     assert observed(result) == observed(reference)

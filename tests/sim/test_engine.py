@@ -1,20 +1,30 @@
 """Tests for the discrete-event engine and event queue.
 
 The simulator's heap holds only what is in flight: arrivals stream
-from the schedule under seqs reserved up front, and a zero-delay
-response runs inside its completion when nothing else is due. The
-references below are the heap that held everything — each arrival
-pushed before the run, each response an event — and a run must not be
-able to tell them apart.
+from the schedule under seqs reserved up front, a client's timers wait
+in lanes behind one head each, and a zero-delay response runs inside
+its completion when nothing else is due. The references below are the
+heap that held everything — each arrival pushed before the run, each
+timer pushed on the heap, each response an event — and a run must not
+be able to tell them apart.
 """
 
 import contextlib
+import random
+import re
+import time
+import types
 from unittest import mock
 
 import pytest
 
 from repro.control import AutoscalerConfig, ControlPlaneConfig
-from repro.core import ObservabilityConfig, Scheduler, WallClock
+from repro.core import (
+    ObservabilityConfig,
+    ResilienceConfig,
+    Scheduler,
+    WallClock,
+)
 from repro.faults import FaultPhase, FaultPlan, Scenario
 from repro.sim import (
     Engine,
@@ -40,6 +50,15 @@ def arrivals_up_front():
     """Reference heap: the whole arrival schedule pushed before the run."""
     with mock.patch.object(
         EventQueue, "push_each", _push_every_arrival_up_front
+    ):
+        yield
+
+
+@contextlib.contextmanager
+def timers_on_the_heap():
+    """Reference heap: a lane is no lane, every push goes to the heap."""
+    with mock.patch.object(
+        EventQueue, "lane", lambda queue: types.SimpleNamespace(push=queue.push)
     ):
         yield
 
@@ -315,6 +334,230 @@ class TestSeries:
         assert fired == [(0.5, "a"), (1.0, "b"), (1.0, "c")]
 
 
+def _lane_script(seed: int, n_ops: int = 400) -> list:
+    """Pushes to the heap and to three lanes — in order, tied, and now
+    and then earlier than the lane's tail — with pops, peeks and
+    cancels (of live, waiting and fired events; each event once, as a
+    resolved call cancels its timers) in between."""
+    rng = random.Random(seed)
+    tails, ops, uncancelled, pushed = [0.0, 0.0, 0.0], [], [], 0
+    for _ in range(n_ops):
+        roll = rng.random()
+        if roll < 0.35:
+            k = rng.randrange(3)
+            step = rng.choice([0.0, 0.0, 0.5, 1.0])
+            if rng.random() < 0.15:
+                step = -rng.choice([0.5, 1.0, 2.0])
+            tails[k] = max(tails[k] + step, 0.0)
+            ops.append(("lane", k, tails[k]))
+            uncancelled.append(pushed)
+            pushed += 1
+        elif roll < 0.5:
+            ops.append(("heap", rng.choice([0.0, 0.5, 1.0, 3.0])))
+            uncancelled.append(pushed)
+            pushed += 1
+        elif roll < 0.7 and uncancelled:
+            ops.append(("cancel", uncancelled.pop(
+                rng.randrange(len(uncancelled))
+            )))
+        elif roll < 0.8:
+            ops.append(("peek",))
+        else:
+            ops.append(("pop",))
+    return ops
+
+
+def _play(queue: EventQueue, lanes: list, ops: list) -> list:
+    """What the queue shows: every pop and peek, and ``len`` after
+    each step."""
+    seen, handles, now = [], [], 0.0
+    for op in ops:
+        if op[0] == "lane":
+            handles.append(lanes[op[1]].push(op[2], print, len(handles)))
+        elif op[0] == "heap":
+            handles.append(queue.push(now + op[1], print, len(handles)))
+        elif op[0] == "cancel":
+            queue.cancel(handles[op[1]])
+        elif op[0] == "peek":
+            seen.append(("peek", queue.peek_time()))
+        else:
+            event = queue.pop()
+            if event is not None:
+                now = event.time
+                event = tuple(event)
+            seen.append(("pop", event))
+        seen.append(("len", len(queue)))
+    while (event := queue.pop()) is not None:
+        seen.append(("pop", tuple(event)))
+    return seen
+
+
+class TestLanes:
+    """``EventQueue.lane``: a FIFO of timers with only its head on the
+    heap pops exactly what the heap holding every timer pops."""
+
+    @staticmethod
+    def _reference_lanes(queue):
+        with timers_on_the_heap():
+            return [queue.lane() for _ in range(3)]
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_interleaved_with_the_heap_pops_as_the_heap_alone(self, seed):
+        ops = _lane_script(seed)
+        laned = EventQueue()
+        reference = EventQueue()
+        assert _play(laned, [laned.lane() for _ in range(3)], ops) == _play(
+            reference, self._reference_lanes(reference), ops
+        )
+
+    def test_the_scripts_exercise_every_path(self):
+        most_behind = earlier = 0
+        for seed in range(40):
+            queue = EventQueue()
+            lanes = [queue.lane() for _ in range(3)]
+            for op in _lane_script(seed):
+                if op[0] == "lane":
+                    lane = lanes[op[1]]
+                    due = max(op[2], queue._fired.time)
+                    earlier += lane._armed and due < lane._tail
+                    lane.push(op[2], print)
+                    most_behind = max(most_behind, len(lane._waiting))
+                elif op[0] == "pop":
+                    queue.pop()
+        assert most_behind >= 5 and earlier > 0
+
+    def test_ties_break_by_push_order_across_lane_and_heap(self):
+        queue, order = EventQueue(), []
+        lane = queue.lane()
+        lane.push(1.0, order.append, "lane0")
+        queue.push(1.0, order.append, "heap0")
+        lane.push(1.0, order.append, "lane1")
+        queue.push(1.0, order.append, "heap1")
+        lane.push(2.0, order.append, "lane2")
+        queue.push(1.5, order.append, "heap2")
+        assert len(queue) == 6
+        assert len(queue._heap) == 4 and len(lane._waiting) == 2
+        _drain(queue)
+        assert order == ["lane0", "heap0", "lane1", "heap1", "heap2", "lane2"]
+
+    def test_only_the_head_is_on_the_heap(self):
+        queue = EventQueue()
+        lane = queue.lane()
+        for t in range(100):
+            lane.push(float(t), print)
+        assert len(queue._heap) == 1 and len(queue) == 100
+        assert [event.time for event in (queue.pop(), queue.pop())] == [0.0, 1.0]
+        assert len(queue._heap) == 1 and len(queue) == 98
+
+    def test_an_earlier_push_goes_to_the_heap(self):
+        queue, order = EventQueue(), []
+        lane = queue.lane()
+        lane.push(5.0, order.append, "tail")
+        early = lane.push(3.0, order.append, "early")
+        # Not behind the head: on the heap beside it.
+        assert not lane._waiting and early in queue._heap
+        lane.push(6.0, order.append, "after")
+        assert len(lane._waiting) == 1 and len(queue) == 3
+        _drain(queue)
+        assert order == ["early", "tail", "after"]
+
+    def test_a_cancelled_waiting_event_never_reaches_the_heap(self):
+        queue, order = EventQueue(), []
+        lane = queue.lane()
+        lane.push(1.0, order.append, "a")
+        dead = lane.push(2.0, order.append, "b")
+        lane.push(3.0, order.append, "c")
+        queue.cancel(dead)
+        assert len(queue) == 2
+        queue.pop()
+        assert [event.time for event in queue._heap] == [3.0]
+        assert len(queue) == 1 and not queue._cancelled
+        _drain(queue)
+        assert order == ["c"]
+
+    def test_pop_rearms_past_a_cancelled_head(self):
+        queue = EventQueue()
+        lane = queue.lane()
+        dead = lane.push(1.0, print)
+        lane.push(2.0, print)
+        queue.cancel(dead)
+        assert len(queue) == 1
+        assert queue.pop().time == 2.0
+        assert len(queue) == 0 and queue.pop() is None
+        # Run dry, the lane takes its next push as its head.
+        lane.push(2.5, print)
+        assert len(queue._heap) == 1 and queue.pop().time == 2.5
+
+    def test_peek_time_rearms_past_a_cancelled_head(self):
+        queue = EventQueue()
+        lane = queue.lane()
+        dead = lane.push(1.0, print)
+        lane.push(4.0, print)
+        queue.cancel(dead)
+        assert queue.peek_time() == 4.0
+        assert [event.time for event in queue._heap] == [4.0]
+        assert len(queue) == 1 and not queue._cancelled
+
+    def test_a_bounded_run_rearms_past_a_cancelled_head(self):
+        engine = Engine()
+        lane, fired = engine.lane(), []
+        dead = lane.at(1.0, fired.append, "cancelled")
+        lane.at(2.0, fired.append, "kept")
+        engine.cancel(dead)
+        assert engine.run(until=1.5) == 0
+        assert engine.now == 1.5 and not fired
+        assert [event.time for event in engine._queue._heap] == [2.0]
+        assert engine.run() == 1 and fired == ["kept"]
+
+    def test_cancelling_the_event_that_is_firing_is_a_no_op(self):
+        # A call resolving on its own deadline cancels that deadline
+        # while it runs.
+        engine = Engine()
+        lane, fired, handles = engine.lane(), [], []
+
+        def resolve():
+            for handle in handles:
+                engine.cancel(handle)
+            fired.append(engine.now)
+
+        handles.append(lane.at(1.0, resolve))
+        lane.at(2.0, fired.append, "next")
+        assert engine.run() == 2
+        assert fired == [1.0, "next"] and len(engine._queue) == 0
+
+    def test_the_engine_lane_has_the_engines_surface(self):
+        engine = Engine(start_time=1.0)
+        lane, fired = engine.lane(), []
+        lane.after(2.0, lambda: fired.append(engine.now))
+        lane.at(4.0, lambda: fired.append(engine.now))
+        with pytest.raises(ValueError):
+            lane.at(0.5, print)
+        with pytest.raises(ValueError):
+            lane.after(-1.0, print)
+        assert engine.run() == 2 and fired == [3.0, 4.0]
+
+    def test_the_scheduler_lane_has_the_schedulers_surface(self):
+        scheduler = Scheduler(WallClock())
+        try:
+            lane = scheduler.lane()
+            keep = lane.after(30.0, lambda: None)
+            drop = lane.after(30.0, lambda: None)
+            assert scheduler.pending() == 2
+            scheduler.cancel(drop)
+            assert scheduler.pending() == 1
+            scheduler.cancel(keep)
+            assert scheduler.pending() == 0
+            done = []
+            lane.after(0.0, done.append, "fired")
+            for _ in range(500):
+                if done:
+                    break
+                time.sleep(0.01)
+            assert done == ["fired"]
+        finally:
+            scheduler.stop()
+
+
 class TestStreamedArrivals:
     """A run whose arrivals stream equals the run that pushed them all."""
 
@@ -352,6 +595,34 @@ class TestHeapHoldsWhatIsInFlight:
         ))
         assert result.outcomes["offered"] == 30_000
         assert 1 <= peak[0] <= 64
+
+    def test_a_resilient_run_keeps_its_timers_off_the_heap(self, monkeypatch):
+        # The sim-resilient heavy phase: 8 replicas at 20 000 qps, a
+        # deadline, retries and a hedge on every call, and faults. With
+        # every timer on the heap, it peaked at 1 534 entries, almost
+        # all of them cancelled timers.
+        peak = [0]
+        real_pop = EventQueue.pop
+
+        def pop(queue):
+            peak[0] = max(peak[0], len(queue._heap))
+            return real_pop(queue)
+
+        monkeypatch.setattr(EventQueue, "pop", pop)
+        result = simulate_app("masstree", SimConfig(
+            qps=20_000.0, warmup_requests=1_200, measure_requests=12_000,
+            seed=1, n_servers=8, balancer="power_of_two",
+            resilience=ResilienceConfig(
+                deadline=0.05, max_retries=2, hedge_after=0.002,
+            ),
+            faults=FaultPlan(
+                drop_rate=0.01, error_rate=0.01,
+                worker_pause_rate=0.005, worker_pause=0.002,
+            ),
+        ))
+        assert result.outcomes["offered"] == 13_200
+        assert result.outcomes["hedges"] > 0 and result.outcomes["retries"] > 0
+        assert 1 <= peak[0] <= 32
 
 
 class TestEngine:
@@ -452,6 +723,20 @@ class TestEngine:
         assert engine.now == 1.5 and not fired
         assert engine.run(until=1.5, max_events=0) == 0
         assert engine.run() == 1 and fired == ["kept"]
+
+    def test_the_clock_refuses_to_go_back(self):
+        # A series pushed after a bounded run stopped the clock at 5.0
+        # starts behind it: the engine stores popped times itself, and
+        # refuses this one as VirtualClock.advance_to would.
+        engine = Engine()
+        engine.at(10.0, lambda: None)
+        engine.run(until=5.0)
+        engine._queue.push_each([2.0, 3.0], lambda: None, [(), ()])
+        with pytest.raises(ValueError, match=re.escape(
+            "virtual time cannot go backwards (2.0 < 5.0)"
+        )):
+            engine.run()
+        assert engine.now == 5.0
 
     def test_executed_events_counted(self):
         engine = Engine()
