@@ -1,8 +1,8 @@
 """Shared batch-formation logic.
 
 :class:`BatchPolicy` answers exactly two questions against a pending
-buffer (:class:`~repro.core.queueing.FifoBuffer` or
-:class:`~repro.core.queueing.PriorityBuffer`):
+buffer (:class:`~repro.core.stage.FifoBuffer` or
+:class:`~repro.core.stage.PriorityBuffer`):
 
 - :meth:`ready_at` — at what instant may the next batch be released?
   *Now* if the buffer already holds a full batch, otherwise the moment
@@ -11,9 +11,9 @@ buffer (:class:`~repro.core.queueing.FifoBuffer` or
   never spanning priority classes).
 
 The policy is stateless: all state lives in the buffer, so one policy
-object can serve every replica of a topology, and the live worker
-loop and the simulator's dispatch events make the identical
-release/membership decisions from the identical buffer state.
+object can serve every replica of a topology. Its one caller is the
+queue stage's release (:class:`repro.core.stage.QueueStage`), under
+both clocks.
 """
 
 from __future__ import annotations

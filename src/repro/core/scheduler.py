@@ -55,7 +55,9 @@ class EventQueue:
     fired and those still pending. :meth:`cancel` uses that to record
     only entries that are still pending — a resolved call cancels all
     its timers, fired ones included — which keeps ``len`` exact at no
-    cost per entry.
+    cost per entry. A cancelled entry that leaves without firing is
+    remembered until the last fired event passes it, so that a second
+    cancel of it is a no-op too.
 
     A :meth:`lane` keeps events pushed in time order behind its head,
     and only the head is on the heap; so does a :meth:`push_each`
@@ -72,6 +74,10 @@ class EventQueue:
         self._seq = itertools.count()
         #: ``seq`` of every cancelled entry still pending.
         self._cancelled: Set[int] = set()
+        #: ``seq`` -> time of each cancelled entry dropped unfired and
+        #: not yet passed by the last fired event (pruned as it is).
+        self._dropped: Dict[int, float] = {}
+        self._prune_at = 64
         #: The event :meth:`pop` returned last.
         self._fired = Event((float("-inf"), -1, None, ()))
         #: ``seq`` of each lane head on the heap -> its lane.
@@ -114,14 +120,21 @@ class EventQueue:
         ))).rearm()
 
     def cancel(self, event: Event) -> None:
-        """Make ``event`` never fire; a no-op once it has.
-
-        Cancel an event once (a resolved call cancels each of its
-        timers once): a second cancel is a no-op only while the first
-        one's entry is still kept.
-        """
-        if event > self._fired:
+        """Make ``event`` never fire; a no-op once it has, or once it
+        was cancelled before."""
+        if event > self._fired and event[1] not in self._dropped:
             self._cancelled.add(event[1])
+            if len(self._dropped) > self._prune_at:
+                self._prune()
+
+    def _prune(self) -> None:
+        """Forget the dropped entries the last fired event has passed:
+        ``event > self._fired`` already makes their cancel a no-op."""
+        dropped, fired = self._dropped, self._fired
+        passed = (fired[0], fired[1])
+        for seq in [s for s, t in dropped.items() if (t, s) < passed]:
+            del dropped[seq]
+        self._prune_at = max(64, 2 * len(dropped))
 
     def pop(self) -> Optional[Event]:
         """Remove and return the earliest live event (None when empty)."""
@@ -135,6 +148,7 @@ class EventQueue:
                 self._fired = event
                 return event
             cancelled.remove(seq)
+            self._dropped[seq] = event[0]
         return None
 
     def peek_time(self) -> Optional[float]:
@@ -146,8 +160,9 @@ class EventQueue:
         """
         heap, cancelled, heads = self._heap, self._cancelled, self._heads
         while heap and heap[0][1] in cancelled:
-            seq = heapq.heappop(heap)[1]
+            when, seq = heapq.heappop(heap)[:2]
             cancelled.remove(seq)
+            self._dropped[seq] = when
             if seq in heads:
                 heads.pop(seq).rearm()
         return heap[0][0] if heap else None
@@ -205,6 +220,7 @@ class Lane:
             event = waiting.popleft()
             if event[1] in cancelled:
                 cancelled.remove(event[1])
+                queue._dropped[event[1]] = event[0]
                 continue
             heapq.heappush(queue._heap, event)
             queue._heads[event[1]] = self

@@ -62,7 +62,9 @@ class TransportStats:
 class ServerInstance:
     """One server replica behind the transport.
 
-    Bundles the replica's request queue, its worker-pool
+    Bundles the replica's request queue (a simulated replica's is its
+    server's :class:`~repro.core.stage.QueueStage`: the same ``len``
+    and ``snapshot(now)``), its worker-pool
     :class:`~repro.core.server.Server`, and the transport-side
     bookkeeping: ``routed`` counts lifetime assignments, guarded by the
     transport's completion lock. The replica's outstanding count — the

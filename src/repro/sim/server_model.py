@@ -13,10 +13,12 @@ The server records nothing itself: every response goes to the
 ``on_response`` it was built with — the simulated transport's
 completion path in a run, a two-line recorder in a unit test.
 
-A service window runs the one stage of :mod:`repro.core.stage`; this
-model prices it, and with a ``power`` stage (:mod:`repro.energy`)
-rescales it by the frequency chosen for it plus the wakeup of a worker
-that slept — energy is a stage of this server, not another server.
+An arrival and a free worker run the one queue stage of
+:mod:`repro.core.stage`, and a service window its one service stage;
+this model turns their decisions into events and prices the window,
+and with a ``power`` stage (:mod:`repro.energy`) rescales it by the
+frequency chosen for it plus the wakeup of a worker that slept —
+energy is a stage of this server, not another server.
 """
 
 from __future__ import annotations
@@ -24,9 +26,8 @@ from __future__ import annotations
 import random
 from typing import Callable, Optional, Sequence
 
-from ..core.queueing import FifoBuffer, QueueSnapshot
 from ..core.request import Request
-from ..core.stage import build_stage
+from ..core.stage import SHED, STALLED, START, QueueStage, build_stage
 from .engine import Engine
 from .network_model import NetworkModel
 from .service_models import ServiceTimeModel
@@ -55,26 +56,20 @@ class SimulatedServer:
         instant it reaches the client. Whoever passes it owns recording:
         the simulated transport installs its completion path here, which
         owns lifecycle tracing and statistics exactly as it does live.
-    queue_capacity:
-        Optional bound on waiting requests; arrivals beyond it are
-        shed.
+    queue_capacity, gate, buffer:
+        The queue stage's bound on waiting requests, admission gate
+        (:class:`repro.control.AdmissionGate`) and discipline (see
+        :class:`repro.core.stage.QueueStage`) — the live request
+        queue's, so admit/shed tallies and dequeue order match.
     server_id:
         Index of this instance in a multi-server topology; stamped on
         every request it serves so per-server statistics work.
     injector, tracer, batching, cache:
-        The stage's (see :mod:`repro.core.stage`): the same decisions
+        The stages' (see :mod:`repro.core.stage`): the same decisions
         and the same ``fault_*`` / ``batch_*`` events as the live
         server, so live and virtual-time traces diff directly. The
-        injector's queue stalls also freeze dispatch; the batch policy
-        — the live worker loop's, over the same buffer state — forms
-        the batches dispatch starts.
-    gate:
-        Optional :class:`repro.control.AdmissionGate` consulted on
-        every arrival — the *same* gate object type (and therefore the
-        same CoDel/AIMD decision code) the live request queue uses.
-    buffer:
-        Optional queue-discipline buffer (see
-        :class:`repro.core.queueing.PriorityBuffer`); FIFO when None.
+        injector's queue stalls hold dispatch and the batch policy
+        forms the batches it starts.
     batch_marginal_cost:
         Service-time model for batched dispatch: a batch of per-member
         draws ``s_0..s_{k-1}`` occupies its worker for ``s_0 +
@@ -112,37 +107,32 @@ class SimulatedServer:
     ) -> None:
         if n_threads < 1:
             raise ValueError("n_threads must be >= 1")
-        if queue_capacity is not None and queue_capacity < 1:
-            raise ValueError("queue_capacity must be >= 1 (or None)")
         self._engine = engine
         self._service_model = service_model
         self._network = network
         self._n_threads = n_threads
         self._rng = rng
-        self._injector = injector
-        self._capacity = queue_capacity
         self._on_response_cb = on_response
         self.server_id = server_id
-        self._gate = gate
-        self._queue = buffer if buffer is not None else FifoBuffer()
-        self._batching = batching
+        #: The replica's queue stage: its buffer, counters and snapshot.
+        self.queue = QueueStage(
+            queue_capacity, injector, gate, buffer, batching
+        )
         self._batch_marginal = batch_marginal_cost
         # The cache (repro.cache.RequestCache, shared across the fleet)
         # is looked up at service start for requests that carry a
         # synthetic key (payload is not None).
         self._stage = build_stage(server_id, injector, cache, batching, tracer)
         self._power = power
-        # Earliest pending batch-deadline event (None when none is
-        # scheduled): lets dispatch avoid stacking redundant wakeups.
+        # The one pending wake-up of each kind: the end of a stall, and
+        # the earliest batch release (None when none is scheduled), so
+        # dispatch never stacks redundant ones.
+        self._stall_event_pending = False
         self._batch_deadline_at: Optional[float] = None
         self._busy_workers = 0
         self._alive_workers = n_threads
-        self._stall_event_pending = False
-        self.peak_queue_depth = 0
-        self.shed_count = 0
         self.crashed_workers = 0
         self.busy_time = 0.0
-        self.total_enqueued = 0
 
     # -- replica surface (what a transport asks of a server) ---------------
     #: A service-time model raises nothing, so there is never an
@@ -201,86 +191,52 @@ class SimulatedServer:
     ) -> None:
         if now is None:
             now = self._engine.now
-        request.enqueued_at = now
-        queue = self._queue
-        # The admission gate sees every arrival — including ones a free
-        # worker could start immediately — exactly as the live queue's
-        # put path does, so admit/drop tallies match across modes.
-        if self._gate is not None and not self._gate.admit(
-            now, len(queue), request
-        ):
-            self._shed(request, now)
-            return
-        stall = 0.0
-        if self._batching is None:
-            # Idle-worker fast path: what the live get() hands a
-            # blocked worker never waits in the buffer. Under batching
-            # every arrival queues — it must wait for its batch to
-            # form — mirroring the live put -> get_batch path.
-            if self._injector is not None:
-                stall = self._injector.queue_stall_remaining(now)
-            if (
-                stall <= 0.0
-                and self._busy_workers < self._alive_workers
-                and not len(queue)
-            ):
-                self.total_enqueued += 1
-                self._start((request,), now)
-                return
-        # The bound applies to the waiting buffer, as in the live put.
-        if self._capacity is not None and len(queue) >= self._capacity:
-            self._shed(request, now)
-            return
-        queue.push(request)
-        self.total_enqueued += 1
-        if len(queue) > self.peak_queue_depth:
-            self.peak_queue_depth = len(queue)
-        if self._batching is not None:
+        queue = self.queue
+        verdict, wake_at = queue.offer(
+            request, now, self._busy_workers < self._alive_workers
+        )
+        if verdict is START:
+            self._start((request,), now)
+        elif verdict is SHED:
+            self._schedule_response(request, now)
+        elif queue.batching is not None:
             self._dispatch()
-        elif stall > 0.0:
-            self._schedule_stall_end(stall)
+        elif wake_at is not None:
+            # Unbatched, a waiting arrival found every worker busy or a
+            # stall holding dispatch: only a completion or the stall's
+            # end can start it.
+            self._schedule_stall_end(wake_at)
 
-    def _shed(self, request: Request, now: float) -> None:
-        request.shed = True
-        self.shed_count += 1
-        self._schedule_response(request, now)
-
-    def _schedule_stall_end(self, stall: float) -> None:
+    def _schedule_stall_end(self, when: float) -> None:
         if not self._stall_event_pending:
             self._stall_event_pending = True
-            self._engine.after(stall, self._stall_over)
+            self._engine.at(when, self._stall_over)
 
     def _stall_over(self) -> None:
         self._stall_event_pending = False
         self._dispatch()
 
     def _dispatch(self) -> None:
-        """Start every request or batch that is releasable right now.
+        """Start what the queue stage releases while a worker is free.
 
-        Unbatched, that is the buffer's next request per free worker.
-        Batched, the shared :class:`~repro.batching.BatchPolicy` is
-        evaluated against the buffer; when the head's delay has not yet
-        expired (and the buffer holds less than a full batch) a single
-        wakeup event is scheduled for the release instant. Wakeups can
-        go stale — a completion may have dispatched the batch first —
-        in which case they simply re-evaluate and find nothing to do.
+        When it releases nothing yet — a stall holds dispatch, or the
+        head's batch is still forming — one wake-up is scheduled for
+        the instant that changes. Wake-ups can go stale — a completion
+        may have dispatched the batch first — in which case they
+        simply re-evaluate and find nothing to do.
         """
-        queue, batching, injector = self._queue, self._batching, self._injector
-        while len(queue) and self._busy_workers < self._alive_workers:
+        queue = self.queue
+        buffer = queue.buffer
+        while len(buffer) and self._busy_workers < self._alive_workers:
             now = self._engine.now
-            if injector is not None:
-                stall = injector.queue_stall_remaining(now)
-                if stall > 0.0:
-                    self._schedule_stall_end(stall)
-                    return
-            if batching is None:
-                self._start((queue.pop(),), now)
-                continue
-            ready = batching.ready_at(queue, now)
-            if ready > now:
-                self._schedule_batch_deadline(ready)
+            members, wake_at = queue.release(now)
+            if wake_at is not None:
+                if members is STALLED:
+                    self._schedule_stall_end(wake_at)
+                else:
+                    self._schedule_batch_deadline(wake_at)
                 return
-            self._start(batching.form(queue), now)
+            self._start(members, now)
 
     def _schedule_batch_deadline(self, when: float) -> None:
         # The head only gets *younger* as batches pop, so an already-
@@ -328,7 +284,7 @@ class SimulatedServer:
         window += pause
         if self._power is not None:
             window = self._power.on_start(
-                now, len(self._queue), now - members[0].enqueued_at, window
+                now, len(self.queue), now - members[0].enqueued_at, window
             )
         self.busy_time += window
         self._engine.after(window, self._on_completion, seq, members)
@@ -390,16 +346,6 @@ class SimulatedServer:
         return self._busy_workers
 
     @property
-    def queue_len(self) -> int:
-        """Requests waiting (excluding in-service) — the gauge signal."""
-        return len(self._queue)
-
-    @property
-    def depth(self) -> int:
-        """Queued plus in-service requests — the JSQ/P2C load signal."""
-        return len(self._queue) + self._busy_workers
-
-    @property
     def n_threads(self) -> int:
         return self._n_threads
 
@@ -408,16 +354,3 @@ class SimulatedServer:
         if elapsed <= 0:
             raise ValueError("elapsed must be positive")
         return self.busy_time / (elapsed * self._n_threads)
-
-    def queue_snapshot(self, now: Optional[float] = None) -> QueueSnapshot:
-        """The same :class:`QueueSnapshot` view the live queue exposes."""
-        if now is None:
-            now = self._engine.now
-        head = self._queue.head_enqueued_at()
-        return QueueSnapshot(
-            depth=len(self._queue),
-            peak_depth=self.peak_queue_depth,
-            total_enqueued=self.total_enqueued,
-            total_shed=self.shed_count,
-            head_sojourn=max(0.0, now - head) if head is not None else 0.0,
-        )

@@ -17,7 +17,6 @@ socket write).
 
 from __future__ import annotations
 
-from ..core.queueing import QueueSnapshot
 from ..core.request import Request
 from ..core.traffic import service_stream
 from ..core.transport import ServerInstance, Transport
@@ -26,25 +25,6 @@ from .network_model import NetworkModel
 from .server_model import SimulatedServer
 
 __all__ = ["SimulatedTransport"]
-
-
-class _QueueView:
-    """The two queue reads the transport side performs on a replica.
-
-    ``len`` (gauge and autoscaler depth signal) and ``snapshot`` (the
-    control plane's per-queue view), answered by the simulated server.
-    """
-
-    __slots__ = ("_server",)
-
-    def __init__(self, server: SimulatedServer) -> None:
-        self._server = server
-
-    def __len__(self) -> int:
-        return self._server.queue_len
-
-    def snapshot(self, now: float) -> QueueSnapshot:
-        return self._server.queue_snapshot(now)
 
 
 class SimulatedTransport(Transport):
@@ -94,7 +74,7 @@ class SimulatedTransport(Transport):
                 else None
             ),
         )
-        instance = ServerInstance(server_id, _QueueView(server), server)
+        instance = ServerInstance(server_id, server.queue, server)
         instance.started_at = now
         return instance
 

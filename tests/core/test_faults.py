@@ -163,7 +163,7 @@ class TestBoundedQueue:
         rejected = make_request()
         assert not queue.put(rejected)
         assert rejected.shed
-        assert queue.total_shed == 1
+        assert queue.snapshot().total_shed == 1
         assert len(queue) == 2
 
     def test_unbounded_by_default(self):

@@ -1,16 +1,26 @@
 """Tests for the instrumented request queue."""
 
+import heapq
+import random
 import threading
 import time
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from repro.batching import BatchPolicy
+from repro.control import AdmissionConfig, AdmissionGate
 from repro.core import QueueClosed, Request, RequestQueue, VirtualClock, WallClock
 from repro.core.queueing import (
     FifoBuffer,
     PriorityBuffer,
     QueueSnapshot,
 )
+from repro.faults import FaultInjector, FaultPlan, StallWindow
+from repro.sim import Engine, ServiceTimeModel, SimulatedServer
+from repro.sim.network_model import NETWORK_MODELS
+from repro.stats import Deterministic
 
 
 def make_request(priority=0):
@@ -49,7 +59,7 @@ class TestRequestQueue:
         queue = RequestQueue(VirtualClock())
         for _ in range(5):
             queue.put(make_request())
-        assert queue.total_enqueued == 5
+        assert queue.snapshot().total_enqueued == 5
 
     def test_get_blocks_until_put(self):
         queue = RequestQueue(WallClock())
@@ -136,7 +146,7 @@ class TestRequestQueue:
         rejected = make_request()
         assert queue.put(rejected) is False
         assert rejected.shed
-        assert queue.total_shed == 1
+        assert queue.snapshot().total_shed == 1
 
     def test_snapshot_of_sim_server_has_same_shape(self):
         """Live queue and simulated server expose the same snapshot."""
@@ -160,7 +170,7 @@ class TestRequestQueue:
         for i in range(3):
             server.submit(generated_at=i * 0.001)
         engine.run(until=0.01)  # one in service, two queued
-        snap = server.queue_snapshot()
+        snap = server.queue.snapshot(engine.now)
         assert isinstance(snap, QueueSnapshot)
         assert snap.depth == 2
         assert snap.total_enqueued == 3
@@ -236,7 +246,7 @@ class TestRequestQueue:
         submit(0.002, 0)  # waits: class 0, the oldest
         submit(0.004, 7)  # waits: class 7, younger but higher priority
         engine.run(until=0.01)
-        snap = server.queue_snapshot()
+        snap = server.queue.snapshot(engine.now)
         assert snap.depth == 2
         assert snap.head_sojourn == pytest.approx(0.01 - 0.002)
 
@@ -270,3 +280,261 @@ class TestRequestQueue:
             t.join(5.0)
         assert len(consumed) == 4 * n_per_producer
         assert len({id(r) for r in consumed}) == len(consumed)
+
+
+# -- one queue stage, two executors ------------------------------------------
+#
+# The live queue is driven by hand on a virtual clock: free "workers"
+# poll get(timeout=0) / get_batch(timeout=0) at every instant something
+# may change, and each start occupies its worker for a constant SERVICE.
+# The simulated server runs the same arrivals with the same constant
+# service. Arrival instants are generic floats, so no arrival ties a
+# completion, a stall's end or a batch's release; a stall window is no
+# longer than its start, so its end reads back exactly on both clocks.
+
+SERVICE = 1.0
+N_ARRIVALS = 60
+
+
+def _arrivals(scenario):
+    """(instant, index, priority class) of every arrival."""
+    rng = random.Random(scenario["seed"])
+    rate = scenario["load"] * scenario["n_workers"] / SERVICE
+    classes = 1 if scenario["priority"] is None else 3
+    t, out = 0.0, []
+    for i in range(N_ARRIVALS):
+        t += rng.expovariate(rate)
+        out.append((t, i, rng.randrange(classes)))
+    return out
+
+
+def _parts(scenario):
+    """Fresh per-executor parts: injector, gate, buffer."""
+    plan = scenario["plan"]
+    gate = (
+        None if scenario["limit"] is None
+        else AdmissionGate(AdmissionConfig(
+            initial_limit=scenario["limit"], max_limit=64,
+            codel_interval=2 * SERVICE,
+        ))
+    )
+    mode = scenario["priority"]
+    buffer = (
+        None if mode is None
+        else PriorityBuffer(mode, {0: 1.0, 1: 2.0, 2: 3.0})
+    )
+    return (
+        None if plan is None else FaultInjector(plan, seed=0), gate, buffer
+    )
+
+
+def _gate_moves(scenario):
+    """(instant, gate method, argument): the control plane's moves, made
+    at the same instants under both clocks."""
+    if scenario["limit"] is None:
+        return []
+    first, second, third = scenario["moves"]
+    return [
+        (first, "set_dropping", True), (second, "set_dropping", False),
+        (third, "set_limit", max(1, scenario["limit"] // 2)),
+    ]
+
+
+def _tallies(snapshot, gate, starts, shed):
+    return {
+        "starts": starts, "shed": sorted(shed),
+        "total_enqueued": snapshot.total_enqueued,
+        "total_shed": snapshot.total_shed,
+        "depth": snapshot.depth,
+        "gate": None if gate is None else gate.counts(),
+    }, snapshot.peak_depth
+
+
+def _live_run(scenario):
+    clock = VirtualClock()
+    injector, gate, buffer = _parts(scenario)
+    queue = RequestQueue(
+        clock, capacity=scenario["capacity"], injector=injector, gate=gate,
+        buffer=buffer,
+    )
+    policy = scenario["batching"]
+    arrivals = _arrivals(scenario)
+    moves = _gate_moves(scenario)
+    # Every instant, besides completions, at which what the stage
+    # releases may change: arrivals, gate moves, stall ends and each
+    # arrival's batch deadline.
+    instants = {a for a, _, _ in arrivals} | {m[0] for m in moves}
+    if injector is not None:
+        instants |= {w.end for w in injector.plan.queue_stalls}
+    if policy is not None:
+        instants |= {a + policy.max_batch_delay for a, _, _ in arrivals}
+    pending = sorted(instants)
+    by_time = {}
+    for a, i, p in arrivals:
+        by_time.setdefault(a, []).append((i, p))
+    completions, starts, shed = [], [], []
+    free = scenario["n_workers"]
+
+    def poll(now):
+        nonlocal free
+        while free:
+            try:
+                members = (
+                    (queue.get(timeout=0),) if policy is None
+                    else queue.get_batch(policy, timeout=0)
+                )
+            except TimeoutError:
+                return
+            free -= 1
+            starts.append((now, tuple(r.payload for r in members)))
+            heapq.heappush(completions, (now + SERVICE, len(starts)))
+
+    while pending or completions:
+        now = min(
+            pending[0] if pending else float("inf"),
+            completions[0][0] if completions else float("inf"),
+        )
+        clock.advance_to(now)
+        if pending and pending[0] == now:
+            pending.pop(0)
+        # At one instant the engine runs arrivals (pushed first), then
+        # the gate's moves, then completions.
+        for i, priority in by_time.get(now, ()):
+            request = Request(payload=i, generated_at=now, priority=priority)
+            if not queue.put(request):
+                shed.append(i)
+            poll(now)
+        for when, method, arg in moves:
+            if when == now:
+                getattr(gate, method)(arg, now)
+        while completions and completions[0][0] == now:
+            heapq.heappop(completions)
+            free += 1
+            poll(now)
+        poll(now)
+    return _tallies(queue.snapshot(), gate, starts, shed)
+
+
+def _sim_run(scenario):
+    engine = Engine()
+    injector, gate, buffer = _parts(scenario)
+    shed = []
+    server = SimulatedServer(
+        engine, ServiceTimeModel(Deterministic(SERVICE)),
+        NETWORK_MODELS["integrated"], scenario["n_workers"], random.Random(0),
+        lambda r: shed.append(r.payload) if r.shed else None,
+        injector=injector, queue_capacity=scenario["capacity"], gate=gate,
+        buffer=buffer, batching=scenario["batching"],
+        batch_marginal_cost=0.0,  # a batch costs one SERVICE, as live
+    )
+    starts = []
+    real_start = server._start
+
+    def start(members, now):
+        starts.append((now, tuple(r.payload for r in members)))
+        real_start(members, now)
+
+    server._start = start
+    for a, i, p in _arrivals(scenario):
+        request = Request(payload=i, generated_at=a, priority=p)
+        request.sent_at = a
+        server.submit_request(request)
+    for when, method, arg in _gate_moves(scenario):
+        engine.at(when, getattr(gate, method), arg, when)
+    engine.run()
+    return _tallies(server.queue.snapshot(engine.now), gate, starts, shed)
+
+
+stall_windows = st.lists(
+    st.floats(1.0, 30.0).flatmap(
+        lambda start: st.builds(
+            StallWindow, st.just(start), st.floats(0.5, min(8.0, start))
+        )
+    ),
+    max_size=2,
+).map(tuple)
+scenarios = st.fixed_dictionaries(dict(
+    n_workers=st.integers(1, 3),
+    capacity=st.one_of(st.none(), st.integers(1, 6)),
+    limit=st.one_of(st.none(), st.integers(2, 8)),
+    moves=st.lists(
+        st.floats(2.0, 40.0), min_size=3, max_size=3, unique=True,
+    ).map(sorted),
+    priority=st.sampled_from([None, "strict", "weighted"]),
+    batching=st.one_of(
+        st.none(),
+        st.builds(
+            BatchPolicy, st.integers(1, 4),
+            st.sampled_from([0.0, 0.37 * SERVICE, 2.3 * SERVICE]),
+        ),
+    ),
+    plan=st.one_of(
+        st.none(), stall_windows.map(lambda w: FaultPlan(queue_stalls=w))
+    ),
+    seed=st.integers(0, 2**16),
+    load=st.sampled_from([0.5, 1.2, 3.0]),
+))
+
+
+EVERYTHING = dict(
+    n_workers=2, capacity=4, limit=5, moves=[6.0, 12.5, 14.25],
+    priority="weighted", batching=BatchPolicy(3, 0.37 * SERVICE),
+    plan=FaultPlan(queue_stalls=(
+        StallWindow(4.5, 3.0), StallWindow(20.0, 6.5),
+    )),
+    seed=11, load=1.2,
+)
+#: Unbatched, one worker idle through a stall: only the stall's end
+#: starts what arrived during it.
+IDLE_THROUGH_A_STALL = dict(
+    EVERYTHING, n_workers=1, capacity=None, limit=None, priority=None,
+    batching=None, plan=FaultPlan(queue_stalls=(StallWindow(10.0, 8.0),)),
+    load=0.5,
+)
+
+
+class TestOneQueueStage:
+    """The live queue and the simulated server run one queue stage: the
+    same arrivals give the same admit and shed tallies, dequeue order
+    and batch compositions."""
+
+    @given(scenario=scenarios)
+    @example(scenario=EVERYTHING)
+    @example(scenario=IDLE_THROUGH_A_STALL)
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    def test_both_executors_decide_the_same(self, scenario):
+        live, live_peak = _live_run(scenario)
+        simulated, sim_peak = _sim_run(scenario)
+        assert live == simulated
+        assert live["depth"] == 0
+        assert sim_peak <= live_peak
+
+    def test_the_scenarios_exercise_every_decision(self):
+        live, _ = _live_run(EVERYTHING)
+        gate = live["gate"]
+        assert gate["codel_dropped"] and gate["limit_dropped"]
+        assert live["total_shed"] > gate["codel_dropped"] + gate["limit_dropped"]
+        stalled = [
+            t for t, _ in live["starts"] if t in (7.5, 26.5)
+        ]  # the two stall ends
+        assert stalled
+        assert {len(members) for _, members in live["starts"]} == {1, 2, 3}
+        idle, _ = _live_run(IDLE_THROUGH_A_STALL)
+        assert [t for t, _ in idle["starts"]].count(18.0) == 1
+
+    def test_peak_depth_is_the_one_difference(self):
+        """A request that finds a worker idle and nothing waiting: the
+        simulated server starts it without a push, so only the live
+        queue — whose worker is woken by the push — counts it in its
+        peak depth. Everything else agrees. (At this seed every gap
+        between arrivals is longer than a service.)"""
+        scenario = dict(
+            EVERYTHING, capacity=None, limit=None, priority=None,
+            batching=None, plan=None, n_workers=1, seed=43, load=0.05,
+        )
+        live, live_peak = _live_run(scenario)
+        simulated, sim_peak = _sim_run(scenario)
+        assert live == simulated
+        assert [len(m) for _, m in live["starts"]] == [1] * N_ARRIVALS
+        assert live["total_enqueued"] == N_ARRIVALS
+        assert (live_peak, sim_peak) == (1, 0)

@@ -17,6 +17,14 @@ import types
 from unittest import mock
 
 import pytest
+from hypothesis import settings
+from hypothesis import strategies as st
+from hypothesis.stateful import (
+    RuleBasedStateMachine,
+    invariant,
+    precondition,
+    rule,
+)
 
 from repro.control import AutoscalerConfig, ControlPlaneConfig
 from repro.core import (
@@ -556,6 +564,140 @@ class TestLanes:
             assert done == ["fired"]
         finally:
             scheduler.stop()
+
+
+class TestCancelTwice:
+    """Every cancel after the first is a no-op, whatever happened to
+    the event in between — without the queue keeping every cancelled
+    ``seq`` for the rest of the run."""
+
+    def test_after_pop_dropped_it(self):
+        queue = EventQueue()
+        dead = queue.push(1.0, print)
+        later = queue.push(2.0, print)
+        queue.cancel(dead)
+        assert queue.pop() is later  # dropped ``dead`` on the way
+        queue.cancel(dead)
+        assert len(queue) == 0 and queue.pop() is None
+
+    def test_after_peek_time_dropped_it(self):
+        queue = EventQueue()
+        dead = queue.push(1.0, print)
+        queue.push(2.0, print)
+        queue.cancel(dead)
+        assert queue.peek_time() == 2.0
+        queue.cancel(dead)
+        assert len(queue) == 1
+
+    def test_after_a_lane_rearmed_past_it(self):
+        queue = EventQueue()
+        lane = queue.lane()
+        lane.push(1.0, print)
+        dead = lane.push(2.0, print)
+        lane.push(3.0, print)
+        queue.cancel(dead)
+        assert queue.pop().time == 1.0  # the lane re-arms past ``dead``
+        for _ in range(3):
+            queue.cancel(dead)
+        assert len(queue) == 1
+        assert queue.pop().time == 3.0 and len(queue) == 0
+
+    def test_what_is_remembered_stays_bounded(self):
+        # A timer per event, cancelled before it is due and cancelled
+        # again after it was dropped: what the queue keeps to recognise
+        # the second cancel is pruned as the run passes it.
+        queue = EventQueue()
+        lane = queue.lane()
+        now = 0.0
+        for i in range(20_000):
+            queue.push(now + 0.5, print)
+            timer = lane.push(now + 1.0, print)
+            queue.cancel(timer)
+            now = queue.pop().time
+            queue.cancel(timer)
+        assert len(queue) == 0
+        assert len(queue._cancelled) + len(queue._dropped) < 200
+
+
+class _CancelModel(RuleBasedStateMachine):
+    """An engine's queue, pushed on the heap and on three lanes, popped,
+    peeked, run to a bound and cancelled — any handle, any number of
+    times — against a sorted list of what is pending."""
+
+    def __init__(self):
+        super().__init__()
+        self.engine = Engine()
+        self.queue = self.engine._queue
+        self.lanes = [self.queue.lane() for _ in range(3)]
+        self.pending = []  # sorted (time, seq, label)
+        self.handles = []
+        self.fired = []
+        self.last = float("-inf")
+
+    def _push(self, push, offset):
+        time = max(self.engine.now + offset, self.last)
+        label = len(self.handles)
+        event = push(self.engine.now + offset, self.fired.append, label)
+        assert (event.time, event.seq) == (time, label)
+        self.handles.append(event)
+        self.pending.append((time, label, label))
+        self.pending.sort()
+
+    @rule(offset=st.sampled_from([0.0, 0.5, 1.0, 2.0]))
+    def push_heap(self, offset):
+        self._push(self.queue.push, offset)
+
+    @rule(lane=st.integers(0, 2), offset=st.sampled_from([0.0, 0.5, 1.0, 3.0]))
+    def push_lane(self, lane, offset):
+        self._push(self.lanes[lane].push, offset)
+
+    @rule()
+    def pop(self):
+        event = self.queue.pop()
+        if not self.pending:
+            assert event is None
+            return
+        expected = self.pending.pop(0)
+        assert (event.time, event.seq, event.args) == (
+            expected[0], expected[1], (expected[2],)
+        )
+        self.last = event.time
+
+    @rule()
+    def peek(self):
+        expected = self.pending[0][0] if self.pending else None
+        assert self.queue.peek_time() == expected
+
+    @rule(span=st.sampled_from([0.0, 0.5, 1.5]))
+    def run_until(self, span):
+        until = max(self.engine.now, self.last) + span
+        due = [entry for entry in self.pending if entry[0] <= until]
+        del self.pending[:len(due)]
+        self.fired.clear()
+        assert self.engine.run(until=until) == len(due)
+        assert self.fired == [label for _, _, label in due]
+        if due:
+            self.last = due[-1][0]
+
+    @precondition(lambda self: self.handles)
+    @rule(pick=st.integers(0, 10**6), times=st.integers(1, 3))
+    def cancel(self, pick, times):
+        handle = self.handles[pick % len(self.handles)]
+        for _ in range(times):
+            self.engine.cancel(handle)
+        self.pending = [e for e in self.pending if e[1] != handle.seq]
+
+    @invariant()
+    def counts_what_is_pending(self):
+        assert len(self.queue) == len(self.pending)
+        assert len(self.queue._cancelled) <= len(self.handles)
+
+
+TestCancelModel = _CancelModel.TestCase
+TestCancelModel.settings = settings(
+    max_examples=150, stateful_step_count=60, deadline=None,
+    derandomize=True,
+)
 
 
 class TestStreamedArrivals:

@@ -59,7 +59,7 @@ class TestSingleServer:
 
     def test_peak_queue_depth(self):
         server, _, _ = run_server(Deterministic(0.001), [0.0] * 5)
-        assert server.peak_queue_depth == 4  # one in service
+        assert server.queue.peak_depth == 4  # one in service
 
     def test_utilization(self):
         server, _, engine = run_server(

@@ -96,15 +96,15 @@ def test_stage_invariants(
 
     # Conservation: one response per request. Only a pool that lost
     # every worker to crashes may strand what is still queued.
-    assert len(responses) + server.queue_len == N_REQUESTS
+    assert len(responses) + len(server.queue) == N_REQUESTS
     assert len({r.request_id for r in responses}) == len(responses)
     if server.alive_workers:
-        assert server.queue_len == 0
+        assert len(server.queue) == 0
     shed = [r for r in responses if r.shed]
     errored = [r for r in responses if r.error is not None]
     good = [r for r in responses if not r.shed and r.error is None]
     assert len(shed) + len(errored) + len(good) == len(responses)
-    assert len(shed) == server.shed_count
+    assert len(shed) == server.queue.total_shed
     assert not any(r.shed and r.error is not None for r in responses)
 
     assert server.busy_workers == 0
