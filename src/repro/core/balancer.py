@@ -34,8 +34,8 @@ to the same stuck queue is pointless).
 
 from __future__ import annotations
 
+import itertools
 import random
-import threading
 from typing import Dict, Optional, Sequence, Type
 
 __all__ = [
@@ -57,7 +57,10 @@ class LoadBalancer:
     Implementations must be thread-safe — the live harness calls
     :meth:`pick` from the traffic-shaper thread and from the resilience
     timer thread concurrently — and deterministic given their seed,
-    so simulated runs replay identically.
+    so simulated runs replay identically. The four below take no lock:
+    each step of their state is one C call (a draw of a seeded
+    generator, ``next`` of a counter), atomic under the GIL, so
+    concurrent picks interleave whole draws and every pick is valid.
     """
 
     #: Registry/display name; subclasses override.
@@ -93,20 +96,22 @@ class RoundRobinBalancer(LoadBalancer):
     name = "round_robin"
 
     def __init__(self, seed: int = 0) -> None:  # seed accepted for parity
-        self._next = 0
-        self._lock = threading.Lock()
+        self._turns = itertools.count()
 
     def pick(self, depths: Sequence[int], avoid: Optional[int] = None) -> int:
         n = len(depths)
         if n < 1:
             raise ValueError("depth vector must not be empty")
-        with self._lock:
-            choice = self._next % n
-            self._next += 1
-            if avoid is not None and n > 1 and choice == avoid:
-                choice = self._next % n
-                self._next += 1
-            return choice
+        turn = next(self._turns)
+        choice = turn % n
+        if avoid is not None and n > 1 and choice == avoid:
+            # The avoided server's turn passes to the one after it, and
+            # uses up that one's turn too (the cycle moves on by two).
+            # The choice comes from this pick's own turn, not from the
+            # counter: a concurrent pick may take turns in between.
+            next(self._turns)
+            choice = (turn + 1) % n
+        return choice
 
 
 class RandomBalancer(LoadBalancer):
@@ -116,14 +121,12 @@ class RandomBalancer(LoadBalancer):
 
     def __init__(self, seed: int = 0) -> None:
         self._rng = random.Random(seed)
-        self._lock = threading.Lock()
 
     def pick(self, depths: Sequence[int], avoid: Optional[int] = None) -> int:
         candidates = self._candidates(len(depths), avoid)
-        with self._lock:
-            if isinstance(candidates, range):
-                return self._rng.randrange(len(depths))
-            return self._rng.choice(candidates)
+        if isinstance(candidates, range):
+            return self._rng.randrange(len(depths))
+        return self._rng.choice(candidates)
 
 
 class PowerOfTwoBalancer(LoadBalancer):
@@ -132,14 +135,14 @@ class PowerOfTwoBalancer(LoadBalancer):
     Ties go to the first-sampled server, so the policy never picks the
     strictly longer of its two sampled queues. The pair is the one
     ``random.sample(candidates, 2)`` returns, drawn with the same
-    ``randrange`` draws and no candidate list.
+    ``getrandbits`` draws its ``randrange`` calls make and no
+    candidate list.
     """
 
     name = "power_of_two"
 
     def __init__(self, seed: int = 0) -> None:
         self._rng = random.Random(seed)
-        self._lock = threading.Lock()
 
     def pick(self, depths: Sequence[int], avoid: Optional[int] = None) -> int:
         n = len(depths)
@@ -152,20 +155,28 @@ class PowerOfTwoBalancer(LoadBalancer):
         if m == 1:
             # One candidate, drawn for by nobody: candidate 0.
             return 1 if skip == 0 else 0
-        with self._lock:
-            draw = self._rng.randrange
-            first = draw(m)
-            if m <= 21:
-                # sample()'s pool rule: the first pick's slot is refilled
-                # with the last candidate, then one of m - 1 is drawn.
-                second = draw(m - 1)
-                if second == first:
-                    second = m - 1
-            else:
-                # Its set rule: draw again until the two differ.
-                second = draw(m)
-                while second == first:
-                    second = draw(m)
+        bits = self._rng.getrandbits
+        # randrange(m): m.bit_length() random bits, redrawn until < m.
+        k = m.bit_length()
+        first = bits(k)
+        while first >= m:
+            first = bits(k)
+        if m <= 21:
+            # sample()'s pool rule: the first pick's slot is refilled
+            # with the last candidate, then one of m - 1 is drawn.
+            k = (m - 1).bit_length()
+            second = bits(k)
+            while second >= m - 1:
+                second = bits(k)
+            if second == first:
+                second = m - 1
+        else:
+            # Its set rule: draw again until the two differ.
+            second = first
+            while second == first:
+                second = bits(k)
+                while second >= m:
+                    second = bits(k)
         if first >= skip:
             first += 1
         if second >= skip:

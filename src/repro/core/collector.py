@@ -383,7 +383,12 @@ class CollectedStats:
 
 
 class StatsCollector:
-    """Thread-safe sink for completed request records.
+    """Sink for completed request records, safe across threads.
+
+    Records and per-attempt latencies are appended without a lock
+    (one ``list.append`` each, atomic under the GIL); only the warm-up
+    count and the outcome tally, read-modify-writes, are guarded, by
+    :attr:`lock`.
 
     Parameters
     ----------
@@ -396,53 +401,69 @@ class StatsCollector:
         if warmup_requests < 0:
             raise ValueError("warmup_requests must be >= 0")
         self._warmup = warmup_requests
-        self._lock = threading.Lock()
-        self._seen = 0
+        #: Guards the warm-up count and the outcome tally. The run's
+        #: driver replaces it (``RunParts.wire``, via
+        #: :func:`~repro.core.scheduler.lock_for`): None in a simulated
+        #: run, whose one thread is the only writer.
+        self.lock: Optional[threading.Lock] = threading.Lock()
+        #: Completions still to discard as warm-up.
+        self._to_discard = warmup_requests
         self._records: List[RequestRecord] = []
         self._attempt_samples: List[float] = []
         self._outcomes: Dict[str, int] = dict.fromkeys(OUTCOME_KEYS, 0)
         self._outcomes_used = False
 
     def add(self, record: RequestRecord) -> None:
-        with self._lock:
-            self._seen += 1
-            if self._seen <= self._warmup:
+        if self._to_discard:
+            lock = self.lock
+            if lock is None:
+                self._to_discard -= 1
                 return
-            sent = record.sent_at
-            # A NaN stamp passes Request.finish() (every NaN comparison
-            # is False); it must not reach the send-lag audit.
-            if sent is not None and not isfinite(sent - record.generated_at):
-                raise ValueError(
-                    f"request {record.request_id}: send lag must be finite"
-                )
-            self._records.append(record)
+            with lock:
+                if self._to_discard:
+                    self._to_discard -= 1
+                    return
+        sent = record.sent_at
+        # A NaN stamp passes Request.finish() (every NaN comparison
+        # is False); it must not reach the send-lag audit.
+        if sent is not None and not isfinite(sent - record.generated_at):
+            raise ValueError(
+                f"request {record.request_id}: send lag must be finite"
+            )
+        self._records.append(record)
 
     def note(self, kind: str, n: int = 1) -> None:
         """Tally one outcome event (see :data:`OUTCOME_KEYS`)."""
-        if kind not in self._outcomes:
+        outcomes = self._outcomes
+        if kind not in outcomes:
             raise ValueError(
                 f"unknown outcome {kind!r}; expected one of {OUTCOME_KEYS}"
             )
-        with self._lock:
-            self._outcomes[kind] += n
-            self._outcomes_used = True
+        self._outcomes_used = True
+        lock = self.lock
+        if lock is None:
+            outcomes[kind] += n
+        else:
+            with lock:
+                outcomes[kind] += n
 
     def record_attempt(self, latency: float) -> None:
         """Record one per-attempt latency (every attempt with a response)."""
-        with self._lock:
-            self._attempt_samples.append(latency)
+        self._attempt_samples.append(latency)
 
     def outcome_counts(self) -> Dict[str, int]:
         """Snapshot of the outcome tally (all zeros when unused)."""
-        with self._lock:
-            return dict(self._outcomes)
+        return dict(self._outcomes)
 
     def snapshot(self) -> CollectedStats:
-        """Freeze current contents into an immutable view."""
-        with self._lock:
-            return CollectedStats(
-                tuple(self._records),
-                min(self._seen, self._warmup),
-                tuple(self._attempt_samples),
-                dict(self._outcomes) if self._outcomes_used else None,
-            )
+        """Freeze current contents into an immutable view.
+
+        Each field is copied in one step, so a snapshot taken while
+        threads still add is consistent per field, not across them.
+        """
+        return CollectedStats(
+            tuple(self._records),
+            self._warmup - self._to_discard,
+            tuple(self._attempt_samples),
+            dict(self._outcomes) if self._outcomes_used else None,
+        )

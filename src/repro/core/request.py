@@ -139,14 +139,42 @@ class Request:
         discarded attempts never reach service, yet their truncated
         chains still need to be representable in traces.
         """
-        stamps = (
-            self.sent_at, self.enqueued_at, self.service_start_at,
-            self.service_end_at, self.response_received_at,
+        generated, sent, enqueued, started, ended, received = stamps = (
+            self.generated_at, self.sent_at, self.enqueued_at,
+            self.service_start_at, self.service_end_at,
+            self.response_received_at,
         )
+        try:
+            # The common case in one expression: every stamp present
+            # (a None raises TypeError here) and none earlier than the
+            # one before it by more than the loop below tolerates.
+            out_of_order = (
+                sent < generated - 1e-9 or enqueued < sent - 1e-9
+                or started < enqueued - 1e-9 or ended < started - 1e-9
+                or received < ended - 1e-9
+            )
+        except TypeError:
+            out_of_order = True
+        if out_of_order:
+            self._check_chain(stamps, partial)
+        server_id = self.server_id
+        # Every field in order, so the record is built as the tuple it
+        # is, without the named constructor's call.
+        return _new_tuple(RequestRecord, (
+            self.request_id, *stamps,
+            0 if server_id is None else server_id,
+            self.logical_id, self.attempt, self.shed,
+            self.request_class, self.batch_size, self.cache_hit,
+        ))
+
+    def _check_chain(self, stamps: tuple, partial: bool) -> None:
+        """The slow check behind :meth:`finish`: raise, naming the
+        stamp, for a hole (unless ``partial``) or for a stamp earlier
+        than the last one present."""
         # The record lists the chain in order (fields 1-6): the five
         # stamps after ``generated_at`` take their names from it.
-        prev_name, prev_val = "generated_at", self.generated_at
-        for name, val in zip(RequestRecord._fields[2:7], stamps):
+        prev_name, prev_val = "generated_at", stamps[0]
+        for name, val in zip(RequestRecord._fields[2:7], stamps[1:]):
             if val is None:
                 if partial:
                     continue
@@ -157,15 +185,6 @@ class Request:
                     f"{prev_name}={prev_val}"
                 )
             prev_name, prev_val = name, val
-        server_id = self.server_id
-        # Every field in order, so the record is built as the tuple it
-        # is, without the named constructor's call.
-        return _new_tuple(RequestRecord, (
-            self.request_id, self.generated_at, *stamps,
-            0 if server_id is None else server_id,
-            self.logical_id, self.attempt, self.shed,
-            self.request_class, self.batch_size, self.cache_hit,
-        ))
 
 
 class RequestRecord(NamedTuple):

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 from typing import Dict, Optional
 
 from .clock import Clock
-from .scheduler import Scheduler
+from .scheduler import Scheduler, lock_for
 
 __all__ = [
     "ResilienceConfig",
@@ -181,6 +181,10 @@ class _Call:
         self.timers: list = []
 
 
+#: :meth:`ResilientClient._next_retry`'s "fail the call now".
+_FAIL = object()
+
+
 class ResilientClient:
     """The logical-request state machine: deadline, retry, hedge.
 
@@ -208,6 +212,13 @@ class ResilientClient:
     (the fan-out gatherer, whose legs are this client's calls) takes
     the sink over and records what *it* resolves instead. Attempt-level
     tallies stay here either way.
+
+    Exactly once without a lock: the thread that pops the call from
+    the open calls resolves it, and a resolved call holds no armed
+    timer (:meth:`_disarm`). Only the retry decision, which a response
+    and an attempt timeout may race for, takes the lock the scheduler
+    hands out (:func:`~repro.core.scheduler.lock_for`; none under the
+    engine).
     """
 
     def __init__(
@@ -244,12 +255,15 @@ class ResilientClient:
         #: completion path never sees).
         self._health = health
         self._rng = random.Random(seed ^ 0x8E511)
+        #: The per-attempt window before the deadline clamps it.
         self._attempt_timeout = effective_attempt_timeout(config)
-        self._lock = threading.Lock()
-        self._resolved_cv = threading.Condition(self._lock)
+        self._lock = lock_for(self._scheduler)
+        self._resolved_cv = (
+            None if self._lock is None else threading.Condition(self._lock)
+        )
+        #: The open calls: a call leaves when it resolves.
         self._calls: Dict[int, _Call] = {}
         self._ids = itertools.count()
-        self._unresolved = 0
 
     # -- client-facing API ---------------------------------------------
     def send(
@@ -273,30 +287,37 @@ class ResilientClient:
             else None
         )
         call = _Call(logical_id, payload, generated_at, deadline, server_id)
-        with self._lock:
-            self._calls[logical_id] = call
-            self._unresolved += 1
+        self._calls[logical_id] = call
         if self._health is not None:
             self._health.on_first_attempt()
         self._send_attempt(call, kind="first")
+        timers = call.timers
         if deadline is not None:
-            call.timers.append(
-                self._deadlines.at(deadline, self._on_deadline, call)
-            )
+            timers.append(self._deadlines.at(deadline, self._on_deadline, call))
         if config.hedge_after is not None and config.max_hedges > 0:
-            call.timers.append(
-                self._hedges.after(config.hedge_after, self._maybe_hedge, call)
-            )
+            timers.append(self._hedges.after(
+                config.hedge_after, self._maybe_hedge, call
+            ))
+        if call.resolved:
+            # Answered while these were armed (see _resolve).
+            self._disarm(call)
 
     def drain(self, timeout: float = 300.0) -> None:
-        """Block until every logical request has resolved."""
-        with self._resolved_cv:
-            if not self._resolved_cv.wait_for(
-                lambda: self._unresolved == 0, timeout
-            ):
-                raise TimeoutError(
-                    f"{self._unresolved} logical requests still unresolved"
-                )
+        """Block until every logical request has resolved.
+
+        Under the simulator's engine nothing resolves while this
+        waits, so it only checks.
+        """
+        cv = self._resolved_cv
+        if cv is None:
+            done = not self._calls
+        else:
+            with cv:
+                done = cv.wait_for(lambda: not self._calls, timeout)
+        if not done:
+            raise TimeoutError(
+                f"{len(self._calls)} logical requests still unresolved"
+            )
 
     def fail_unresolved(self) -> None:
         """Resolve every still-open call as ``failed``.
@@ -305,9 +326,8 @@ class ResilientClient:
         heap): without a deadline, an unrecovered drop leaves no timer
         that would ever resolve the call.
         """
-        with self._lock:
-            for call in list(self._calls.values()):
-                self._resolve_locked(call, "failed")
+        for call in list(self._calls.values()):
+            self._resolve(call, "failed")
 
     def close(self) -> None:
         """Stop the timer thread of a client built without a scheduler.
@@ -319,18 +339,21 @@ class ResilientClient:
 
     # -- attempt lifecycle ---------------------------------------------
     def _send_attempt(self, call: _Call, kind: str) -> None:
-        with self._lock:
-            if call.resolved:
-                return
-            call.attempt_seq += 1
-            attempt_no = call.attempt_seq
-            if kind != "hedge":
-                call.cur_attempt = attempt_no
-        self._collector.note("attempts")
+        # A call's first attempt is numbered before any timer of it is
+        # armed, and its retries and hedges all fire on the one timer
+        # thread: no two threads number its attempts at once.
+        if call.resolved:
+            return
+        call.attempt_seq += 1
+        attempt_no = call.attempt_seq
+        if kind != "hedge":
+            call.cur_attempt = attempt_no
+        collector = self._collector
+        collector.note("attempts")
         if kind == "retry":
-            self._collector.note("retries")
+            collector.note("retries")
         elif kind == "hedge":
-            self._collector.note("hedges")
+            collector.note("hedges")
         if self._tracer is not None and kind != "first":
             self._tracer.emit(
                 kind, self._clock.now(), logical_id=call.logical_id,
@@ -354,28 +377,30 @@ class ResilientClient:
             # None: dropped before any router saw it, so the call's
             # last-known server stands.
             call.last_server = server_id
-        if self._attempt_timeout is not None:
+        timeout = self._attempt_timeout
+        if timeout is not None:
             # Clamped to the remaining deadline budget: backoff sleeps
             # erode it, and a timer running past the deadline would fire
             # on a call the deadline has already decided.
-            timeout = effective_attempt_timeout(
-                self._config, now=self._clock.now(), deadline=call.deadline
-            )
-            if timeout is not None and timeout > 0.0:
-                call.timers.append(
-                    self._timeouts.after(
-                        timeout, self._on_attempt_timeout, call, attempt_no
-                    )
-                )
+            if call.deadline is not None:
+                left = call.deadline - self._clock.now()
+                if left < timeout:
+                    timeout = 0.0 if left < 0.0 else left
+            if timeout > 0.0:
+                call.timers.append(self._timeouts.after(
+                    timeout, self._on_attempt_timeout, call, attempt_no
+                ))
+                if call.resolved:
+                    self._disarm(call)
 
     def on_attempt_complete(self, request) -> None:
         """The transport's sink: one answered attempt of some call."""
         now = request.response_received_at
         if request.sent_at is not None:
-            self._collector.record_attempt(max(now - request.sent_at, 0.0))
-        with self._lock:
-            call = self._calls.get(request.logical_id)
-        if call is None or call.resolved:
+            latency = now - request.sent_at
+            self._collector.record_attempt(0.0 if latency < 0.0 else latency)
+        call = self._calls.get(request.logical_id)
+        if call is None:
             self._collector.note("late")
             if self._tracer is not None:
                 self._tracer.emit(
@@ -394,10 +419,9 @@ class ResilientClient:
             self._resolve(call, "succeeded", request)
 
     def _on_attempt_timeout(self, call: _Call, attempt_no: int) -> None:
-        with self._lock:
-            if call.resolved or attempt_no != call.cur_attempt:
-                return
-            server_id = call.last_server
+        if call.resolved or attempt_no != call.cur_attempt:
+            return
+        server_id = call.last_server
         if self._health is not None and server_id is not None:
             # The transport's health feed never sees a timed-out
             # attempt; report the failure against the routed replica.
@@ -409,65 +433,86 @@ class ResilientClient:
     def _retry_or_fail(
         self, call: _Call, attempt_no: int, exhausted_outcome: str
     ) -> None:
-        config = self._config
-        with self._lock:
-            if call.resolved or attempt_no < call.cur_attempt:
-                return
-            if call.retry_pending:
-                return
-            if call.retries < config.max_retries:
-                call.retries += 1
-                call.retry_pending = True
-                delay = backoff_delay(config, self._rng, call.retries - 1)
-                schedule_retry = True
-                if (
-                    call.deadline is not None
-                    and self._clock.now() + delay >= call.deadline
-                ):
-                    # The retry could not respond before the deadline;
-                    # let the deadline event resolve the call instead.
-                    schedule_retry = False
-                    call.retry_pending = False
-                elif self._health is not None and not (
-                    self._health.try_spend_retry(self._clock.now())
-                ):
-                    # Retry budget exhausted: give the slot back so a
-                    # later failure may retry once tokens refill, and
-                    # fail now when no deadline will resolve the call.
-                    schedule_retry = False
-                    call.retry_pending = False
-                    call.retries -= 1
-                    if call.deadline is None:
-                        self._resolve_locked(call, exhausted_outcome)
-                        return
-            else:
-                schedule_retry = False
-                if call.deadline is None:
-                    self._resolve_locked(call, exhausted_outcome)
-                return
-        if schedule_retry:
+        # A failed answer (a transport thread) and an attempt timeout
+        # (the timer thread) may decide for the same call at once.
+        lock = self._lock
+        if lock is None:
+            delay = self._next_retry(call, attempt_no)
+        else:
+            with lock:
+                delay = self._next_retry(call, attempt_no)
+        if delay is _FAIL:
+            self._resolve(call, exhausted_outcome)
+        elif delay is not None:
             call.timers.append(
                 self._backoffs.after(delay, self._send_retry, call)
             )
+            if call.resolved:
+                self._disarm(call)
+
+    def _next_retry(self, call: _Call, attempt_no: int):
+        """The backoff before ``call``'s next retry; None when no retry
+        is due (the deadline will decide), :data:`_FAIL` when the call
+        fails now."""
+        config = self._config
+        if call.resolved or attempt_no < call.cur_attempt:
+            return None
+        if call.retry_pending:
+            return None
+        if call.retries >= config.max_retries:
+            return _FAIL if call.deadline is None else None
+        call.retries += 1
+        delay = backoff_delay(config, self._rng, call.retries - 1)
+        if (
+            call.deadline is not None
+            and self._clock.now() + delay >= call.deadline
+        ):
+            # The retry could not respond before the deadline; let the
+            # deadline event resolve the call instead.
+            return None
+        if self._health is not None and not (
+            self._health.try_spend_retry(self._clock.now())
+        ):
+            # Retry budget exhausted: give the slot back so a later
+            # failure may retry once tokens refill, and fail now when
+            # no deadline will resolve the call.
+            call.retries -= 1
+            return _FAIL if call.deadline is None else None
+        call.retry_pending = True
+        return delay
 
     def _send_retry(self, call: _Call) -> None:
-        with self._lock:
-            if call.resolved:
-                return
-            call.retry_pending = False
+        if call.resolved:
+            return
+        call.retry_pending = False
         self._send_attempt(call, kind="retry")
 
     def _maybe_hedge(self, call: _Call) -> None:
-        with self._lock:
-            if call.resolved or call.hedges >= self._config.max_hedges:
-                return
-            call.hedges += 1
+        if call.resolved or call.hedges >= self._config.max_hedges:
+            return
+        call.hedges += 1
         self._send_attempt(call, kind="hedge")
 
     def _on_deadline(self, call: _Call) -> None:
         self._resolve(call, "timed_out")
 
     # -- resolution ----------------------------------------------------
+    def _disarm(self, call: _Call) -> None:
+        """Cancel every timer ``call`` holds.
+
+        So the scheduler stops paying for a dead call (and a simulated
+        run ends at its last response, not its last timer). Whoever
+        arms a timer appends it to ``call.timers`` first and then
+        disarms the call if it has resolved; :meth:`_resolve` marks it
+        resolved first and then disarms it. So whichever of the two
+        comes second cancels the timer, and a resolved call holds no
+        armed timer.
+        """
+        cancel = self._scheduler.cancel
+        for timer in call.timers:
+            cancel(timer)
+        del call.timers[:]
+
     def record(self, logical_id: int, outcome: str, request) -> None:
         """The default sink: tally the outcome, record a success."""
         self._collector.note(outcome)
@@ -475,21 +520,14 @@ class ResilientClient:
             self._collector.add(request.finish())
 
     def _resolve(self, call: _Call, outcome: str, request=None) -> None:
-        with self._lock:
-            self._resolve_locked(call, outcome, request)
-
-    def _resolve_locked(self, call: _Call, outcome: str, request=None) -> None:
-        if call.resolved:
+        # Popping is one atomic step: of two threads resolving the same
+        # call, exactly one gets it.
+        if self._calls.pop(call.logical_id, None) is None:
             return
         call.resolved = True
-        # Disarm the call's outstanding deadline/hedge/timeout/retry
-        # entries so the scheduler stops paying for a dead call (and a
-        # simulated run ends at its last response, not its last timer).
-        for handle in call.timers:
-            self._scheduler.cancel(handle)
-        del call.timers[:]
-        self._calls.pop(call.logical_id, None)
-        self._unresolved -= 1
-        if self._unresolved == 0:
-            self._resolved_cv.notify_all()
+        self._disarm(call)
+        cv = self._resolved_cv
+        if cv is not None and not self._calls:
+            with cv:
+                cv.notify_all()
         self.sink(call.logical_id, outcome, request)

@@ -22,7 +22,7 @@ from .balancer import make_balancer
 from .collector import CollectedStats, StatsCollector
 from .config import RunConfig
 from .resilience import ResilientClient
-from .scheduler import every
+from .scheduler import every, lock_for
 from .traffic import ArrivalSchedule, DeterministicArrivals, PoissonArrivals
 
 __all__ = ["RunParts", "RunResult"]
@@ -310,6 +310,11 @@ class RunParts:
         self.transport = transport
         self.clock = clock
         self.scheduler = scheduler
+        # The driver says who shares them (DESIGN.md §4 "Who shares
+        # state"): a lock each live, none under the simulator's engine.
+        for part in (self.collector, self.injector):
+            if part is not None:
+                part.lock = lock_for(scheduler)
         registry, live, plane, health = (
             self.registry, self.live, self.plane, self.health
         )

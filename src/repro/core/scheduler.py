@@ -9,6 +9,8 @@ expose the same three methods, and a ``lane()`` with the same ``at`` /
 ``after``: a :class:`Lane` for timers pushed in time order, of which
 only the head is on the heap (a client arms each kind of its timers
 through one). :func:`every` is the one way a cadence is kept under both.
+Each driver also says whether what its callbacks touch is shared with
+other threads: :func:`lock_for` gets a lock from it, or None.
 
 Callbacks run on the timer thread, so they must not block: whatever
 one of them waits for, every other timer of the run waits for too.
@@ -20,44 +22,40 @@ import heapq
 import itertools
 import threading
 from collections import deque
-from operator import itemgetter
+from operator import gt
 from typing import (
-    Any, Callable, Deque, Dict, Iterable, Iterator, Optional, Sequence, Set,
+    Any, Callable, Deque, Dict, Iterable, Iterator, Optional, Sequence,
 )
 
 from .clock import Clock
 
-__all__ = ["Event", "EventQueue", "Lane", "Scheduler", "every"]
+__all__ = ["Event", "EventQueue", "Lane", "Scheduler", "every", "lock_for"]
 
 
-class Event(tuple):
-    """One scheduled callback: the tuple ``(time, seq, fn, args)``.
+class Event(list):
+    """The shape of one scheduled callback: ``[time, seq, fn, args]``.
 
-    The event *is* its heap entry, so ``heapq`` orders entries by
-    ``(time, seq)`` with the C tuple comparison — ``seq`` is unique, so
-    a comparison never reaches ``fn`` — and an entry costs one object.
-    It is also the handle ``at`` / ``after`` return and ``cancel`` takes.
+    An entry is a plain list of that shape — this class names it in
+    signatures; no entry is an instance of it — so ``heapq`` orders
+    entries by ``(time, seq)`` with the C list comparison (``seq`` is
+    unique, so a comparison never reaches ``fn``) and an entry costs
+    one object. It is also the handle ``at`` / ``after`` return and
+    ``cancel`` takes: cancelling stores ``None`` over ``fn``, and
+    whoever meets a cleared entry drops it.
     """
 
     __slots__ = ()
-    time = property(itemgetter(0))
-    seq = property(itemgetter(1))
-    fn = property(itemgetter(2))
-    args = property(itemgetter(3))
 
 
 class EventQueue:
     """Min-heap of events, FIFO among equal times.
 
     Events fire in ``(time, seq)`` order and none can be pushed ahead
-    of one that already fired (its time is raised to that one's), so
-    the last fired event splits the events ever pushed into those that
-    fired and those still pending. :meth:`cancel` uses that to record
-    only entries that are still pending — a resolved call cancels all
-    its timers, fired ones included — which keeps ``len`` exact at no
-    cost per entry. A cancelled entry that leaves without firing is
-    remembered until the last fired event passes it, so that a second
-    cancel of it is a no-op too.
+    of one that already fired (its time is raised to that one's).
+    :meth:`cancel` clears the entry's ``fn`` and nothing else: the
+    queue remembers no cancellation, :meth:`pop`, :meth:`peek_time`
+    and a lane's re-arm drop a cleared entry when they meet it, and
+    ``len`` counts the entries that are not cleared.
 
     A :meth:`lane` keeps events pushed in time order behind its head,
     and only the head is on the heap; so does a :meth:`push_each`
@@ -72,21 +70,15 @@ class EventQueue:
     def __init__(self) -> None:
         self._heap: list = []
         self._seq = itertools.count()
-        #: ``seq`` of every cancelled entry still pending.
-        self._cancelled: Set[int] = set()
-        #: ``seq`` -> time of each cancelled entry dropped unfired and
-        #: not yet passed by the last fired event (pruned as it is).
-        self._dropped: Dict[int, float] = {}
-        self._prune_at = 64
-        #: The event :meth:`pop` returned last.
-        self._fired = Event((float("-inf"), -1, None, ()))
+        #: When the event :meth:`pop` returned last is due.
+        self._fired_at = float("-inf")
         #: ``seq`` of each lane head on the heap -> its lane.
         self._heads: Dict[int, Any] = {}
 
     def push(self, time: float, fn: Callable, *args: Any) -> Event:
-        if time < self._fired[0]:
-            time = self._fired[0]
-        event = Event((time, next(self._seq), fn, args))
+        if time < self._fired_at:
+            time = self._fired_at
+        event = [time, next(self._seq), fn, args]
         heapq.heappush(self._heap, event)
         return event
 
@@ -109,46 +101,31 @@ class EventQueue:
         n = len(times)
         if not n:
             return
-        if times[0] < self._fired[0] or any(
-            b < a for a, b in zip(times, times[1:])
-        ):
+        if times[0] < self._fired_at or any(map(gt, times, times[1:])):
             raise ValueError("a series must be sorted and not start in the past")
         base = next(self._seq)
         self._seq = itertools.count(base + n)
-        _Series(self, map(Event, zip(
+        _Series(self, map(list, zip(
             times, itertools.count(base), itertools.repeat(fn), args
         ))).rearm()
 
-    def cancel(self, event: Event) -> None:
-        """Make ``event`` never fire; a no-op once it has, or once it
-        was cancelled before."""
-        if event > self._fired and event[1] not in self._dropped:
-            self._cancelled.add(event[1])
-            if len(self._dropped) > self._prune_at:
-                self._prune()
-
-    def _prune(self) -> None:
-        """Forget the dropped entries the last fired event has passed:
-        ``event > self._fired`` already makes their cancel a no-op."""
-        dropped, fired = self._dropped, self._fired
-        passed = (fired[0], fired[1])
-        for seq in [s for s, t in dropped.items() if (t, s) < passed]:
-            del dropped[seq]
-        self._prune_at = max(64, 2 * len(dropped))
+    @staticmethod
+    def cancel(event: Event) -> None:
+        """Make ``event`` never fire: one store, so cancelling one that
+        fired, or one cancelled before, changes nothing, and any thread
+        may cancel without a lock."""
+        event[2] = None
 
     def pop(self) -> Optional[Event]:
         """Remove and return the earliest live event (None when empty)."""
-        heap, cancelled, heads = self._heap, self._cancelled, self._heads
+        heap, heads = self._heap, self._heads
         while heap:
             event = heapq.heappop(heap)
-            seq = event[1]
-            if seq in heads:
-                heads.pop(seq).rearm()
-            if seq not in cancelled:
-                self._fired = event
+            if event[1] in heads:
+                heads.pop(event[1]).rearm()
+            if event[2] is not None:
+                self._fired_at = event[0]
                 return event
-            cancelled.remove(seq)
-            self._dropped[seq] = event[0]
         return None
 
     def peek_time(self) -> Optional[float]:
@@ -158,19 +135,19 @@ class EventQueue:
         due, so a dead timer neither wakes the timer thread nor moves
         the virtual clock.
         """
-        heap, cancelled, heads = self._heap, self._cancelled, self._heads
-        while heap and heap[0][1] in cancelled:
-            when, seq = heapq.heappop(heap)[:2]
-            cancelled.remove(seq)
-            self._dropped[seq] = when
+        heap, heads = self._heap, self._heads
+        while heap and heap[0][2] is None:
+            seq = heapq.heappop(heap)[1]
             if seq in heads:
                 heads.pop(seq).rearm()
         return heap[0][0] if heap else None
 
     def __len__(self) -> int:
         # Only a lane whose head is on the heap has events waiting.
-        waiting = sum(len(lane._waiting) for lane in self._heads.values())
-        return len(self._heap) + waiting - len(self._cancelled)
+        live = sum(event[2] is not None for event in self._heap)
+        for lane in self._heads.values():
+            live += sum(event[2] is not None for event in lane._waiting)
+        return live
 
 
 class Lane:
@@ -197,9 +174,9 @@ class Lane:
 
     def push(self, time: float, fn: Callable, *args: Any) -> Event:
         queue = self._queue
-        if time < queue._fired[0]:
-            time = queue._fired[0]
-        event = Event((time, next(queue._seq), fn, args))
+        if time < queue._fired_at:
+            time = queue._fired_at
+        event = [time, next(queue._seq), fn, args]
         if not self._armed:
             self._armed = True
             self._tail = time
@@ -214,17 +191,13 @@ class Lane:
 
     def rearm(self) -> None:
         """The head left the heap: put the next live event there."""
-        queue = self._queue
-        waiting, cancelled = self._waiting, queue._cancelled
+        waiting = self._waiting
         while waiting:
             event = waiting.popleft()
-            if event[1] in cancelled:
-                cancelled.remove(event[1])
-                queue._dropped[event[1]] = event[0]
-                continue
-            heapq.heappush(queue._heap, event)
-            queue._heads[event[1]] = self
-            return
+            if event[2] is not None:
+                heapq.heappush(self._queue._heap, event)
+                self._queue._heads[event[1]] = self
+                return
         self._armed = False
 
 
@@ -247,16 +220,31 @@ class _Series:
             self._queue._heads[event[1]] = self
 
 
+def lock_for(scheduler) -> Optional[threading.Lock]:
+    """A lock for state that ``scheduler``'s callbacks share with other
+    threads, or None when there are none to share it with.
+
+    The run's driver decides (DESIGN.md §4 "Who shares state"): a
+    :class:`Scheduler` hands out a new lock, the simulator's engine —
+    which runs every callback of a run on its one thread — None. A
+    scheduler that does not say gets a lock.
+    """
+    lock = getattr(scheduler, "lock", None)
+    return threading.Lock() if lock is None else lock()
+
+
 class Scheduler:
     """Wall-clock driver of an :class:`EventQueue`.
 
     One daemon thread — started by the first :meth:`at`, so a run that
     schedules nothing starts none — sleeps until the earliest event;
     callbacks run outside the internal lock so they may schedule
-    further events. :meth:`at`/:meth:`after` return the event, which
-    :meth:`cancel` takes off the timeline, so a resolved call's
-    outstanding deadline/hedge/timeout entries stop costing wakeups at
-    high QPS.
+    further events. A push wakes the thread only when it becomes the
+    earliest entry: the thread sleeps until the earliest one, and
+    wakes for whatever is due by then. :meth:`at`/:meth:`after` return
+    the event, which :meth:`cancel` takes off the timeline, so a
+    resolved call's outstanding deadline/hedge/timeout entries stop
+    costing wakeups at high QPS.
 
     A callback that raises does not take the other timers with it: the
     thread keeps serving, and :meth:`stop` re-raises the first such
@@ -283,21 +271,29 @@ class Scheduler:
         """``at`` / ``after`` onto one new :class:`Lane` of the queue."""
         return _SchedulerLane(self, self._queue.lane().push)
 
+    def lock(self) -> threading.Lock:
+        """A new lock (see :func:`lock_for`): callbacks run on the
+        timer thread, beside the run's other threads."""
+        return threading.Lock()
+
     def _schedule(self, push: Callable, when: float, fn: Callable,
                   args: tuple) -> Event:
         with self._wakeup:
             event = push(when, fn, *args)
-            if self._thread is None and not self._stopped:
-                self._thread = threading.Thread(
-                    target=self._loop, name="tb-timer", daemon=True
-                )
-                self._thread.start()
-            self._wakeup.notify()
+            if self._thread is None:
+                if not self._stopped:
+                    self._thread = threading.Thread(
+                        target=self._loop, name="tb-timer", daemon=True
+                    )
+                    self._thread.start()
+            elif self._queue._heap[0] is event:
+                # The new earliest entry: the thread may be sleeping
+                # past it. A later one (a lane's appends, always) is
+                # found when the thread wakes for the earliest.
+                self._wakeup.notify()
         return event
 
-    def cancel(self, event: Event) -> None:
-        with self._lock:
-            self._queue.cancel(event)
+    cancel = staticmethod(EventQueue.cancel)
 
     def pending(self) -> int:
         """Live (uncancelled) entries still on the heap (test hook)."""
@@ -321,6 +317,9 @@ class Scheduler:
                     self._wakeup.wait(when - now)
                     continue
                 _, _, fn, args = queue.pop()
+            if fn is None:
+                # Cancelled after the pop chose it: it never fires.
+                continue
             try:
                 fn(*args)
             except Exception as exc:  # noqa: BLE001 - re-raised by stop()

@@ -66,10 +66,11 @@ class ServerInstance:
     server's :class:`~repro.core.stage.QueueStage`: the same ``len``
     and ``snapshot(now)``), its worker-pool
     :class:`~repro.core.server.Server`, and the transport-side
-    bookkeeping: ``routed`` counts lifetime assignments, guarded by the
-    transport's completion lock. The replica's outstanding count — the
-    depth signal for JSQ/power-of-two routing — is the transport's, one
-    entry of its depth vector (:meth:`Transport.queue_depths`).
+    bookkeeping: ``routed`` counts lifetime assignments, kept by the
+    transport's accounting (``_note_sent``). The replica's outstanding
+    count — the depth signal for JSQ/power-of-two routing — is the
+    transport's, one entry of its depth vector
+    (:meth:`Transport.queue_depths`).
 
     Runtime membership (autoscaling) makes the instance list
     append-only: a removed replica is *drained* in place — flagged so
@@ -169,8 +170,8 @@ class Transport:
         self.sink = self.record
         self.execution = THREADED
         self._outstanding = 0
-        #: The balancer's inputs, kept where the counters change (under
-        #: ``_lock``) so a send builds neither: per replica, requests
+        #: The balancer's inputs, kept where the counters change (the
+        #: accounting below) so a send builds neither: per replica, requests
         #: routed there whose responses have not come back (in flight +
         #: queued + in service); and the ids of the replicas accepting
         #: new work (not draining), ascending.
@@ -534,9 +535,7 @@ class Transport:
             else None
         )
         if action is not None and action.drop:
-            with self._lock:
-                self.stats.sent += 1
-                self.stats.dropped += 1
+            self._count_sent(None)
             if tracer is not None:
                 # The server never sees this attempt; its truncated
                 # chain plus the fault marker is all a trace can show.
@@ -574,7 +573,7 @@ class Transport:
                 depths, candidates = (), (server_id,)
             else:
                 # The kept vector itself: each count it holds is one
-                # the lock-holding writers stored, and the active ids
+                # the accounting writers stored, and the active ids
                 # are replaced, never changed in place.
                 depths, candidates = self._depths, self._active
             forced = False
@@ -610,12 +609,7 @@ class Transport:
                     request_id=dup.request_id, attempt=attempt,
                     server_id=server_id,
                 )
-        copies = 1 if dup is None else 2
-        with self._lock:
-            self._outstanding += copies
-            self.stats.sent += 1
-            self._depths[server_id] += copies
-            self._instances[server_id].routed += copies
+        self._count_sent(server_id, 1 if dup is None else 2)
         self._submit_after(request, extra_delay)
         if dup is not None:
             self._submit_after(dup, extra_delay)
@@ -641,7 +635,9 @@ class Transport:
         """Account an attempt that will never complete."""
         with self._all_done:
             self._outstanding -= 1
-            self._settle_instance_locked(request)
+            server_id = request.server_id
+            if server_id is not None and 0 <= server_id < len(self._instances):
+                self._depths[server_id] -= 1
             self.stats.dropped += 1
             if self._outstanding == 0:
                 self._all_done.notify_all()
@@ -670,16 +666,6 @@ class Transport:
         """Shed-response path: admission control rejected the request."""
         self._complete(request)
 
-    def _settle_instance_locked(
-        self, request: Request
-    ) -> Optional[ServerInstance]:
-        """Release the routed instance's outstanding slot (lock held)."""
-        server_id = request.server_id
-        if server_id is not None and 0 <= server_id < len(self._instances):
-            self._depths[server_id] -= 1
-            return self._instances[server_id]
-        return None
-
     def record(self, request: Request) -> None:
         """The default sink: a successful attempt is one latency record."""
         if request.error is None and not request.shed:
@@ -701,27 +687,65 @@ class Transport:
             for feed in self.on_complete:
                 feed(request)
             self.sink(request)
-        drained_instance = None
+        drained_instance = self._count_answered(request, good)
+        if drained_instance is not None:
+            self._instance_drained(drained_instance)
+
+    # -- accounting: written once, run under the lock here -------------
+    # ``_count_sent`` / ``_count_answered`` run ``_note_sent`` /
+    # ``_note_answered`` under ``_lock``, and wake ``drain`` when
+    # nothing is left outstanding; a transport whose every call runs on
+    # one thread with nobody to wake — the simulator's — binds them to
+    # the bare ``_note_*`` instead.
+    def _note_sent(self, server_id: Optional[int], copies: int = 1) -> None:
+        """One attempt sent: ``copies`` messages (2 with an injected
+        duplicate) now outstanding at ``server_id`` — or, for None,
+        dropped before routing."""
+        self.stats.sent += 1
+        if server_id is None:
+            self.stats.dropped += 1
+            return
+        self._outstanding += copies
+        self._depths[server_id] += copies
+        self._instances[server_id].routed += copies
+
+    def _note_answered(
+        self, request: Request, good: bool
+    ) -> Optional[ServerInstance]:
+        """An answered message; returns the draining replica it left
+        with nothing outstanding, if any."""
+        self._outstanding -= 1
+        self.stats.completed += 1
+        if not request.discard:
+            if request.error is not None:
+                self.stats.errored += 1
+            if request.shed:
+                self.stats.shed += 1
+        # Release the routed replica's outstanding slot.
+        server_id = request.server_id
+        if server_id is not None and 0 <= server_id < len(self._instances):
+            self._depths[server_id] -= 1
+            instance = self._instances[server_id]
+            if good:
+                instance.completed += 1
+            if instance.draining and self._depths[server_id] <= 0:
+                return instance
+        return None
+
+    def _count_sent(self, server_id: Optional[int], copies: int = 1) -> None:
+        with self._lock:
+            self._note_sent(server_id, copies)
+
+    def _count_answered(
+        self, request: Request, good: bool
+    ) -> Optional[ServerInstance]:
         # ``_all_done`` shares this lock; taking the plain lock skips
         # the condition's Python-level enter/exit on the hot path.
         with self._lock:
-            self._outstanding -= 1
-            self.stats.completed += 1
-            instance = self._settle_instance_locked(request)
-            if instance is not None:
-                if good:
-                    instance.completed += 1
-                if instance.draining and self._depths[instance.server_id] <= 0:
-                    drained_instance = instance
-            if not discard:
-                if request.error is not None:
-                    self.stats.errored += 1
-                if request.shed:
-                    self.stats.shed += 1
+            drained = self._note_answered(request, good)
             if self._outstanding == 0:
                 self._all_done.notify_all()
-        if drained_instance is not None:
-            self._instance_drained(drained_instance)
+        return drained
 
     def _instance_drained(self, instance: ServerInstance) -> None:
         """A draining replica's last outstanding request resolved.

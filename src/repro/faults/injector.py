@@ -81,7 +81,9 @@ class TransportAction(NamedTuple):
     extra_delay: float = 0.0
 
 
+#: The two verdicts that carry nothing of the plan: built once.
 _DELIVER = TransportAction()
+_DROP = TransportAction(drop=True)
 
 
 def _derive_seed(seed: int, layer: str) -> int:
@@ -98,6 +100,9 @@ class FaultInjector:
     a scenario's phase boundary (:meth:`advance_to`) retargets what
     follows without touching the per-layer random streams — a phase's
     draws are the same ones the equivalent fixed plan would have made.
+    Each draw is one call of a seeded generator, atomic under the GIL,
+    so draws take no lock; only bumping a count when a fault fires
+    does, under :attr:`lock`.
 
     Parameters
     ----------
@@ -127,7 +132,11 @@ class FaultInjector:
             layer: random.Random(_derive_seed(seed, layer))
             for layer in self._LAYERS
         }
-        self._lock = threading.Lock()
+        #: Guards the fired-fault counts. The run's driver replaces it
+        #: (``RunParts.wire``, via
+        #: :func:`~repro.core.scheduler.lock_for`): None in a simulated
+        #: run, whose one thread is the only writer.
+        self.lock: Optional[threading.Lock] = threading.Lock()
         self._run_start = 0.0
         self._counts: Dict[str, int] = {
             "drops": 0,
@@ -151,10 +160,8 @@ class FaultInjector:
 
     def advance_to(self, offset: float) -> None:
         """Install the plan active at ``offset`` (a phase boundary)."""
-        plan = self.scenario.plan_at(offset, self.base)
-        with self._lock:
-            self.plan = plan
-            self._counts["phase_changes"] += 1
+        self.plan = self.scenario.plan_at(offset, self.base)
+        self._fired("phase_changes")
 
     def for_server(self, server_id: int):
         """Server-side decision surface for one instance.
@@ -170,8 +177,16 @@ class FaultInjector:
 
     def counts(self) -> Dict[str, int]:
         """Snapshot of how many faults actually fired."""
-        with self._lock:
-            return dict(self._counts)
+        return dict(self._counts)
+
+    def _fired(self, kind: str) -> None:
+        """Count one fault of ``kind`` that fired."""
+        lock = self.lock
+        if lock is None:
+            self._counts[kind] += 1
+        else:
+            with lock:
+                self._counts[kind] += 1
 
     def register_metrics(self, registry) -> None:
         """Expose fired-fault tallies as callback gauges.
@@ -196,21 +211,23 @@ class FaultInjector:
             and plan.duplicate_rate == 0.0
         ):
             return _DELIVER
-        with self._lock:
-            rng = self._rngs["transport"]
-            if plan.drop_rate and rng.random() < plan.drop_rate:
-                self._counts["drops"] += 1
-                return TransportAction(drop=True)
-            duplicate = bool(
-                plan.duplicate_rate and rng.random() < plan.duplicate_rate
-            )
-            extra_delay = 0.0
-            if plan.delay_rate and rng.random() < plan.delay_rate:
-                extra_delay = plan.delay
-                self._counts["delays"] += 1
-            if duplicate:
-                self._counts["duplicates"] += 1
-            return TransportAction(duplicate=duplicate, extra_delay=extra_delay)
+        draw = self._rngs["transport"].random
+        if plan.drop_rate and draw() < plan.drop_rate:
+            self._fired("drops")
+            return _DROP
+        rate = plan.duplicate_rate
+        duplicate = draw() < rate if rate else False
+        rate = plan.delay_rate
+        delayed = draw() < rate if rate else False
+        if not (duplicate or delayed):
+            return _DELIVER
+        if delayed:
+            self._fired("delays")
+        if duplicate:
+            self._fired("duplicates")
+        return TransportAction(
+            duplicate=duplicate, extra_delay=plan.delay if delayed else 0.0
+        )
 
     # -- queue layer ---------------------------------------------------
     def queue_stall_remaining(self, now: float) -> float:
@@ -225,33 +242,25 @@ class FaultInjector:
     def worker_pause(self) -> float:
         """Pause duration to impose before serving (0.0 = none)."""
         plan = self.plan
-        if plan.worker_pause_rate == 0.0:
-            return 0.0
-        with self._lock:
-            if self._rngs["worker"].random() < plan.worker_pause_rate:
-                self._counts["pauses"] += 1
-                return plan.worker_pause
+        rate = plan.worker_pause_rate
+        if rate and self._rngs["worker"].random() < rate:
+            self._fired("pauses")
+            return plan.worker_pause
         return 0.0
 
     def worker_crash(self) -> bool:
         """Whether the worker dies after the request it just finished."""
-        plan = self.plan
-        if plan.worker_crash_rate == 0.0:
-            return False
-        with self._lock:
-            if self._rngs["worker"].random() < plan.worker_crash_rate:
-                self._counts["crashes"] += 1
-                return True
+        rate = self.plan.worker_crash_rate
+        if rate and self._rngs["worker"].random() < rate:
+            self._fired("crashes")
+            return True
         return False
 
     # -- application layer ---------------------------------------------
     def app_error(self) -> bool:
         """Whether this request fails with :data:`INJECTED_APP_ERROR`."""
-        plan = self.plan
-        if plan.error_rate == 0.0:
-            return False
-        with self._lock:
-            if self._rngs["app"].random() < plan.error_rate:
-                self._counts["app_errors"] += 1
-                return True
+        rate = self.plan.error_rate
+        if rate and self._rngs["app"].random() < rate:
+            self._fired("app_errors")
+            return True
         return False

@@ -60,9 +60,17 @@ class Engine(_Timeline):
     def __init__(self, start_time: float = 0.0) -> None:
         self._queue = EventQueue()
         super().__init__(VirtualClock(start_time), self._queue.push)
-        #: ``cancel(event)``: takes an event of the heap or of any lane
-        #: off the timeline (the queue's own method, not a wrapper).
-        self.cancel = self._queue.cancel
+
+    #: ``cancel(event)``: takes an event of the heap or of any lane off
+    #: the timeline (the queue's own one store, not a wrapper).
+    cancel = staticmethod(EventQueue.cancel)
+
+    @staticmethod
+    def lock() -> None:
+        """No lock (see :func:`~repro.core.scheduler.lock_for`): every
+        callback of a simulated run runs on the engine's one thread, so
+        nothing the engine drives is shared."""
+        return None
 
     def lane(self) -> _Timeline:
         """``at`` / ``after`` onto one new lane of the heap, for timers

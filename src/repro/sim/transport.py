@@ -7,7 +7,8 @@ behind the ordinary :class:`~repro.core.transport.Transport` — so
 routing, transport-layer faults, outstanding/routed accounting,
 runtime membership, the per-replica hooks, the send / completion feeds
 and the ``tb_*`` gauges are the base class's, written once for both
-clocks.
+clocks; the accounting runs without the base class's lock, since the
+engine is its only caller.
 Only what is clock-specific lives here: what a replica *is* (a
 service-time model under the event engine instead of a worker pool
 over an application) and how an attempt crosses the wire (an engine
@@ -77,6 +78,11 @@ class SimulatedTransport(Transport):
         instance = ServerInstance(server_id, server.queue, server)
         instance.started_at = now
         return instance
+
+    # The engine makes every call of a run on its one thread, and nobody
+    # waits in ``drain``: the accounting runs bare.
+    _count_sent = Transport._note_sent
+    _count_answered = Transport._note_answered
 
     def _submit_after(self, request: Request, delay: float) -> None:
         # The injected delay rides on the modelled wire latency as one

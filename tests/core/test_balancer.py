@@ -102,11 +102,13 @@ class TestPowerOfTwo:
                 self.pair = (0, 1)
                 self.draws = []
 
-            def randrange(self, bound):
+            def getrandbits(self, k):
+                # randrange(bound) draws bound.bit_length() bits.
                 if not self.draws:
                     first, second = self.pair
                     self.draws = [first, first if second == 3 else second]
-                assert bound == (4 if len(self.draws) == 2 else 3)
+                bound = 4 if len(self.draws) == 2 else 3
+                assert k == bound.bit_length()
                 return self.draws.pop(0)
 
         scripted = _ScriptedRng()
@@ -129,7 +131,7 @@ class TestPowerOfTwo:
                 # random.sample's draws for the pair (2, 1).
                 self.draws = [2, 1]
 
-            def randrange(self, bound):
+            def getrandbits(self, k):
                 return self.draws.pop(0)
 
         balancer._rng = _ScriptedRng()
@@ -206,6 +208,52 @@ class TestPowerOfTwoDraws:
             balancer = PowerOfTwoBalancer(seed=seed)
             assert balancer.pick(depths, avoid=avoid) == second
             assert balancer._rng.getstate() == state
+
+
+def _randrange_pick(rng, depths, avoid):
+    """Power-of-two's pick drawn with ``randrange``, as it was first
+    written: the reference for its ``getrandbits`` draws."""
+    n = len(depths)
+    skip = avoid if avoid is not None and n > 1 and 0 <= avoid < n else n
+    m = n - 1 if skip < n else n
+    if m == 1:
+        return 1 if skip == 0 else 0
+    first = rng.randrange(m)
+    if m <= 21:
+        second = rng.randrange(m - 1)
+        if second == first:
+            second = m - 1
+    else:
+        second = rng.randrange(m)
+        while second == first:
+            second = rng.randrange(m)
+    first += first >= skip
+    second += second >= skip
+    return first if depths[first] <= depths[second] else second
+
+
+class TestGetrandbitsDraws:
+    """Each draw is ``randrange(m)``'s, for every candidate count m of
+    1..64: the same picks and the same generator state after each."""
+
+    @pytest.mark.parametrize("m", range(1, 65))
+    def test_the_draws_are_randrange_s(self, m):
+        for seed in range(25):
+            picks = random.Random(seed ^ m)
+            balancer = PowerOfTwoBalancer(seed=seed)
+            reference = random.Random(seed)
+            for _ in range(20):
+                # m candidates: m servers, or m + 1 with one avoided.
+                avoiding = picks.random() < 0.5
+                n = m + 1 if avoiding else m
+                if n == 1:
+                    continue
+                avoid = picks.randrange(n) if avoiding else None
+                depths = [picks.randrange(3) for _ in range(n)]
+                assert balancer.pick(depths, avoid) == _randrange_pick(
+                    reference, depths, avoid
+                )
+                assert balancer._rng.getstate() == reference.getstate()
 
 
 class TestAllActivePath:

@@ -162,7 +162,7 @@ class TestEventQueue:
             event = queue.pop()
             if event is None:
                 break
-            event.fn(*event.args)
+            event[2](*event[3])
         assert order == ["a", "b", "c"]
 
     def test_fifo_at_equal_times(self):
@@ -171,7 +171,7 @@ class TestEventQueue:
         for label in ("first", "second", "third"):
             queue.push(1.0, order.append, label)
         while (event := queue.pop()) is not None:
-            event.fn(*event.args)
+            event[2](*event[3])
         assert order == ["first", "second", "third"]
 
     def test_cancellation(self):
@@ -216,7 +216,7 @@ class TestEventQueue:
         queue.push(5.0, lambda: None)
         queue.pop()
         overdue = queue.push(1.0, lambda: None)
-        assert overdue.time == 5.0
+        assert overdue[0] == 5.0
         queue.cancel(overdue)
         assert queue.pop() is None
 
@@ -228,16 +228,18 @@ class TestEventQueue:
         queue.cancel(dead)
         assert queue.peek_time() is None
         early = queue.push(2.0, lambda: None)
-        assert early.time == 2.0
+        assert early[0] == 2.0
         queue.cancel(early)
         assert len(queue) == 0 and queue.pop() is None
 
     def test_events_order_without_a_python_comparison(self):
-        # The entry is the tuple heapq compares: no __lt__ of our own.
-        assert Event.__lt__ is tuple.__lt__
+        # The entry is the plain list heapq compares: no __lt__ of our
+        # own, and cancelling it is one store over ``fn``.
         event = EventQueue().push(1.0, print, "x")
-        assert event == (1.0, 0, print, ("x",))
-        assert (event.time, event.seq, event.fn, event.args) == tuple(event)
+        assert type(event) is list and Event.__lt__ is list.__lt__
+        assert event == [1.0, 0, print, ("x",)]
+        EventQueue.cancel(event)
+        assert event == [1.0, 0, None, ("x",)]
 
     def test_the_scheduler_drives_the_same_queue_class(self):
         scheduler = Scheduler(WallClock())
@@ -263,8 +265,8 @@ class TestEventQueue:
 def _drain(queue):
     fired = []
     while (event := queue.pop()) is not None:
-        event.fn(*event.args)
-        fired.append(event.time)
+        event[2](*event[3])
+        fired.append(event[0])
     return fired
 
 
@@ -298,7 +300,7 @@ class TestSeries:
         assert len(queue) == 1
         peak = 0
         while (event := queue.pop()) is not None:
-            event.fn(*event.args)
+            event[2](*event[3])
             peak = max(peak, len(queue))
         assert fired == list(range(1000)) and peak == 1
 
@@ -306,13 +308,13 @@ class TestSeries:
         queue = EventQueue()
         queue.push_each([1.0, 2.0], lambda: None, [(), ()])
         first = queue.pop()
-        first.fn(*first.args)
+        first[2](*first[3])
         # The fired event is behind the split: cancelling records nothing.
         queue.cancel(first)
         assert len(queue) == 1
         second = queue.pop()
-        second.fn(*second.args)
-        assert second.seq == first.seq + 1
+        second[2](*second[3])
+        assert second[1] == first[1] + 1
         assert queue.pop() is None and len(queue) == 0
 
     def test_refuses_an_unsorted_series_or_one_in_the_past(self):
@@ -328,7 +330,7 @@ class TestSeries:
     def test_an_empty_series_reserves_nothing(self):
         queue = EventQueue()
         queue.push_each([], print, [])
-        assert queue.push(1.0, print).seq == 0
+        assert queue.push(1.0, print)[1] == 0
         assert len(queue) == 1
 
     def test_engine_run_counts_series_events(self):
@@ -391,7 +393,7 @@ def _play(queue: EventQueue, lanes: list, ops: list) -> list:
         else:
             event = queue.pop()
             if event is not None:
-                now = event.time
+                now = event[0]
                 event = tuple(event)
             seen.append(("pop", event))
         seen.append(("len", len(queue)))
@@ -426,7 +428,7 @@ class TestLanes:
             for op in _lane_script(seed):
                 if op[0] == "lane":
                     lane = lanes[op[1]]
-                    due = max(op[2], queue._fired.time)
+                    due = max(op[2], queue._fired_at)
                     earlier += lane._armed and due < lane._tail
                     lane.push(op[2], print)
                     most_behind = max(most_behind, len(lane._waiting))
@@ -454,7 +456,7 @@ class TestLanes:
         for t in range(100):
             lane.push(float(t), print)
         assert len(queue._heap) == 1 and len(queue) == 100
-        assert [event.time for event in (queue.pop(), queue.pop())] == [0.0, 1.0]
+        assert [event[0] for event in (queue.pop(), queue.pop())] == [0.0, 1.0]
         assert len(queue._heap) == 1 and len(queue) == 98
 
     def test_an_earlier_push_goes_to_the_heap(self):
@@ -478,8 +480,8 @@ class TestLanes:
         queue.cancel(dead)
         assert len(queue) == 2
         queue.pop()
-        assert [event.time for event in queue._heap] == [3.0]
-        assert len(queue) == 1 and not queue._cancelled
+        assert [event[0] for event in queue._heap] == [3.0]
+        assert len(queue) == 1
         _drain(queue)
         assert order == ["c"]
 
@@ -490,11 +492,11 @@ class TestLanes:
         lane.push(2.0, print)
         queue.cancel(dead)
         assert len(queue) == 1
-        assert queue.pop().time == 2.0
+        assert queue.pop()[0] == 2.0
         assert len(queue) == 0 and queue.pop() is None
         # Run dry, the lane takes its next push as its head.
         lane.push(2.5, print)
-        assert len(queue._heap) == 1 and queue.pop().time == 2.5
+        assert len(queue._heap) == 1 and queue.pop()[0] == 2.5
 
     def test_peek_time_rearms_past_a_cancelled_head(self):
         queue = EventQueue()
@@ -503,8 +505,8 @@ class TestLanes:
         lane.push(4.0, print)
         queue.cancel(dead)
         assert queue.peek_time() == 4.0
-        assert [event.time for event in queue._heap] == [4.0]
-        assert len(queue) == 1 and not queue._cancelled
+        assert [event[0] for event in queue._heap] == [4.0]
+        assert len(queue) == 1
 
     def test_a_bounded_run_rearms_past_a_cancelled_head(self):
         engine = Engine()
@@ -514,7 +516,7 @@ class TestLanes:
         engine.cancel(dead)
         assert engine.run(until=1.5) == 0
         assert engine.now == 1.5 and not fired
-        assert [event.time for event in engine._queue._heap] == [2.0]
+        assert [event[0] for event in engine._queue._heap] == [2.0]
         assert engine.run() == 1 and fired == ["kept"]
 
     def test_cancelling_the_event_that_is_firing_is_a_no_op(self):
@@ -596,16 +598,16 @@ class TestCancelTwice:
         dead = lane.push(2.0, print)
         lane.push(3.0, print)
         queue.cancel(dead)
-        assert queue.pop().time == 1.0  # the lane re-arms past ``dead``
+        assert queue.pop()[0] == 1.0  # the lane re-arms past ``dead``
         for _ in range(3):
             queue.cancel(dead)
         assert len(queue) == 1
-        assert queue.pop().time == 3.0 and len(queue) == 0
+        assert queue.pop()[0] == 3.0 and len(queue) == 0
 
     def test_what_is_remembered_stays_bounded(self):
         # A timer per event, cancelled before it is due and cancelled
-        # again after it was dropped: what the queue keeps to recognise
-        # the second cancel is pruned as the run passes it.
+        # again after it was dropped: the queue keeps nothing to
+        # recognise the second cancel, and holds only what is pending.
         queue = EventQueue()
         lane = queue.lane()
         now = 0.0
@@ -613,10 +615,10 @@ class TestCancelTwice:
             queue.push(now + 0.5, print)
             timer = lane.push(now + 1.0, print)
             queue.cancel(timer)
-            now = queue.pop().time
+            now = queue.pop()[0]
             queue.cancel(timer)
-        assert len(queue) == 0
-        assert len(queue._cancelled) + len(queue._dropped) < 200
+        assert len(queue) == 0 and len(queue._heap) <= 1
+        assert not queue._heads and not lane._waiting
 
 
 class _CancelModel(RuleBasedStateMachine):
@@ -638,7 +640,7 @@ class _CancelModel(RuleBasedStateMachine):
         time = max(self.engine.now + offset, self.last)
         label = len(self.handles)
         event = push(self.engine.now + offset, self.fired.append, label)
-        assert (event.time, event.seq) == (time, label)
+        assert (event[0], event[1]) == (time, label)
         self.handles.append(event)
         self.pending.append((time, label, label))
         self.pending.sort()
@@ -658,10 +660,10 @@ class _CancelModel(RuleBasedStateMachine):
             assert event is None
             return
         expected = self.pending.pop(0)
-        assert (event.time, event.seq, event.args) == (
+        assert (event[0], event[1], event[3]) == (
             expected[0], expected[1], (expected[2],)
         )
-        self.last = event.time
+        self.last = event[0]
 
     @rule()
     def peek(self):
@@ -685,12 +687,11 @@ class _CancelModel(RuleBasedStateMachine):
         handle = self.handles[pick % len(self.handles)]
         for _ in range(times):
             self.engine.cancel(handle)
-        self.pending = [e for e in self.pending if e[1] != handle.seq]
+        self.pending = [e for e in self.pending if e[1] != handle[1]]
 
     @invariant()
     def counts_what_is_pending(self):
         assert len(self.queue) == len(self.pending)
-        assert len(self.queue._cancelled) <= len(self.handles)
 
 
 TestCancelModel = _CancelModel.TestCase
