@@ -4,7 +4,7 @@
 live harness shares a single instance across every replica's worker
 threads (one lock, uncontended at benchmark thread counts); the
 simulator drives the same instance from its single-threaded event loop
-in virtual time. Policy mechanics live behind
+in virtual time, without the lock. Policy mechanics live behind
 :class:`~repro.cache.policies.CachePolicy`; this layer adds:
 
 - hit/miss/expiry/eviction counters and the derived hit rate,
@@ -21,6 +21,7 @@ from __future__ import annotations
 import threading
 from typing import Any, Dict, Hashable, Optional, Tuple
 
+from ..core.scheduler import locked
 from .policies import CachePolicy, EXPIRED, HIT
 
 __all__ = ["RequestCache"]
@@ -45,7 +46,11 @@ class RequestCache:
         self._cleared = False
         self._origin = 0.0
         self._tracer = tracer
-        self._lock = threading.Lock()
+        #: Guards the policy and the counters. The run's driver
+        #: replaces it (``RunParts.wire``, via
+        #: :func:`~repro.core.scheduler.lock_for`): None in a simulated
+        #: run, whose one thread is the only caller.
+        self.lock: Optional[threading.Lock] = threading.Lock()
         self.hits = 0
         self.misses = 0
         self.expirations = 0
@@ -100,16 +105,7 @@ class RequestCache:
         server_id: Optional[int] = None,
     ) -> Tuple[bool, Any]:
         """Return ``(hit, value)`` for ``key``; counts and traces."""
-        with self._lock:
-            self._maybe_clear(now)
-            status, value = self._policy.lookup(key, now)
-            if status == HIT:
-                self.hits += 1
-            elif status == EXPIRED:
-                self.expirations += 1
-                self.misses += 1
-            else:
-                self.misses += 1
+        status, value = locked(self.lock, self._lookup_locked, key, now)
         if self._tracer is not None:
             if status == EXPIRED:
                 self._tracer.emit(
@@ -124,6 +120,18 @@ class RequestCache:
             )
         return status == HIT, value
 
+    def _lookup_locked(self, key: Hashable, now: float) -> Tuple[str, Any]:
+        self._maybe_clear(now)
+        status, value = self._policy.lookup(key, now)
+        if status == HIT:
+            self.hits += 1
+        elif status == EXPIRED:
+            self.expirations += 1
+            self.misses += 1
+        else:
+            self.misses += 1
+        return status, value
+
     def store(
         self,
         key: Hashable,
@@ -135,14 +143,9 @@ class RequestCache:
         server_id: Optional[int] = None,
     ) -> bool:
         """Offer ``(key, value)`` for residence; True when admitted."""
-        with self._lock:
-            self._maybe_clear(now)
-            admitted, evicted = self._policy.store(key, value, now)
-            if admitted:
-                self.evictions += len(evicted)
-            else:
-                self.rejections += 1
-            occupancy = len(self._policy)
+        admitted, evicted, occupancy = locked(
+            self.lock, self._store_locked, key, value, now
+        )
         if self._tracer is not None:
             for _ in evicted:
                 self._tracer.emit(
@@ -153,6 +156,15 @@ class RequestCache:
         if self._occupancy_hist is not None:
             self._occupancy_hist.observe(occupancy / self._policy.capacity)
         return admitted
+
+    def _store_locked(self, key: Hashable, value: Any, now: float):
+        self._maybe_clear(now)
+        admitted, evicted = self._policy.store(key, value, now)
+        if admitted:
+            self.evictions += len(evicted)
+        else:
+            self.rejections += 1
+        return admitted, evicted, len(self._policy)
 
     def _maybe_clear(self, now: float) -> None:
         """Cold-restart model: wipe everything once past ``clear_at``.

@@ -22,7 +22,9 @@ from __future__ import annotations
 
 import math
 import threading
+from typing import Optional
 
+from ..core.scheduler import NO_LOCK, locked
 from .config import AdmissionConfig
 
 __all__ = ["AdmissionGate"]
@@ -40,7 +42,9 @@ class AdmissionGate:
         self._config = config
         self.server_id = server_id
         self._tracer = tracer
-        self._lock = threading.Lock()
+        #: Guards the decision state; set by the plane from the run's
+        #: driver (:meth:`~repro.control.plane.ControlPlane.take_locks`).
+        self.lock: Optional[threading.Lock] = threading.Lock()
         self._limit = config.initial_limit
         self._dropping = False
         self._drop_next = 0.0
@@ -68,20 +72,7 @@ class AdmissionGate:
         queue marks the request shed, same contract as capacity
         shedding).
         """
-        with self._lock:
-            if depth >= self._limit:
-                self.limit_dropped += 1
-                verdict = "drop_limit"
-            elif self._dropping and now >= self._drop_next:
-                self._drop_count += 1
-                self._drop_next = now + self._config.codel_interval / math.sqrt(
-                    self._drop_count
-                )
-                self.codel_dropped += 1
-                verdict = "drop_codel"
-            else:
-                self.admitted += 1
-                verdict = "admit"
+        verdict = locked(self.lock, self._decide_locked, now, depth)
         if self._tracer is not None:
             self._tracer.emit(
                 verdict,
@@ -93,11 +84,25 @@ class AdmissionGate:
             )
         return verdict == "admit"
 
+    def _decide_locked(self, now: float, depth: int) -> str:
+        if depth >= self._limit:
+            self.limit_dropped += 1
+            return "drop_limit"
+        if self._dropping and now >= self._drop_next:
+            self._drop_count += 1
+            self._drop_next = now + self._config.codel_interval / math.sqrt(
+                self._drop_count
+            )
+            self.codel_dropped += 1
+            return "drop_codel"
+        self.admitted += 1
+        return "admit"
+
     # -- control plane (controller tick path) --------------------------
     def set_limit(self, limit: int, now: float) -> None:
         """Install a new AIMD limit (clamped to the configured band)."""
         limit = max(self._config.min_limit, min(self._config.max_limit, limit))
-        with self._lock:
+        with self.lock or NO_LOCK:
             changed = limit != self._limit
             self._limit = limit
         if changed and self._tracer is not None:
@@ -113,7 +118,7 @@ class AdmissionGate:
         per CoDel: once the interval-long grace period has already
         passed, shedding starts without further delay.
         """
-        with self._lock:
+        with self.lock or NO_LOCK:
             if dropping and not self._dropping:
                 self._dropping = True
                 self._drop_count = 0
@@ -123,7 +128,7 @@ class AdmissionGate:
 
     def counts(self) -> dict:
         """Lifetime decision tallies (admitted / per-cause drops)."""
-        with self._lock:
+        with self.lock or NO_LOCK:
             return {
                 "admitted": self.admitted,
                 "codel_dropped": self.codel_dropped,

@@ -29,6 +29,7 @@ import threading
 from typing import Dict, List, Optional, Tuple
 
 from ..core.queueing import FifoBuffer, PriorityBuffer, QueueSnapshot
+from ..core.scheduler import NO_LOCK, lock_for, locked
 from ..stats import percentile
 from .config import ControlPlaneConfig
 from .controllers import AdmissionController, AutoscaleController, Controller
@@ -89,14 +90,17 @@ class ControlPlane:
         self.config = config
         self._tracer = tracer
         self._gates: Dict[int, AdmissionGate] = {}
-        self._gates_lock = threading.Lock()
+        #: Guards the gates and the completion window; with the
+        #: classifier's and every gate's, taken from the run's driver by
+        #: :meth:`take_locks`.
+        self.lock: Optional[threading.Lock] = threading.Lock()
+        self._scheduler = None
         self._assigner = (
             ClassAssigner(config.priority, seed=seed ^ _CLASSIFIER_SALT)
             if config.priority is not None
             else None
         )
         self._window: List[float] = []
-        self._window_lock = threading.Lock()
         self._target: Optional[ControlTarget] = None
         self._controllers: List[Controller] = []
         self._admission: Optional[AdmissionController] = None
@@ -106,6 +110,18 @@ class ControlPlane:
         self.history: List[Tuple[float, Optional[int], int]] = []
 
     # -- wiring --------------------------------------------------------
+    def take_locks(self, scheduler) -> None:
+        """Take every lock of the plane — its own, the classifier's and
+        each gate's, those built later included — from the run's driver
+        (:func:`~repro.core.scheduler.lock_for`): none under the
+        simulator's engine."""
+        self._scheduler = scheduler
+        self.lock = lock_for(scheduler)
+        if self._assigner is not None:
+            self._assigner.lock = lock_for(scheduler)
+        for gate in self._gates.values():
+            gate.lock = lock_for(scheduler)
+
     def bind(self, target: ControlTarget) -> None:
         """Attach the plane to a serving stack and build controllers."""
         self._target = target
@@ -149,13 +165,14 @@ class ControlPlane:
         """Get-or-create the admission gate of one server instance."""
         if self.config.admission is None:
             return None
-        with self._gates_lock:
+        with self.lock or NO_LOCK:
             gate = self._gates.get(server_id)
             if gate is None:
                 gate = AdmissionGate(
                     self.config.admission, server_id=server_id,
                     tracer=self._tracer,
                 )
+                gate.lock = lock_for(self._scheduler)
                 self._gates[server_id] = gate
                 if self._admission is not None:
                     gate.set_limit(self._admission.limit, 0.0)
@@ -185,14 +202,18 @@ class ControlPlane:
         without admission must not feed it.
         """
         if request.error is None and not request.shed:
-            with self._window_lock:
-                self._window.append(
-                    request.response_received_at - request.generated_at
-                )
+            locked(
+                self.lock, self._window_append,
+                request.response_received_at - request.generated_at,
+            )
+
+    def _window_append(self, sojourn: float) -> None:
+        # ``_window`` is read under the lock: ``window_p99`` swaps it.
+        self._window.append(sojourn)
 
     def window_p99(self) -> Optional[float]:
         """Drain the completion window; p99 of it (None when empty)."""
-        with self._window_lock:
+        with self.lock or NO_LOCK:
             window, self._window = self._window, []
         if not window:
             return None
@@ -217,7 +238,7 @@ class ControlPlane:
     def counts(self) -> Dict[str, int]:
         """Aggregate control-plane tallies for run results."""
         out: Dict[str, int] = {"ticks": self.ticks}
-        with self._gates_lock:
+        with self.lock or NO_LOCK:
             gates = list(self._gates.values())
         if gates:
             for key in ("admitted", "codel_dropped", "limit_dropped"):

@@ -11,7 +11,9 @@ from __future__ import annotations
 
 import random
 import threading
+from typing import Optional
 
+from ..core.scheduler import locked
 from .config import PriorityConfig
 
 __all__ = ["ClassAssigner"]
@@ -23,7 +25,9 @@ class ClassAssigner:
     def __init__(self, config: PriorityConfig, seed: int = 0) -> None:
         self._specs = config.classes
         self._rng = random.Random(seed ^ 0xC1A55)
-        self._lock = threading.Lock()
+        #: Guards the draw; set by the plane from the run's driver
+        #: (:meth:`~repro.control.plane.ControlPlane.take_locks`).
+        self.lock: Optional[threading.Lock] = threading.Lock()
         # Pre-compute the cumulative fraction boundaries once.
         self._bounds = []
         acc = 0.0
@@ -33,8 +37,7 @@ class ClassAssigner:
 
     def classify(self, request) -> None:
         """Stamp ``priority`` and ``request_class`` onto one request."""
-        with self._lock:
-            u = self._rng.random()
+        u = locked(self.lock, self._rng.random)
         for bound, spec in zip(self._bounds, self._specs):
             if u < bound:
                 request.priority = spec.priority

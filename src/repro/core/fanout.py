@@ -44,6 +44,7 @@ from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from ..stats import LatencySummary, quantile
 from .request import Request
+from .scheduler import NO_LOCK, locked
 
 __all__ = ["FanoutClient", "FanoutGatherer", "FanoutStats"]
 
@@ -139,7 +140,9 @@ class FanoutGatherer:
     tallied, as for any run without a resilience layer.
 
     Thread-safe: the live transport completes requests from many
-    worker threads concurrently.
+    worker threads concurrently, so gathers are opened and resolved
+    under :attr:`lock`, which the run's driver hands out (none under
+    the simulator's engine).
     """
 
     def __init__(
@@ -160,7 +163,9 @@ class FanoutGatherer:
         self._merge = merge
         self._warmup = warmup
         self._tracer = tracer
-        self._lock = threading.Lock()
+        #: Set by ``RunParts.wire`` from
+        #: :func:`~repro.core.scheduler.lock_for`.
+        self.lock: Optional[threading.Lock] = threading.Lock()
         self._pending: Dict[int, Tuple[_Gather, int]] = {}
         self._next_gather = 0
         self._next_logical = 0
@@ -171,21 +176,23 @@ class FanoutGatherer:
         The caller must then dispatch exactly one leg per returned
         ``(logical_id, shard)`` pair.
         """
-        with self._lock:
-            gather = _Gather(self._next_gather, self.shards)
-            self._next_gather += 1
-            pairs = []
-            for shard in range(self.shards):
-                logical_id = self._next_logical
-                self._next_logical += 1
-                self._pending[logical_id] = (gather, shard)
-                pairs.append((logical_id, shard))
-            return gather.gather_id, pairs
+        return locked(self.lock, self._open_locked)
+
+    def _open_locked(self) -> Tuple[int, List[Tuple[int, int]]]:
+        gather = _Gather(self._next_gather, self.shards)
+        self._next_gather += 1
+        pairs = []
+        for shard in range(self.shards):
+            logical_id = self._next_logical
+            self._next_logical += 1
+            self._pending[logical_id] = (gather, shard)
+            pairs.append((logical_id, shard))
+        return gather.gather_id, pairs
 
     @property
     def outstanding(self) -> int:
         """Legs dispatched but not yet reported."""
-        with self._lock:
+        with self.lock or NO_LOCK:
             return len(self._pending)
 
     def on_complete(self, request: Request) -> bool:
@@ -197,18 +204,22 @@ class FanoutGatherer:
 
     def leg_resolved(self, logical_id: int, outcome: str, request) -> bool:
         """One leg's fate: answered by ``request`` iff ``succeeded``."""
-        with self._lock:
-            entry = self._pending.pop(logical_id, None)
-            if entry is None:
-                return False
-            gather, shard = entry
-            if outcome == "succeeded":
-                gather.slots[shard] = request
-            elif gather.failed is None:
-                gather.failed = outcome
-            gather.remaining -= 1
-            if gather.remaining == 0:
-                self._finalize(gather)
+        return locked(
+            self.lock, self._resolve_locked, logical_id, outcome, request
+        )
+
+    def _resolve_locked(self, logical_id: int, outcome: str, request) -> bool:
+        entry = self._pending.pop(logical_id, None)
+        if entry is None:
+            return False
+        gather, shard = entry
+        if outcome == "succeeded":
+            gather.slots[shard] = request
+        elif gather.failed is None:
+            gather.failed = outcome
+        gather.remaining -= 1
+        if gather.remaining == 0:
+            self._finalize(gather)
         return True
 
     def fail_unresolved(self) -> None:

@@ -73,22 +73,24 @@ class Request:
 
     def __init__(
         self,
+        # What ``Transport.send`` sets, first: it passes them by
+        # position (keywords would make every attempt build a dict).
         payload: Any,
         generated_at: float,
-        request_id: Optional[int] = None,
+        logical_id: Optional[int] = None,
+        attempt: int = 0,
+        deadline: Optional[float] = None,
         sent_at: Optional[float] = None,
+        server_id: Optional[int] = None,
+        discard: bool = False,
+        request_id: Optional[int] = None,
         enqueued_at: Optional[float] = None,
         service_start_at: Optional[float] = None,
         service_end_at: Optional[float] = None,
         response_received_at: Optional[float] = None,
         response: Any = None,
         error: Optional[str] = None,
-        logical_id: Optional[int] = None,
-        attempt: int = 0,
-        deadline: Optional[float] = None,
         shed: bool = False,
-        discard: bool = False,
-        server_id: Optional[int] = None,
         priority: int = 0,
         request_class: Optional[str] = None,
         batch_size: int = 1,

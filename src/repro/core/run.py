@@ -312,12 +312,14 @@ class RunParts:
         self.scheduler = scheduler
         # The driver says who shares them (DESIGN.md §4 "Who shares
         # state"): a lock each live, none under the simulator's engine.
-        for part in (self.collector, self.injector):
-            if part is not None:
-                part.lock = lock_for(scheduler)
         registry, live, plane, health = (
             self.registry, self.live, self.plane, self.health
         )
+        for part in (self.collector, self.injector, health, self.cache):
+            if part is not None:
+                part.lock = lock_for(scheduler)
+        if plane is not None:
+            plane.take_locks(scheduler)
         transport.start(
             app,
             config.n_threads,
@@ -399,6 +401,7 @@ class RunParts:
                 tracer=self.tracer,
                 record=beneath.record if beneath is not None else None,
             )
+            self.fanout.lock = lock_for(scheduler)
             if beneath is not None:
                 beneath.sink = self.fanout.leg_resolved
             else:

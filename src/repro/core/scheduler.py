@@ -21,6 +21,7 @@ from __future__ import annotations
 import heapq
 import itertools
 import threading
+from contextlib import nullcontext
 from collections import deque
 from operator import gt
 from typing import (
@@ -29,7 +30,10 @@ from typing import (
 
 from .clock import Clock
 
-__all__ = ["Event", "EventQueue", "Lane", "Scheduler", "every", "lock_for"]
+__all__ = [
+    "Event", "EventQueue", "Lane", "NO_LOCK", "Scheduler", "every", "locked",
+    "lock_for",
+]
 
 
 class Event(list):
@@ -231,6 +235,26 @@ def lock_for(scheduler) -> Optional[threading.Lock]:
     """
     lock = getattr(scheduler, "lock", None)
     return threading.Lock() if lock is None else lock()
+
+
+#: What a ``with`` enters in place of a :func:`lock_for` lock that is
+#: None, on paths not taken per request.
+NO_LOCK = nullcontext()
+
+
+def locked(lock: Optional[threading.Lock], fn, *args):
+    """``fn(*args)`` under ``lock`` — or bare when it is None.
+
+    For a lock entered per request: acquire + try/finally release, not
+    ``with`` (DESIGN.md §4 "Who shares state").
+    """
+    if lock is None:
+        return fn(*args)
+    lock.acquire()
+    try:
+        return fn(*args)
+    finally:
+        lock.release()
 
 
 class Scheduler:

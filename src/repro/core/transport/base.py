@@ -135,7 +135,8 @@ class Transport:
     """Abstract base: lifecycle, routing, and completion accounting.
 
     Subclasses implement :meth:`_submit` (client -> server path; or
-    :meth:`_submit_after`, when an injected delay is theirs to model)
+    :meth:`_submit_after`, when the hand-off or an injected delay is
+    theirs to model)
     and may override :meth:`_build_instance` (what a replica is) and
     :meth:`_start_impl`/:meth:`_stop_impl` (their I/O machinery). The
     base class applies transport faults, routes each send to a server
@@ -179,6 +180,9 @@ class Transport:
         self._active: Tuple[int, ...] = ()
         self._lock = threading.Lock()
         self._all_done = threading.Condition(self._lock)
+        #: Threads blocked in :meth:`drain`, counted under the lock: an
+        #: answer wakes ``_all_done`` only when one is.
+        self._drainers = 0
         self._running = False
         # Timer source for fault-delayed sends: the run's scheduler,
         # or one of the transport's own when started without.
@@ -548,14 +552,10 @@ class Transport:
                         kind, ts, logical_id=logical_id, attempt=attempt
                     )
             return None
+        # Positional: keywords would make the call build a dict.
         request = Request(
-            payload=payload,
-            generated_at=generated_at,
-            logical_id=logical_id,
-            attempt=attempt,
-            deadline=deadline,
+            payload, generated_at, logical_id, attempt, deadline, now
         )
-        request.sent_at = now
         extra_delay = action.extra_delay if action is not None else 0.0
         if tracer is not None and extra_delay > 0.0:
             tracer.emit(
@@ -594,15 +594,9 @@ class Transport:
         if action is not None and action.duplicate:
             # The copy loads the same server; its response is discarded.
             dup = Request(
-                payload=payload,
-                generated_at=generated_at,
-                logical_id=logical_id,
-                attempt=attempt,
-                deadline=deadline,
-                discard=True,
+                payload, generated_at, logical_id, attempt, deadline, now,
+                server_id, True,
             )
-            dup.sent_at = now
-            dup.server_id = server_id
             if tracer is not None:
                 tracer.emit(
                     "fault_duplicate", now, logical_id=logical_id,
@@ -616,12 +610,10 @@ class Transport:
         return server_id
 
     def _submit_after(self, request: Request, delay: float) -> None:
-        if delay <= 0.0:
-            self._submit_safe(request)
+        """Hand ``request`` to the wire ``delay`` seconds from now."""
+        if delay > 0.0:
+            self._scheduler.after(delay, self._submit_after, request, 0.0)
             return
-        self._scheduler.after(delay, self._submit_safe, request)
-
-    def _submit_safe(self, request: Request) -> None:
         try:
             self._submit(request)
         except (QueueClosed, OSError):
@@ -639,29 +631,24 @@ class Transport:
             if server_id is not None and 0 <= server_id < len(self._instances):
                 self._depths[server_id] -= 1
             self.stats.dropped += 1
-            if self._outstanding == 0:
+            if self._outstanding == 0 and self._drainers:
                 self._all_done.notify_all()
 
     def drain(self, timeout: float = 300.0) -> None:
         """Block until every sent request has completed."""
         with self._all_done:
-            if not self._all_done.wait_for(
-                lambda: self._outstanding == 0, timeout
-            ):
-                raise TimeoutError(
-                    f"{self._outstanding} requests still outstanding"
-                )
+            self._drainers += 1
+            try:
+                if not self._all_done.wait_for(
+                    lambda: self._outstanding == 0, timeout
+                ):
+                    raise TimeoutError(
+                        f"{self._outstanding} requests still outstanding"
+                    )
+            finally:
+                self._drainers -= 1
 
     # -- server -> client return path ----------------------------------
-    def _on_response(self, request: Request) -> None:
-        """Called by the server when processing finishes.
-
-        Default implementation completes in-process (used by the
-        integrated transport); socket transports override this to ship
-        the response back through their reply path instead.
-        """
-        self._complete(request)
-
     def _shed(self, request: Request) -> None:
         """Shed-response path: admission control rejected the request."""
         self._complete(request)
@@ -691,12 +678,20 @@ class Transport:
         if drained_instance is not None:
             self._instance_drained(drained_instance)
 
+    #: Called by the server when processing finishes. In process, the
+    #: answer is complete as it is (no frame in between); socket
+    #: transports override this to ship it back through their reply
+    #: path instead.
+    _on_response = _complete
+
     # -- accounting: written once, run under the lock here -------------
     # ``_count_sent`` / ``_count_answered`` run ``_note_sent`` /
-    # ``_note_answered`` under ``_lock``, and wake ``drain`` when
-    # nothing is left outstanding; a transport whose every call runs on
-    # one thread with nobody to wake — the simulator's — binds them to
-    # the bare ``_note_*`` instead.
+    # ``_note_answered`` under ``_lock`` (entered as the request queue
+    # enters its own: acquire + try/finally, once per request), and wake
+    # ``drain`` when nothing is left outstanding and it waits; a
+    # transport whose every call runs on one thread with nobody to
+    # wake — the simulator's — binds them to the bare ``_note_*``
+    # instead.
     def _note_sent(self, server_id: Optional[int], copies: int = 1) -> None:
         """One attempt sent: ``copies`` messages (2 with an injected
         duplicate) now outstanding at ``server_id`` — or, for None,
@@ -733,18 +728,26 @@ class Transport:
         return None
 
     def _count_sent(self, server_id: Optional[int], copies: int = 1) -> None:
-        with self._lock:
+        lock = self._lock
+        lock.acquire()
+        try:
             self._note_sent(server_id, copies)
+        finally:
+            lock.release()
 
     def _count_answered(
         self, request: Request, good: bool
     ) -> Optional[ServerInstance]:
         # ``_all_done`` shares this lock; taking the plain lock skips
         # the condition's Python-level enter/exit on the hot path.
-        with self._lock:
+        lock = self._lock
+        lock.acquire()
+        try:
             drained = self._note_answered(request, good)
-            if self._outstanding == 0:
+            if self._outstanding == 0 and self._drainers:
                 self._all_done.notify_all()
+        finally:
+            lock.release()
         return drained
 
     def _instance_drained(self, instance: ServerInstance) -> None:

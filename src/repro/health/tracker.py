@@ -23,7 +23,8 @@ resilient client consults before scheduling any retry.
 
 Everything is RNG-free and clocked by caller-passed timestamps, so the
 single-threaded simulator replays the identical ejection/breaker event
-sequence per seed; live callers are serialized by one internal lock.
+sequence per seed; live callers are serialized by one lock, which the
+run's driver hands out (none under the simulator's engine).
 """
 
 from __future__ import annotations
@@ -32,6 +33,7 @@ import threading
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
+from ..core.scheduler import NO_LOCK, locked
 from .breaker import CircuitBreaker, RetryBudget
 from .config import HealthConfig
 
@@ -111,7 +113,11 @@ class HealthManager:
             raise ValueError("HealthManager requires an enabled HealthConfig")
         self.config = config
         self._tracer = tracer
-        self._lock = threading.Lock()
+        #: Serializes callers. The run's driver replaces it
+        #: (``RunParts.wire``, via
+        #: :func:`~repro.core.scheduler.lock_for`): None in a simulated
+        #: run, whose one thread is the only caller.
+        self.lock: Optional[threading.Lock] = threading.Lock()
         self._states: Dict[int, _ReplicaState] = {}
         self._budget = (
             RetryBudget(
@@ -166,43 +172,47 @@ class HealthManager:
         matching ``pick_active``'s degrade-gracefully contract): routing
         somewhere beats raising in a storm.
         """
-        with self._lock:
-            available: List[int] = []
-            probe_id: Optional[int] = None
-            for server_id in active_ids:
-                state = self._state_locked(server_id)
-                if state.ejected:
-                    state.skipped += 1
-                    if (
-                        probe_id is None
-                        and state.skipped >= self.config.probe_interval
-                    ):
-                        state.skipped = 0
+        return locked(self.lock, self._route_locked, active_ids, now)
+
+    def _route_locked(
+        self, active_ids: Sequence[int], now: float
+    ) -> Tuple[List[int], bool]:
+        available: List[int] = []
+        probe_id: Optional[int] = None
+        for server_id in active_ids:
+            state = self._state_locked(server_id)
+            if state.ejected:
+                state.skipped += 1
+                if (
+                    probe_id is None
+                    and state.skipped >= self.config.probe_interval
+                ):
+                    state.skipped = 0
+                    probe_id = server_id
+                continue
+            breaker = state.breaker
+            if breaker is not None and breaker.state != "closed":
+                was_open = breaker.state == "open"
+                if breaker.allows(now):
+                    if was_open:
+                        self._counts["breaker_half_opens"] += 1
+                        self._emit("breaker_half_open", now,
+                                   server_id=server_id)
+                    if probe_id is None:
                         probe_id = server_id
-                    continue
-                breaker = state.breaker
-                if breaker is not None and breaker.state != "closed":
-                    was_open = breaker.state == "open"
-                    if breaker.allows(now):
-                        if was_open:
-                            self._counts["breaker_half_opens"] += 1
-                            self._emit("breaker_half_open", now,
-                                       server_id=server_id)
-                        if probe_id is None:
-                            probe_id = server_id
-                        else:
-                            # Another replica won this round's probe
-                            # slot; release the trial for a later pick.
-                            breaker.trial_inflight = False
-                    continue
-                available.append(server_id)
-            if probe_id is not None:
-                self._counts["probes"] += 1
-                self._emit("probe", now, server_id=probe_id)
-                return [probe_id], True
-            if not available:
-                return list(active_ids), False
-            return available, False
+                    else:
+                        # Another replica won this round's probe
+                        # slot; release the trial for a later pick.
+                        breaker.trial_inflight = False
+                continue
+            available.append(server_id)
+        if probe_id is not None:
+            self._counts["probes"] += 1
+            self._emit("probe", now, server_id=probe_id)
+            return [probe_id], True
+        if not available:
+            return list(active_ids), False
+        return available, False
 
     # -- completion path -----------------------------------------------
     def record_attempt(
@@ -218,49 +228,59 @@ class HealthManager:
         successful responses and ``None`` otherwise (a timed-out
         attempt has no response instant to measure against).
         """
+        locked(
+            self.lock, self._record_locked, server_id, latency, ok, now
+        )
+
+    def _record_locked(
+        self,
+        server_id: int,
+        latency: Optional[float],
+        ok: bool,
+        now: float,
+    ) -> None:
         config = self.config
-        with self._lock:
-            state = self._state_locked(server_id)
-            state.samples += 1
-            alpha = _EWMA_ALPHA
-            fail = 0.0 if ok else 1.0
-            if state.samples == 1:
-                state.failure_ewma = fail
+        state = self._state_locked(server_id)
+        state.samples += 1
+        alpha = _EWMA_ALPHA
+        fail = 0.0 if ok else 1.0
+        if state.samples == 1:
+            state.failure_ewma = fail
+        else:
+            state.failure_ewma = (
+                alpha * fail + (1.0 - alpha) * state.failure_ewma
+            )
+        if ok and latency is not None:
+            if state.latency_ewma is None:
+                state.latency_ewma = latency
             else:
-                state.failure_ewma = (
-                    alpha * fail + (1.0 - alpha) * state.failure_ewma
+                state.latency_ewma = (
+                    alpha * latency + (1.0 - alpha) * state.latency_ewma
                 )
-            if ok and latency is not None:
-                if state.latency_ewma is None:
-                    state.latency_ewma = latency
-                else:
-                    state.latency_ewma = (
-                        alpha * latency + (1.0 - alpha) * state.latency_ewma
-                    )
-            breaker = state.breaker
-            if breaker is not None:
-                transition = breaker.record(ok, now)
-                if transition in ("open", "reopen"):
-                    self._counts["breaker_opens"] += 1
-                    self._emit("breaker_open", now, server_id=server_id,
-                               value=float(breaker.consecutive))
-                elif transition == "close":
-                    self._counts["breaker_closes"] += 1
-                    self._emit("breaker_close", now, server_id=server_id)
-            if state.ejected:
-                if ok:
-                    state.probe_successes += 1
-                    if state.probe_successes >= config.readmit_successes:
-                        self._readmit_locked(state, now)
-                else:
-                    state.probe_successes = 0
-            elif (
-                config.ejection
-                and state.samples >= config.min_samples
-                and self._is_outlier_locked(state)
-                and self._can_eject_locked()
-            ):
-                self._eject_locked(state, now)
+        breaker = state.breaker
+        if breaker is not None:
+            transition = breaker.record(ok, now)
+            if transition in ("open", "reopen"):
+                self._counts["breaker_opens"] += 1
+                self._emit("breaker_open", now, server_id=server_id,
+                           value=float(breaker.consecutive))
+            elif transition == "close":
+                self._counts["breaker_closes"] += 1
+                self._emit("breaker_close", now, server_id=server_id)
+        if state.ejected:
+            if ok:
+                state.probe_successes += 1
+                if state.probe_successes >= config.readmit_successes:
+                    self._readmit_locked(state, now)
+            else:
+                state.probe_successes = 0
+        elif (
+            config.ejection
+            and state.samples >= config.min_samples
+            and self._is_outlier_locked(state)
+            and self._can_eject_locked()
+        ):
+            self._eject_locked(state, now)
 
     def observe(self, request) -> None:
         """Completion feed: one answered attempt of the replica it hit.
@@ -338,24 +358,24 @@ class HealthManager:
         """Credit the retry budget for one first attempt."""
         if self._budget is None:
             return
-        with self._lock:
-            self._budget.deposit()
+        locked(self.lock, self._budget.deposit)
 
     def try_spend_retry(self, now: float) -> bool:
         """Whether a retry may be sent; False = budget exhausted."""
         if self._budget is None:
             return True
-        with self._lock:
-            allowed = self._budget.try_spend()
-            if not allowed:
-                self._emit("budget_exhausted", now,
-                           value=self._budget.tokens)
+        return locked(self.lock, self._spend_locked, now)
+
+    def _spend_locked(self, now: float) -> bool:
+        allowed = self._budget.try_spend()
+        if not allowed:
+            self._emit("budget_exhausted", now, value=self._budget.tokens)
         return allowed
 
     # -- inspection ------------------------------------------------------
     def view(self) -> HealthView:
         """Immutable snapshot of every replica's health record."""
-        with self._lock:
+        with self.lock or NO_LOCK:
             replicas = tuple(
                 ReplicaHealthView(
                     server_id=state.server_id,
@@ -379,7 +399,7 @@ class HealthManager:
 
     def counts(self) -> Dict[str, int]:
         """Lifetime tallies of health-layer actions."""
-        with self._lock:
+        with self.lock or NO_LOCK:
             out = dict(self._counts)
             if self._budget is not None:
                 out["retries_budgeted"] = self._budget.spent

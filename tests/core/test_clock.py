@@ -17,6 +17,16 @@ class TestWallClock:
         b = clock.now()
         assert b >= a
 
+    def test_now_reads_perf_counter_and_never_decreases(self):
+        # ``now`` is ``time.perf_counter`` itself: its domain, no frame.
+        clock = WallClock()
+        before = time.perf_counter()
+        reads = [clock.now() for _ in range(10000)]
+        after = time.perf_counter()
+        assert before <= reads[0] and reads[-1] <= after
+        assert all(a <= b for a, b in zip(reads, reads[1:]))
+        assert WallClock.now is time.perf_counter
+
     def test_sleep_until_reaches_deadline(self):
         clock = WallClock()
         deadline = clock.now() + 0.005

@@ -282,6 +282,177 @@ class TestRequestQueue:
         assert len({id(r) for r in consumed}) == len(consumed)
 
 
+# -- only a waiting getter is woken -------------------------------------------
+
+def _until(predicate, timeout=5.0):
+    """Poll ``predicate`` until it holds; False if it never did."""
+    deadline = time.monotonic() + timeout
+    while not predicate():
+        if time.monotonic() > deadline:
+            return False
+        time.sleep(0.001)
+    return True
+
+
+def _in_thread(fn, timeout=5.0):
+    """Run ``fn`` on another thread; its result, or fail if it blocks."""
+    out, errors = [], []
+
+    def run():
+        try:
+            out.append(fn())
+        except BaseException as exc:  # noqa: BLE001 - re-raised below
+            errors.append(exc)
+
+    thread = threading.Thread(target=run, daemon=True)
+    thread.start()
+    thread.join(timeout)
+    assert not thread.is_alive(), "the call blocked"
+    if errors:
+        raise errors[0]
+    return out[0]
+
+
+class TestWakeOnlyAWaiter:
+    """A put notifies only when a getter is blocked (the queue counts
+    them under its lock); every path out of a wait uncounts it."""
+
+    def test_one_put_wakes_a_blocked_getter(self):
+        queue = RequestQueue(WallClock())
+        taken = []
+        thread = threading.Thread(
+            target=lambda: taken.append(queue.get()), daemon=True
+        )
+        thread.start()
+        assert _until(lambda: queue._waiting == 1)
+        request = make_request()
+        assert queue.put(request)
+        thread.join(5.0)
+        assert not thread.is_alive()
+        assert taken == [request]
+        assert queue._waiting == 0
+
+    def test_a_put_with_no_waiter_notifies_nothing(self, monkeypatch):
+        queue = RequestQueue(WallClock())
+        notified = []
+        monkeypatch.setattr(
+            queue._not_empty, "notify", lambda n=1: notified.append(n)
+        )
+        for _ in range(3):
+            queue.put(make_request())
+        assert [queue.get(timeout=1.0) for _ in range(3)]
+        assert notified == []
+
+    def test_every_request_is_taken_once(self):
+        queue = RequestQueue(WallClock())
+        per_putter, taken, taken_lock = 1000, [], threading.Lock()
+
+        def putter(tag):
+            for i in range(per_putter):
+                request = make_request()
+                request.payload = (tag, i)
+                queue.put(request)
+
+        def getter(timeout):
+            while True:
+                try:
+                    request = queue.get(timeout=timeout)
+                except TimeoutError:
+                    continue
+                except QueueClosed:
+                    return
+                with taken_lock:
+                    taken.append(request.payload)
+
+        getters = [
+            threading.Thread(target=getter, args=(timeout,), daemon=True)
+            for timeout in (None, 0.002, None, 0.0005)
+        ]
+        putters = [
+            threading.Thread(target=putter, args=(tag,), daemon=True)
+            for tag in "ab"
+        ]
+        for thread in getters + putters:
+            thread.start()
+        for thread in putters:
+            thread.join(30.0)
+        assert _until(lambda: len(taken) == 2 * per_putter, timeout=30.0)
+        queue.close()
+        for thread in getters:
+            thread.join(5.0)
+            assert not thread.is_alive()
+        assert sorted(taken) == sorted(
+            (tag, i) for tag in "ab" for i in range(per_putter)
+        )
+        assert queue._waiting == 0
+
+    def test_a_timed_out_getter_leaves_no_waiter(self):
+        queue = RequestQueue(WallClock())
+        with pytest.raises(TimeoutError):
+            queue.get(timeout=0.01)
+        assert queue._waiting == 0
+        request = make_request()
+        queue.put(request)
+        assert _in_thread(queue.get) is request
+
+    def test_close_wakes_every_blocked_getter(self):
+        queue = RequestQueue(WallClock())
+        closed = []
+
+        def getter():
+            try:
+                queue.get()
+            except QueueClosed:
+                closed.append(True)
+
+        threads = [
+            threading.Thread(target=getter, daemon=True) for _ in range(4)
+        ]
+        for thread in threads:
+            thread.start()
+        assert _until(lambda: queue._waiting == 4)
+        queue.close()
+        for thread in threads:
+            thread.join(5.0)
+            assert not thread.is_alive()
+        assert closed == [True] * 4
+        assert queue._waiting == 0
+
+
+class TestLockIsReleasedOnRaise:
+    """The per-request lock is entered without ``with``: whatever the
+    stage raises, the next put or get from another thread still runs."""
+
+    def test_a_gate_that_raises_leaves_the_lock_free(self):
+        class RaisingGate:
+            def admit(self, now, depth, request=None):
+                raise RuntimeError("gate failed")
+
+        queue = RequestQueue(WallClock(), gate=RaisingGate())
+        with pytest.raises(RuntimeError, match="gate failed"):
+            queue.put(make_request())
+        assert not queue._lock.locked()
+        queue._stage.gate = None
+        request = make_request()
+        assert _in_thread(lambda: queue.put(request))
+        assert _in_thread(queue.get) is request
+
+    def test_a_batch_policy_that_raises_leaves_the_lock_free(self):
+        class RaisingPolicy:
+            def ready_at(self, buffer, now):
+                raise RuntimeError("policy failed")
+
+        queue = RequestQueue(WallClock())
+        first, second = make_request(), make_request()
+        queue.put(first)
+        with pytest.raises(RuntimeError, match="policy failed"):
+            queue.get_batch(RaisingPolicy(), timeout=1.0)
+        assert not queue._lock.locked()
+        assert queue._waiting == 0
+        assert _in_thread(lambda: queue.put(second))
+        assert _in_thread(queue.get) is first
+
+
 # -- one queue stage, two executors ------------------------------------------
 #
 # The live queue is driven by hand on a virtual clock: free "workers"

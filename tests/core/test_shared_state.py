@@ -11,6 +11,7 @@ run enters no lock, and under live threads what lost its lock still
 counts exactly (DESIGN.md §4 "Who shares state").
 """
 
+import collections
 import random
 import sys
 import threading
@@ -18,7 +19,15 @@ import time
 
 import pytest
 
+from repro.control import (
+    AdmissionConfig,
+    ControlPlaneConfig,
+    PriorityConfig,
+    RequestClassSpec,
+)
 from repro.core import (
+    CacheConfig,
+    FanoutConfig,
     HarnessConfig,
     Request,
     ResilienceConfig,
@@ -31,6 +40,7 @@ from repro.core import harness as harness_module
 from repro.core.balancer import BALANCERS, make_balancer
 from repro.core.resilience import ResilientClient
 from repro.faults import FaultInjector, FaultPlan
+from repro.health import HealthConfig
 from repro.sim import Engine, SimConfig, simulate_app
 
 THREADS = 4
@@ -160,6 +170,53 @@ class TestNoLockUnderTheEngine:
         result = census.run(lambda: simulate_app("masstree", config))
         assert result.stats.count == 1500
         assert census.entries == []
+
+    def test_health_and_cache_take_no_lock(self, monkeypatch):
+        config = SimConfig(
+            n_servers=4, qps=4000.0, warmup_requests=100,
+            measure_requests=1500, seed=3,
+            resilience=ResilienceConfig(deadline=0.05, max_retries=2),
+            health=HealthConfig(enabled=True),
+            cache=CacheConfig(enabled=True),
+        )
+        simulate_app("masstree", config.replace(measure_requests=50))
+        census = _LockCensus(monkeypatch)
+        result = census.run(lambda: simulate_app("masstree", config))
+        # Both ran: the cache answered, the health layer kept counts.
+        assert result.cache_counts["hits"] and result.health_counts
+        assert census.entries == []
+
+    def test_control_plane_and_fanout_take_no_lock_per_request(
+        self, monkeypatch
+    ):
+        classes = (
+            RequestClassSpec("interactive", priority=1, weight=3.0, fraction=0.7),
+            RequestClassSpec("batch", priority=0, weight=1.0, fraction=0.3),
+        )
+        configs = [
+            ("masstree", SimConfig(
+                n_servers=2, qps=4000.0, warmup_requests=100,
+                measure_requests=1500, seed=3,
+                control=ControlPlaneConfig(
+                    enabled=True, admission=AdmissionConfig(),
+                    priority=PriorityConfig(classes=classes),
+                ),
+            )),
+            ("xapian", SimConfig(
+                n_servers=3, qps=600.0, warmup_requests=100,
+                measure_requests=1500, seed=3,
+                fanout=FanoutConfig(enabled=True, shards=3),
+            )),
+        ]
+        for app, config in configs:
+            simulate_app(app, config.replace(measure_requests=50))
+            census = _LockCensus(monkeypatch)
+            census.run(lambda: simulate_app(app, config))
+            # What is left is the control tick's read of the transport's
+            # active set (one per tick), not a per-request lock.
+            callers = collections.Counter(caller for caller, _ in census.entries)
+            assert set(callers) <= {"active_server_ids"}
+            assert sum(callers.values()) < 0.05 * config.total_requests
 
     def test_the_census_sees_a_live_runs_locks(self, monkeypatch):
         # The same census over the same features live: it is not blind.

@@ -1,5 +1,8 @@
 """Tests for the three harness transports."""
 
+import threading
+import time
+
 import pytest
 
 from repro.core import StatsCollector, WallClock
@@ -165,3 +168,73 @@ class TestDelayLine:
         line.stop()
         line.push("ghost")
         assert delivered == []
+
+
+class _GatedApp:
+    """Answers once ``release`` is set."""
+
+    def __init__(self):
+        self.release = threading.Event()
+
+    def process(self, payload):
+        self.release.wait(10.0)
+        return payload
+
+
+class TestDrain:
+    """An answer wakes ``drain`` only while it waits; it returns either
+    way the last completion falls."""
+
+    def _started(self, app):
+        transport = IntegratedTransport(WallClock())
+        transport.start(app, n_threads=1, collector=StatsCollector())
+        return transport
+
+    def test_last_completion_before_drain_waits(self):
+        transport = self._started(EchoApp())
+        try:
+            for i in range(5):
+                transport.send(transport._clock.now(), i)
+            deadline = time.monotonic() + 5.0
+            while transport.stats.completed < 5:
+                assert time.monotonic() < deadline
+                time.sleep(0.001)
+            transport.drain(timeout=1.0)
+            assert transport._drainers == 0
+        finally:
+            transport.stop()
+
+    def test_last_completion_after_drain_waits(self):
+        app = _GatedApp()
+        transport = self._started(app)
+        try:
+            for i in range(5):
+                transport.send(transport._clock.now(), i)
+            drainer = threading.Thread(
+                target=transport.drain, args=(10.0,), daemon=True
+            )
+            drainer.start()
+            deadline = time.monotonic() + 5.0
+            while transport._drainers != 1:
+                assert time.monotonic() < deadline
+                time.sleep(0.001)
+            app.release.set()
+            drainer.join(10.0)
+            assert not drainer.is_alive()
+            assert transport.stats.completed == 5
+            assert transport._drainers == 0
+        finally:
+            app.release.set()
+            transport.stop()
+
+    def test_a_drain_that_times_out_stops_waiting(self):
+        app = _GatedApp()
+        transport = self._started(app)
+        try:
+            transport.send(transport._clock.now(), 0)
+            with pytest.raises(TimeoutError):
+                transport.drain(timeout=0.02)
+            assert transport._drainers == 0
+        finally:
+            app.release.set()
+            transport.stop()
